@@ -92,11 +92,13 @@ def _parse_rational(text: object, where: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ParseError(f"{where}: expected a rational string, got {text!r}")
     num, _, den = text.partition("/")
-    if den == "":
-        return Fraction(int(num))
-    if int(den) == 0:
+    try:
+        numerator, denominator = int(num), int(den or "1")
+    except ValueError as exc:  # beyond the interpreter's int<->str digit limit
+        raise ParseError(f"{where}: {exc}") from exc
+    if denominator == 0:
         raise ParseError(f"{where}: zero denominator")
-    return Fraction(int(num), int(den))
+    return Fraction(numerator, denominator)
 
 
 def _parse_poly(obj: object, where: str) -> Poly:
@@ -126,6 +128,8 @@ def deserialize(text: str) -> Certificate:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno) from exc
+    except ValueError as exc:  # a number literal beyond the int<->str digit limit
+        raise ParseError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     version = doc.get("version")

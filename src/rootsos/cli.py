@@ -242,7 +242,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
         return EXIT_ERROR
     elapsed = time.perf_counter() - started
 
-    payload = _pretty_certificate(cert) if args.pretty else certmod.serialize(cert)
+    try:
+        payload = _pretty_certificate(cert) if args.pretty else certmod.serialize(cert)
+    except ValueError as exc:  # a coefficient beyond the int<->str digit limit
+        print(f"error: cannot write the certificate: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     summary = (
         f"certificate: N={len(cert.weights)} terms, "
         f"max coefficient bits={_max_bits(cert)}, time={elapsed:.3f}s"
@@ -279,7 +283,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_OK
     print(f"invalid: {verdict.reason}", file=sys.stderr)
     if verdict.residual is not None:
-        print(f"residual = {poly_str(verdict.residual)}", file=sys.stderr)
+        try:
+            residual = poly_str(verdict.residual)
+        except ValueError:  # a coefficient beyond the int<->str digit limit
+            residual = f"(degree {verdict.residual.degree}, too large to print)"
+        print(f"residual = {residual}", file=sys.stderr)
     return EXIT_NOT_NONNEGATIVE
 
 

@@ -276,6 +276,10 @@ def certify_strict_squarefree(
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("f must have degree >= 1")
+    if precision_bits < 1:
+        raise ValueError(f"precision_bits must be >= 1, got {precision_bits}")
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     digits_cap = max(1, min(digits_cap, 64))
     q_reduction, g_red = divmod(g, f)
 

@@ -73,26 +73,34 @@ class StrictReduction:
 
 
 def newton_sqrt_iterates(gbar: Poly, h0: Poly, p: Poly, e: int) -> list[Poly]:
-    """Newton iterates h^(k+1) = (h^(k) + s*gbar)/2 mod p^(2^(k+1)).
+    """Newton iterates h^(k+1) = h^(k) - (h^(k)^2 - gbar)*s/2 mod p^(2^(k+1)).
 
     Starting from h0 with h0^2 = gbar mod p, iterate k = ceil(log2(e))
-    times; s inverts the current iterate modulo p^(2^(k+1)).  The returned
-    list contains h0 and every iterate, so (iterates[k])^2 = gbar mod p^(2^k)
-    can be checked step by step.
+    times.  The inverse is Newton-lifted alongside the root: h0 is inverted
+    once modulo p by extended_gcd, and s <- s*(2 - h^(k)*s) carries s to an
+    inverse of h^(k) modulo p^(2^k), which suffices because h^(k)^2 - gbar
+    vanishes modulo p^(2^k).  Each iterate is the unique square root of gbar
+    modulo p^(2^k) that is congruent to h0 modulo p and has degree below
+    2^k*deg p.  The returned list contains h0 and every iterate, so
+    (iterates[k])^2 = gbar mod p^(2^k) can be checked step by step.
     """
     if e < 1:
         raise ValueError("target exponent must be >= 1")
     steps = (e - 1).bit_length()  # ceil(log2(e))
     iterates = [h0]
+    if steps == 0:
+        return iterates
+    unit, s, _ = extended_gcd(h0, p)
+    if unit != Poly.one():
+        raise NotIrreducible(f"{h0} is not invertible modulo {p}")
+    two = Poly.constant(2)
     h = h0
+    modulus = p
     for k in range(steps):
-        modulus = p ** (2 ** (k + 1))
-        unit, s, _ = extended_gcd(h, modulus)
-        if unit != Poly.one():
-            raise NotIrreducible(
-                f"{h} is not invertible modulo {p}^{2 ** (k + 1)}"
-            )
-        h = ((h + s * gbar) * Fraction(1, 2)) % modulus
+        if k:
+            s = (s * (two - h * s)) % modulus  # inverse of h modulo p^(2^k)
+        modulus = modulus * modulus
+        h = (h - (h * h - gbar) * s * Fraction(1, 2)) % modulus
         iterates.append(h)
     return iterates
 

@@ -221,6 +221,8 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootPro
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("find_roots needs degree >= 1")
+    if precision_bits < 1:
+        raise ValueError(f"precision_bits must be >= 1, got {precision_bits}")
     expected = sturm_real_root_count(f)  # raises NotSquarefree when repeated
 
     bits = min(precision_bits, PRECISION_CAP_BITS)

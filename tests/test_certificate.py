@@ -115,6 +115,26 @@ def test_malformed_rational_rejected():
         deserialize(text)
 
 
+OVER_DIGIT_LIMIT = "1" + "0" * 5000  # Python converts at most 4300 digits
+
+
+@pytest.mark.parametrize(
+    "f_entry, field",
+    [
+        (f'"{OVER_DIGIT_LIMIT}/7"', "f[0]"),
+        (f'"7/{OVER_DIGIT_LIMIT}"', "f[0]"),
+        (OVER_DIGIT_LIMIT, None),  # a bare JSON number, refused by json itself
+    ],
+    ids=["numerator", "denominator", "bare-number"],
+)
+def test_oversized_integer_is_a_parse_error(f_entry, field):
+    text = f'{{"version": "sos-cert/1", "f": [{f_entry}], "g": [], "q": [], "terms": []}}'
+    with pytest.raises(ParseError) as info:
+        deserialize(text)
+    if field is not None:
+        assert str(info.value).startswith(field)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(

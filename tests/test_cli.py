@@ -1,9 +1,12 @@
+import hashlib
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from rootsos.certificate import deserialize, verify
+from rootsos import cli
+from rootsos.certificate import Certificate, deserialize, verify
 from rootsos.cli import ParseError, main, parse_poly
 from rootsos.ratpoly import Poly
 
@@ -152,3 +155,55 @@ def test_bad_seed_env(monkeypatch, capsys):
     monkeypatch.setenv("SOS_CERT_SEED", "not-a-number")
     assert main(["certify", "--f", "x^3-2", "--g", "x"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["--precision-bits", "0"], ["--precision-bits", "-5"], ["--max-retries", "-1"]],
+    ids=["precision-bits-0", "precision-bits-negative", "max-retries-negative"],
+)
+def test_certify_rejects_bad_numeric_options(option, capsys):
+    started = time.perf_counter()
+    assert main(["certify", "--f", "x^3-2", "--g", "x"] + option) == 1
+    assert time.perf_counter() - started < 1.0
+    assert "must be >=" in capsys.readouterr().err
+
+
+def test_certify_deep_lift_pinned_bytes(tmp_path, capsys):
+    # e = 9 lifts the cubic to (x^3-2)^16; the digest pins the certificate bytes
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--f", "x*(x^3-2)^9", "--g", "x^3", "--out", str(out)]) == 0
+    assert main(["verify", "--cert", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "459047eb30138b67f5b4185c93f750a05569978626c3e08046ca8fb68fbf9776"
+    capsys.readouterr()
+
+
+def test_verify_oversized_integer_is_a_parse_error(tmp_path, capsys):
+    big = "1" + "0" * 5000  # Python converts at most 4300 digits
+    doc = {"version": "sos-cert/1", "f": ["-2", "0", "0", "1"], "g": ["1"],
+           "q": [], "terms": [{"omega": f"{big}/3", "h": ["1"]}]}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--cert", str(path)]) == 1
+    assert "terms[0].omega" in capsys.readouterr().err
+
+
+def test_certify_oversized_certificate_exits_one(monkeypatch, capsys):
+    def oversized(f, g, **_options):
+        return Certificate(f, g + Poly.constant(10**5000), (), (), Poly.zero())
+
+    monkeypatch.setattr(cli, "certify_nonnegative", oversized)
+    assert main(["certify", "--f", "x^3-2", "--g", "x"]) == 1
+    assert "cannot write the certificate" in capsys.readouterr().err
+
+
+def test_verify_oversized_residual_is_reported(tmp_path, capsys):
+    # every coefficient is below the limit, but the residual's is not
+    big = "1" + "0" * 3000
+    doc = {"version": "sos-cert/1", "f": ["1", "1"], "g": [big],
+           "q": [], "terms": [{"omega": big, "h": [big]}]}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--cert", str(path)]) == 3
+    assert "too large to print" in capsys.readouterr().err

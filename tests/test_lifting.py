@@ -90,7 +90,7 @@ def test_newton_iterates_invariant_random():
         g = _square_sum(SOSDecomposition(weights, tuple(polys), p)) % p
         if (g % p).is_zero:
             continue
-        e = rng.randint(2, 4)
+        e = rng.randint(2, 9)
         j = len(polys) - 1
         rest = Poly.zero()
         for i in range(len(polys) - 1):
@@ -98,7 +98,10 @@ def test_newton_iterates_invariant_random():
         gbar = (g - rest) * (1 / weights[j])
         iterates = newton_sqrt_iterates(gbar, polys[j], p, e)
         for k, h in enumerate(iterates):
+            # together these three pin each iterate uniquely
             assert ((h * h - gbar) % p ** (2**k)).is_zero
+            assert ((h - polys[j]) % p).is_zero
+            assert h.degree < 2**k * p.degree
         sos = SOSDecomposition(weights, tuple(polys), p)
         lifted = hensel_lift_sos(sos, p, e, g)
         assert ((_square_sum(lifted) - g) % p**e).is_zero
