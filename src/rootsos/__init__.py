@@ -6,6 +6,7 @@ from .exactify import (
     GramLift,
     NotPD,
     PrecisionExhausted,
+    SharedFactor,
     SOSDecomposition,
     certify_strict_squarefree,
     check_positive_definite,
@@ -35,6 +36,7 @@ from .ratpoly import (
     norm2_squared,
     squarefree_decompose,
     sturm_real_root_count,
+    weighted_square_sum,
 )
 
 __version__ = "0.1.0"
@@ -53,6 +55,7 @@ __all__ = [
     "PrecisionExhausted",
     "Rational",
     "SOSDecomposition",
+    "SharedFactor",
     "StrictReduction",
     "Verdict",
     "build_interior_gram",
@@ -78,5 +81,6 @@ __all__ = [
     "squarefree_decompose",
     "sturm_real_root_count",
     "verify",
+    "weighted_square_sum",
     "__version__",
 ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .ratpoly import Poly
+from .ratpoly import Poly, weighted_square_sum
 
 FORMAT_VERSION = "sos-cert/1"
 
@@ -71,10 +71,7 @@ def verify(cert: Certificate) -> Verdict:
     for i, h in enumerate(cert.polys):
         if not h.degree < cert.f.degree:
             return Verdict(False, f"square {i + 1} has degree >= deg f")
-    acc = Poly.zero()
-    for w, h in zip(cert.weights, cert.polys):
-        acc = acc + h * h * w
-    residual = cert.g - acc - cert.q * cert.f
+    residual = cert.g - weighted_square_sum(cert.weights, cert.polys) - cert.q * cert.f
     if not residual.is_zero:
         return Verdict(False, "identity g = sum w_i h_i^2 + q*f fails", residual)
     return Verdict(True)

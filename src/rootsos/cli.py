@@ -20,7 +20,7 @@ from .certificate import Certificate, ParseError as CertificateParseError
 from .exactify import PrecisionExhausted
 from .factorq import DEFAULT_SEED, factor_over_Q
 from .lifting import HypothesisViolated, NotNonnegative, certify_nonnegative
-from .ratpoly import Poly, gcd, squarefree_decompose, sturm_real_root_count
+from .ratpoly import Poly, format_rational, gcd, squarefree_decompose, sturm_real_root_count
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -130,6 +130,8 @@ def _parse_factor(toks: _Tokens) -> Poly:
         exponent = toks.uint()
         if exponent > MAX_EXPONENT:
             raise ParseError(toks.pos, f"an exponent <= {MAX_EXPONENT}")
+        if base.degree > 0 and base.degree * exponent > MAX_EXPONENT:  # (x^a)^b
+            raise ParseError(toks.pos, f"a power of degree <= {MAX_EXPONENT}")
         return base**exponent
     return base
 
@@ -161,11 +163,6 @@ def _parse_base(toks: _Tokens) -> Poly:
     raise ParseError(toks.pos, "a number, 'x', '(' or '-'")
 
 
-def poly_str(p: Poly) -> str:
-    """Human-readable rendering, descending powers."""
-    return str(p)
-
-
 def _read_seed() -> int:
     raw = os.environ.get("SOS_CERT_SEED")
     if raw is None:
@@ -194,13 +191,13 @@ def _max_bits(cert: Certificate) -> int:
 
 def _pretty_certificate(cert: Certificate) -> str:
     lines = [
-        f"f = {poly_str(cert.f)}",
-        f"g = {poly_str(cert.g)}",
-        f"q = {poly_str(cert.q)}",
+        f"f = {cert.f}",
+        f"g = {cert.g}",
+        f"q = {cert.q}",
         f"identity: g = sum of {len(cert.weights)} weighted squares + q*f",
     ]
     for i, (w, h) in enumerate(zip(cert.weights, cert.polys), start=1):
-        lines.append(f"  omega_{i} = {w},  h_{i} = {poly_str(h)}")
+        lines.append(f"  omega_{i} = {format_rational(w)},  h_{i} = {h}")
     return "\n".join(lines) + "\n"
 
 
@@ -230,7 +227,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     except NotNonnegative as exc:
         print(
             f"not non-negative: g({exc.root}) = {exc.value} < 0 "
-            f"at a real root of the factor {poly_str(exc.factor)}",
+            f"at a real root of the factor {exc.factor}",
             file=sys.stderr,
         )
         return EXIT_NOT_NONNEGATIVE
@@ -283,11 +280,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_OK
     print(f"invalid: {verdict.reason}", file=sys.stderr)
     if verdict.residual is not None:
-        try:
-            residual = poly_str(verdict.residual)
-        except ValueError:  # a coefficient beyond the int<->str digit limit
-            residual = f"(degree {verdict.residual.degree}, too large to print)"
-        print(f"residual = {residual}", file=sys.stderr)
+        print(f"residual = {verdict.residual}", file=sys.stderr)
     return EXIT_NOT_NONNEGATIVE
 
 
@@ -303,27 +296,27 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         print("error: f must be non-zero", file=sys.stderr)
         return EXIT_ERROR
 
-    lines = [f"f = {poly_str(f)}", f"deg f = {int(f.degree) if f else '-inf'}"]
+    lines = [f"f = {f}", f"deg f = {int(f.degree) if f else '-inf'}"]
     if f.degree >= 1:
         sqf = squarefree_decompose(f)
         lines.append("squarefree decomposition:")
         for factor, mult in sqf.parts:
-            lines.append(f"  ({poly_str(factor)})^{mult}")
+            lines.append(f"  ({factor})^{mult}")
         fact = factor_over_Q(f, seed=seed)
-        lines.append(f"irreducible factorization (unit {fact.unit}):")
+        lines.append(f"irreducible factorization (unit {format_rational(fact.unit)}):")
         for p, e in fact.factors:
             lines.append(
-                f"  ({poly_str(p)})^{e}  [distinct real roots: {sturm_real_root_count(p)}]"
+                f"  ({p})^{e}  [distinct real roots: {sturm_real_root_count(p)}]"
             )
     if g is not None:
-        lines.append(f"g = {poly_str(g)}")
+        lines.append(f"g = {g}")
         if g.is_zero:
             lines.append("gcd(f, g) = f (g is zero); hypothesis: OK (empty certificate)")
         else:
             d = gcd(f, g)
             cofactor = f // d
-            lines.append(f"d = gcd(f, g) = {poly_str(d)}")
-            lines.append(f"f/d = {poly_str(cofactor)}")
+            lines.append(f"d = gcd(f, g) = {d}")
+            lines.append(f"f/d = {cofactor}")
             ok = d.degree == 0 or gcd(d, cofactor).degree == 0
             lines.append(f"hypothesis gcd(d, f/d) = 1: {'OK' if ok else 'VIOLATED'}")
     print("\n".join(lines))

@@ -23,7 +23,7 @@ from .numeric import (
     RootClassificationUnstable,
     exact_fraction,
 )
-from .ratpoly import Poly, norm2_squared, sqrt_upper_bound
+from .ratpoly import Poly, gcd, norm2_squared, sqrt_upper_bound, weighted_square_sum
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -37,6 +37,15 @@ class DegreeTooHigh(ValueError):
 
 class NotPD(ArithmeticError):
     """Exact LDL^T check found a non-positive pivot."""
+
+
+class SharedFactor(ValueError):
+    """f and g share the non-constant factor ``common``: g vanishes at a root
+    of f, real or complex, so the strictly positive method does not apply."""
+
+    def __init__(self, common: Poly):
+        super().__init__(f"f and g share the factor {common}")
+        self.common = common
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -82,10 +91,7 @@ class SOSDecomposition:
             raise ValueError("square degrees must stay below the modulus degree")
 
     def square_sum(self) -> Poly:
-        out = Poly.zero()
-        for w, h in zip(self.weights, self.polys):
-            out = out + h * h * w
-        return out
+        return weighted_square_sum(self.weights, self.polys)
 
 
 @dataclass(frozen=True)
@@ -272,7 +278,8 @@ def certify_strict_squarefree(
     round, project, and check positive definiteness exactly.  When the margin
     is not positive (or the exact check fails even after two extra digits),
     the working precision doubles; after ``max_retries`` doublings the
-    attempt is abandoned with diagnostics.
+    attempt is abandoned with diagnostics.  Raises SharedFactor, before any
+    numeric work, when gcd(f, g) is not constant.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("f must have degree >= 1")
@@ -280,6 +287,9 @@ def certify_strict_squarefree(
         raise ValueError(f"precision_bits must be >= 1, got {precision_bits}")
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+    common = gcd(f, g)
+    if common.degree > 0:
+        raise SharedFactor(common)
     digits_cap = max(1, min(digits_cap, 64))
     q_reduction, g_red = divmod(g, f)
 

@@ -17,7 +17,7 @@ from .certificate import Certificate, verify
 from .exactify import SOSDecomposition, certify_strict_squarefree
 from .factorq import DEFAULT_SEED, factor_over_Q
 from .numeric import NotStrictlyPositive
-from .ratpoly import Poly, extended_gcd, gcd
+from .ratpoly import Poly, extended_gcd, gcd, weighted_square_sum
 
 
 class NoInvertibleSquare(ValueError):
@@ -136,23 +136,26 @@ def hensel_lift_sos(
         if h.is_zero or gcd(h, p).degree != 0:
             raise NoInvertibleSquare(f"square {j} is divisible by p")
 
-    rest = Poly.zero()
-    for i, (w, h) in enumerate(zip(sos.weights, sos.polys)):
-        if i != j:
-            rest = rest + h * h * w
+    rest = weighted_square_sum(
+        (w for i, w in enumerate(sos.weights) if i != j),
+        (h for i, h in enumerate(sos.polys) if i != j),
+    )
     gbar = (g - rest) * (1 / sos.weights[j])
     if not ((sos.polys[j] * sos.polys[j] - gbar) % p).is_zero:
         raise NoInvertibleSquare("input is not an SOS decomposition of g modulo p")
 
     iterates = newton_sqrt_iterates(gbar, sos.polys[j], p, e)
+    modulus = p
     for k, h in enumerate(iterates):
-        if not ((h * h - gbar) % p ** (2**k)).is_zero:
+        if k:
+            modulus = modulus * modulus  # p^(2^k)
+        if not ((h * h - gbar) % modulus).is_zero:
             raise AssertionError("Newton square invariant broken")
-    lifted = iterates[-1] % p**e
+    target = p**e
 
     polys = list(sos.polys)
-    polys[j] = lifted
-    return SOSDecomposition(sos.weights, tuple(polys), p**e)
+    polys[j] = iterates[-1] % target
+    return SOSDecomposition(sos.weights, tuple(polys), target)
 
 
 def crt_combine_sos(
@@ -160,36 +163,35 @@ def crt_combine_sos(
 ) -> SOSDecomposition:
     """Combine SOS decompositions of g modulo pairwise-coprime moduli.
 
-    Each square h is mapped to (s_i * F/f_i * h) mod F with s_i the Bezout
-    inverse of F/f_i modulo f_i; the mapped factor is an idempotent modulo F,
-    so squaring it does not disturb the congruence.
+    Each square h is mapped to (s_i * C_i * h) mod F, where F is the product
+    of the moduli, C_i = F/f_i, and s_i the inverse of C_i modulo f_i; the
+    factor s_i * C_i is an idempotent modulo F, so squaring it does not
+    disturb the congruence.  The mapped square is computed as
+    C_i * ((s_i * h) mod f_i): it has degree below deg F and is congruent to
+    s_i * C_i * h modulo F, so it is that same reduction, found modulo the
+    small f_i.  C_i is invertible modulo f_i exactly when f_i is coprime to
+    every other modulus, which is how coprimality is checked.
     """
     if not parts:
         raise ValueError("need at least one decomposition")
-    moduli = [fi for fi, _ in parts]
-    for i in range(len(moduli)):
-        for j in range(i + 1, len(moduli)):
-            if gcd(moduli[i], moduli[j]).degree != 0:
-                raise NotCoprime(f"{moduli[i]} and {moduli[j]} share a factor")
     for fi, sos in parts:
         if sos.modulus != fi:
             raise ValueError("decomposition modulus does not match its entry")
 
     total = Poly.one()
-    for fi in moduli:
+    for fi, _ in parts:
         total = total * fi
 
     weights: list[Fraction] = []
     polys: list[Poly] = []
     for fi, sos in parts:
         complement = total // fi
-        unit, s, _ = extended_gcd(complement, fi)
+        unit, s, _ = extended_gcd(complement % fi, fi)
         if unit != Poly.one():
-            raise NotCoprime("moduli are not coprime")  # defensive; checked above
-        idem = (s * complement) % total
+            raise NotCoprime(f"{fi} shares a factor with another modulus")
         for w, h in zip(sos.weights, sos.polys):
             weights.append(w)
-            polys.append((idem * h) % total)
+            polys.append(complement * ((s * h) % fi))
     return SOSDecomposition(tuple(weights), tuple(polys), total)
 
 
@@ -280,10 +282,7 @@ def certify_nonnegative(
 
         weights = combined.weights
         polys = tuple(d * h for h in combined.polys)
-        acc = Poly.zero()
-        for w, h in zip(weights, polys):
-            acc = acc + h * h * w
-        quotient, rem = divmod(g - acc, f)
+        quotient, rem = divmod(g - weighted_square_sum(weights, polys), f)
         if not rem.is_zero:
             raise AssertionError("certificate identity has a non-zero remainder")
         cert = Certificate(f, g, weights, polys, quotient)

@@ -4,6 +4,14 @@ Polynomials are dense coefficient vectors of ``fractions.Fraction``, index i
 holding the coefficient of x**i.  The zero polynomial is the empty vector and
 its degree is the sentinel ``NEG_INF``, which compares below every integer.
 All values are immutable and all operations are pure functions.
+
+Products run through the integers by Kronecker substitution: each operand is
+brought to integer numerators over one common denominator, the numerators are
+packed as the digits of one big integer at a byte width wide enough for every
+digit of the product, one big-integer multiplication does the convolution,
+and the product digits are unpacked and divided by the product of the two
+denominators.  ``weighted_square_sum`` squares each h_i the same way and sums
+the integer squares over one common denominator.
 """
 
 from __future__ import annotations
@@ -137,13 +145,10 @@ class Poly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        a, den_a = _integer_vector(self.coeffs)
+        b, den_b = _integer_vector(other.coeffs)
+        den = den_a * den_b
+        return Poly(Fraction(c, den) for c in _convolve(a, b))
 
     def __rmul__(self, other: Union[int, Fraction]) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -212,6 +217,7 @@ class Poly:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
     def __str__(self) -> str:
+        """Descending powers; never fails, see ``format_rational``."""
         if not self.coeffs:
             return "0"
         parts: list[str] = []
@@ -221,15 +227,97 @@ class Poly:
                 continue
             mag = abs(c)
             if k == 0:
-                body = str(mag)
+                body = format_rational(mag)
             else:
                 var = "x" if k == 1 else f"x^{k}"
-                body = var if mag == 1 else f"{mag}*{var}"
+                body = var if mag == 1 else f"{format_rational(mag)}*{var}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
+
+
+def format_rational(x: Fraction) -> str:
+    """``str(x)``, except that an integer past the interpreter's int<->str
+    digit limit is shown by its bit length, so messages that render a value
+    never fail on it."""
+
+    def digits(n: int) -> str:
+        try:
+            return str(n)
+        except ValueError:
+            return f"<{n.bit_length()}-bit integer, too large to print>"
+
+    if x.denominator == 1:
+        return digits(x.numerator)
+    return f"{digits(x.numerator)}/{digits(x.denominator)}"
+
+
+# -- integer kernel: Kronecker substitution --------------------------------
+#
+# A vector of integers d_i with |d_i| < 2**(8*w - 1) is the integer
+# sum d_i * 2**(8*w*i) ("packed at width w bytes").  Multiplying two packed
+# vectors convolves them, provided every digit of the result also stays
+# below 2**(8*w - 1) in magnitude.  Adding 2**(8*w - 1) to every digit makes
+# all digits non-negative and below 2**(8*w), so packing and unpacking each go
+# through one little-endian bytes string: linear in the packed size, where a
+# shift per digit would be quadratic.
+
+
+def _integer_vector(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator of ``coeffs``."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _bias(n: int, width: int) -> int:
+    """sum 2**(8*width - 1) * 2**(8*width*i) over i < n."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
+def _pack(digits: list[int], width: int) -> int:
+    half = 1 << (8 * width - 1)
+    raw = b"".join((d + half).to_bytes(width, "little") for d in digits)
+    return int.from_bytes(raw, "little") - _bias(len(digits), width)
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """Product coefficients of two non-empty integer vectors, from one
+    big-integer multiplication; ``a is b`` squares a single packing."""
+    bound = max(max(a), -min(a)) * max(max(b), -min(b)) * min(len(a), len(b))
+    width = bound.bit_length() // 8 + 1  # the fewest bytes with bound < 2**(8*width - 1)
+    packed_a = _pack(a, width)
+    packed_b = packed_a if b is a else _pack(b, width)
+    n = len(a) + len(b) - 1
+    half = 1 << (8 * width - 1)
+    raw = (packed_a * packed_b + _bias(n, width)).to_bytes(n * width, "little")
+    return [
+        int.from_bytes(raw[i : i + width], "little") - half for i in range(0, n * width, width)
+    ]
+
+
+def weighted_square_sum(weights: Iterable[CoeffLike], polys: Iterable[Poly]) -> Poly:
+    """sum w_i * h_i**2, exact.
+
+    Each h_i is squared as an integer vector over its own denominator; the
+    squares are summed as integers over the least common denominator of the
+    terms, and each coefficient becomes a Fraction once, at the end.
+    """
+    terms = []
+    for w, h in zip(weights, polys):
+        if w and h:
+            nums, den = _integer_vector(h.coeffs)
+            terms.append((Fraction(w) / (den * den), _convolve(nums, nums)))
+    if not terms:
+        return Poly()
+    den = math.lcm(*(scale.denominator for scale, _ in terms))
+    acc = [0] * max(len(square) for _, square in terms)
+    for scale, square in terms:
+        c = scale.numerator * (den // scale.denominator)
+        for k, v in enumerate(square):
+            acc[k] += c * v
+    return Poly(Fraction(v, den) for v in acc)
 
 
 def gcd(a: Poly, b: Poly) -> Poly:

@@ -7,7 +7,7 @@ import pytest
 
 from rootsos import cli
 from rootsos.certificate import Certificate, deserialize, verify
-from rootsos.cli import ParseError, main, parse_poly
+from rootsos.cli import MAX_EXPONENT, ParseError, main, parse_poly
 from rootsos.ratpoly import Poly
 
 X = Poly.x()
@@ -207,3 +207,34 @@ def test_verify_oversized_residual_is_reported(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["verify", "--cert", str(path)]) == 3
     assert "too large to print" in capsys.readouterr().err
+
+
+def test_parse_rejects_nested_power_before_computing(monkeypatch, capsys):
+    degrees = []
+    power = Poly.__pow__
+
+    def spy(base, exponent):
+        degrees.append(max(base.degree, 0) * exponent)
+        return power(base, exponent)
+
+    monkeypatch.setattr(Poly, "__pow__", spy)
+    assert parse_poly("(x^100)^100") == Poly.monomial(10000)
+    with pytest.raises(ParseError):
+        parse_poly("(x^100)^101")
+    with pytest.raises(ParseError):
+        parse_poly("(x^10000)^10000")
+    assert max(degrees) <= MAX_EXPONENT
+    assert main(["certify", "--f", "(x^10000)^10000", "--g", "x"]) == 1
+    assert "a power of degree <= 10000" in capsys.readouterr().err
+
+
+def test_certify_oversized_hypothesis_violation_exits_two(capsys):
+    assert main(["certify", "--f", "(x-10^5000)^2", "--g", "x-10^5000"]) == 2
+    assert "too large to print" in capsys.readouterr().err
+
+
+def test_inspect_oversized_coefficient(capsys):
+    assert main(["inspect", "--f", "10^5000*x-1", "--g", "x"]) == 0
+    out = capsys.readouterr().out
+    assert "unit <16610-bit integer, too large to print>" in out
+    assert "hypothesis gcd(d, f/d) = 1: OK" in out

@@ -4,11 +4,12 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mp
 
+from rootsos import numeric
 from rootsos.exactify import (
     DegreeTooHigh,
     GramLift,
     NotPD,
-    PrecisionExhausted,
+    SharedFactor,
     certify_strict_squarefree,
     check_positive_definite,
     delta_bound,
@@ -293,9 +294,22 @@ def test_certify_strict_negative_definitive():
         certify_strict_squarefree(f, X - Poly.constant(5))
 
 
-def test_certify_strict_zero_at_root_exhausts():
-    # g vanishes exactly at a real root: never strictly positive, and never
-    # definitively negative either, so precision runs out
-    f = (X - Poly.one()) * (X + Poly.constant(2))
-    with pytest.raises((PrecisionExhausted, NotStrictlyPositive)):
-        certify_strict_squarefree(f, X - Poly.one(), max_retries=2)
+@pytest.mark.parametrize(
+    "f, g, common",
+    [
+        # g vanishes exactly at a real root of f
+        ((X - Poly.one()) * (X + Poly.constant(2)), X - Poly.one(), X - Poly.one()),
+        # g vanishes only at the complex roots of f; g(1) = 2 > 0
+        (X**3 - X**2 + X - Poly.one(), X**2 + Poly.one(), X**2 + Poly.one()),
+    ],
+    ids=["real-root", "complex-roots"],
+)
+def test_certify_strict_rejects_shared_factor(f, g, common, monkeypatch):
+    def no_numerics(*_args, **_kwargs):
+        raise AssertionError("find_roots called despite a shared factor")
+
+    monkeypatch.setattr(numeric, "find_roots", no_numerics)
+    with pytest.raises(SharedFactor) as info:
+        certify_strict_squarefree(f, g)
+    assert info.value.common == common
+    assert str(common) in str(info.value)

@@ -142,6 +142,11 @@ def test_crt_rejects_common_factor():
     part = SOSDecomposition((F(1),), (Poly.one(),), X)
     with pytest.raises(NotCoprime):
         crt_combine_sos([(X, part), (X, part)], Poly.one())
+    # the first two moduli are coprime; the third shares x with the first
+    moduli = (X, X + Poly.one(), X * (X + Poly.constant(2)))
+    parts = [(m, SOSDecomposition((F(1),), (Poly.one(),), m)) for m in moduli]
+    with pytest.raises(NotCoprime):
+        crt_combine_sos(parts, Poly.one())
 
 
 def test_crt_random_congruences():
@@ -167,6 +172,10 @@ def test_crt_random_congruences():
         _, s2, _ = extended_gcd(total // p2, p2)
         g = (s1 * (total // p1) * g_parts[0] + s2 * (total // p2) * g_parts[1]) % total
         combined = crt_combine_sos(parts, g)
+        idempotents = (s1 * (total // p1), s2 * (total // p2))
+        assert combined.polys == tuple(
+            (e * h) % total for e, (_, sos) in zip(idempotents, parts) for h in sos.polys
+        )
         assert ((_square_sum(combined) - g) % p1).is_zero
         assert ((_square_sum(combined) - g) % p2).is_zero
         assert ((_square_sum(combined) - g) % total).is_zero

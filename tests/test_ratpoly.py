@@ -18,6 +18,7 @@ from rootsos.ratpoly import (
     sqrt_upper_bound,
     squarefree_decompose,
     sturm_real_root_count,
+    weighted_square_sum,
 )
 from support import grid_real_root_count, random_nonzero_poly
 
@@ -206,3 +207,72 @@ def test_poly_pow_and_eval():
     assert p == Poly([1, 3, 3, 1])
     assert p(F(1, 2)) == F(27, 8)
     assert Poly([F(1, 3), 1])(F(-1, 3)) == 0
+
+
+def convolve(a, b):
+    """Schoolbook product of two coefficient lists in Fraction arithmetic."""
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += F(x) * F(y)
+    return out
+
+
+# zeros anywhere, mixed denominators, negatives, multi-word integers, and the
+# largest digits of 1- to 4-byte signed widths with their neighbours
+packing_edges = [
+    sign * (2 ** (8 * w - 1) + off) for w in (1, 2, 3, 4) for off in (-1, 0) for sign in (1, -1)
+]
+product_coeffs = st.lists(
+    st.one_of(
+        st.just(0),
+        st.fractions(min_value=-50, max_value=50, max_denominator=20),
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.sampled_from(packing_edges),
+    ),
+    min_size=0,
+    max_size=9,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_coeffs, product_coeffs)
+def test_mul_matches_schoolbook(ac, bc):
+    assert Poly(ac) * Poly(bc) == Poly(convolve(ac, bc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.fractions(min_value=-9, max_value=9, max_denominator=7), product_coeffs),
+        max_size=4,
+    )
+)
+def test_weighted_square_sum_matches_schoolbook(terms):
+    expected = Poly()
+    for w, hc in terms:
+        expected = expected + Poly(convolve(hc, hc)) * w
+    assert weighted_square_sum([w for w, _ in terms], [Poly(hc) for _, hc in terms]) == expected
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_product_digit_at_packing_boundary(sign):
+    # max|a| * max|b| * min(len a, len b) is 2^15 - 1 (2^63 - 1), the largest
+    # digit a 2-byte (8-byte) signed width holds, and the middle coefficient
+    # of the product reaches it
+    for bits, a_val, b_val in ((15, 31, 151), (63, 73 * 127 * 337, 7 * 92737 * 649657)):
+        a, b = Poly([a_val] * 7), Poly([sign * b_val] * 7)
+        assert a * b == Poly(convolve(a.coeffs, b.coeffs))
+        assert (a * b).coefficient(6) == sign * (2**bits - 1)
+    # a square's digits are non-negative: 181^2 = 2^15 - 7 is the largest
+    # square of one integer that a 2-byte signed width holds
+    assert weighted_square_sum([sign], [Poly([181])]) == Poly([sign * (2**15 - 7)])
+    hs = [Poly([181, 0, -181]), Poly([F(181, 3)])]
+    expected = Poly(convolve(hs[0].coeffs, hs[0].coeffs)) * sign + hs[1] * hs[1] * 5
+    assert weighted_square_sum([sign, 5], hs) == expected
+
+
+def test_mul_degree_10000_monomials():
+    x10k = Poly.monomial(10000)
+    assert x10k * x10k == Poly.monomial(20000)
+    assert (x10k + Poly.one()) * (x10k - Poly.one()) == Poly.monomial(20000) - Poly.one()
