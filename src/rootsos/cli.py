@@ -10,6 +10,7 @@ non-negative / invalid certificate, 4 precision exhausted.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -29,6 +30,8 @@ EXIT_NOT_NONNEGATIVE = 3
 EXIT_PRECISION = 4
 
 MAX_EXPONENT = 10**4
+#: Cap on the bits of any numerator or denominator a power ``^`` may build.
+MAX_POWER_BITS = 2**20
 
 
 class ParseError(ValueError):
@@ -130,10 +133,22 @@ def _parse_factor(toks: _Tokens) -> Poly:
         exponent = toks.uint()
         if exponent > MAX_EXPONENT:
             raise ParseError(toks.pos, f"an exponent <= {MAX_EXPONENT}")
-        if base.degree > 0 and base.degree * exponent > MAX_EXPONENT:  # (x^a)^b
+        if base.degree * exponent > MAX_EXPONENT:  # (x^a)^b
             raise ParseError(toks.pos, f"a power of degree <= {MAX_EXPONENT}")
+        if _power_bits(base, exponent) > MAX_POWER_BITS:  # (10^a)^b
+            raise ParseError(toks.pos, f"a power of coefficients <= {MAX_POWER_BITS} bits")
         return base**exponent
     return base
+
+
+def _power_bits(base: Poly, exponent: int) -> int:
+    """A bound on the bits of every numerator and denominator of
+    base**exponent.  Over a common denominator D with integer numerators N,
+    the power is N**exponent / D**exponent, and no coefficient of
+    N**exponent exceeds sum(|N|)**exponent."""
+    den = math.lcm(*(c.denominator for c in base.coeffs))
+    norm = sum(abs(c.numerator) * (den // c.denominator) for c in base.coeffs)
+    return exponent * max(norm.bit_length(), den.bit_length())
 
 
 def _parse_base(toks: _Tokens) -> Poly:

@@ -12,6 +12,15 @@ digit of the product, one big-integer multiplication does the convolution,
 and the product digits are unpacked and divided by the product of the two
 denominators.  ``weighted_square_sum`` squares each h_i the same way and sums
 the integer squares over one common denominator.
+
+Packing gives every coefficient the width of the largest one, and a common
+denominator is carried by every coefficient.  Both choices pay for
+themselves on dense operands of similar sizes, but would inflate sparse or
+size-skewed ones far beyond their own size.  So a product is packed only
+when the packed size is at most the total size of its schoolbook partial
+products, and squares are summed over one denominator only when that costs
+no more than their own coefficients; otherwise the work runs term by term
+over the non-zero coefficients.
 """
 
 from __future__ import annotations
@@ -148,7 +157,7 @@ class Poly:
         a, den_a = _integer_vector(self.coeffs)
         b, den_b = _integer_vector(other.coeffs)
         den = den_a * den_b
-        return Poly(Fraction(c, den) for c in _convolve(a, b))
+        return Poly(Fraction(c, den) if c else 0 for c in _convolve(a, b))
 
     def __rmul__(self, other: Union[int, Fraction]) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -164,8 +173,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
@@ -283,13 +293,34 @@ def _pack(digits: list[int], width: int) -> int:
 
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:
-    """Product coefficients of two non-empty integer vectors, from one
-    big-integer multiplication; ``a is b`` squares a single packing."""
+    """Product coefficients of two non-empty integer vectors; ``a is b``
+    squares a single packing.
+
+    Packing gives every digit the width of the largest product digit, so it
+    costs len x width bits however sparse or size-skewed the operands are.
+    The schoolbook product over the non-zero coefficients costs the sizes of
+    its partial products.  Whichever of the two is smaller is used, so a
+    sparse operand, or one large coefficient among small ones, is never
+    inflated to the packed size.
+    """
+    sizes_a = [d.bit_length() for d in a]
+    sizes_b = sizes_a if b is a else [d.bit_length() for d in b]
+    nonzero_a = len(a) - sizes_a.count(0)
+    nonzero_b = len(b) - sizes_b.count(0)
+    partial_bits = nonzero_b * sum(sizes_a) + nonzero_a * sum(sizes_b)
     bound = max(max(a), -min(a)) * max(max(b), -min(b)) * min(len(a), len(b))
     width = bound.bit_length() // 8 + 1  # the fewest bytes with bound < 2**(8*width - 1)
+    n = len(a) + len(b) - 1
+    if 8 * width * n > partial_bits:
+        out = [0] * n
+        terms_b = [(j, d) for j, d in enumerate(b) if d]
+        for i, c in enumerate(a):
+            if c:
+                for j, d in terms_b:
+                    out[i + j] += c * d
+        return out
     packed_a = _pack(a, width)
     packed_b = packed_a if b is a else _pack(b, width)
-    n = len(a) + len(b) - 1
     half = 1 << (8 * width - 1)
     raw = (packed_a * packed_b + _bias(n, width)).to_bytes(n * width, "little")
     return [
@@ -302,7 +333,10 @@ def weighted_square_sum(weights: Iterable[CoeffLike], polys: Iterable[Poly]) -> 
 
     Each h_i is squared as an integer vector over its own denominator; the
     squares are summed as integers over the least common denominator of the
-    terms, and each coefficient becomes a Fraction once, at the end.
+    terms, and each coefficient becomes a Fraction once, at the end.  When
+    lifting every non-zero coefficient to that denominator would cost more
+    than the terms' own coefficients (sparse terms with different large
+    denominators), the non-zero coefficients are summed as Fractions instead.
     """
     terms = []
     for w, h in zip(weights, polys):
@@ -312,12 +346,25 @@ def weighted_square_sum(weights: Iterable[CoeffLike], polys: Iterable[Poly]) -> 
     if not terms:
         return Poly()
     den = math.lcm(*(scale.denominator for scale, _ in terms))
+    support: set[int] = set()
+    term_bits = 0
+    for scale, square in terms:
+        nonzero = [k for k, v in enumerate(square) if v]
+        support.update(nonzero)
+        scale_bits = scale.numerator.bit_length() + scale.denominator.bit_length()
+        term_bits += len(nonzero) * scale_bits + sum(v.bit_length() for v in square)
     acc = [0] * max(len(square) for _, square in terms)
+    if den.bit_length() * len(support) > term_bits:
+        for scale, square in terms:
+            for k, v in enumerate(square):
+                if v:
+                    acc[k] += scale * v
+        return Poly(acc)
     for scale, square in terms:
         c = scale.numerator * (den // scale.denominator)
         for k, v in enumerate(square):
             acc[k] += c * v
-    return Poly(Fraction(v, den) for v in acc)
+    return Poly(Fraction(v, den) if v else 0 for v in acc)
 
 
 def gcd(a: Poly, b: Poly) -> Poly:

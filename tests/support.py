@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+from rootsos import ratpoly
 from rootsos.ratpoly import Poly, is_squarefree
 
 
@@ -171,3 +172,18 @@ def grid_real_root_count(f: Poly, lo: Fraction, hi: Fraction, step: Fraction) ->
         prev = val
         x = nxt
     return count
+
+
+def cap_packing(monkeypatch, max_bytes: int) -> list[int]:
+    """Record the size in bytes of every Kronecker packing in ``ratpoly``;
+    a packing larger than ``max_bytes`` fails before it is allocated."""
+    sizes: list[int] = []
+    pack = ratpoly._pack
+
+    def capped(digits: list[int], width: int) -> int:
+        sizes.append(len(digits) * width)
+        assert sizes[-1] <= max_bytes, f"packing {len(digits)} digits of {width} bytes"
+        return pack(digits, width)
+
+    monkeypatch.setattr(ratpoly, "_pack", capped)
+    return sizes

@@ -14,7 +14,7 @@ from rootsos.certificate import (
 )
 from rootsos.lifting import certify_nonnegative
 from rootsos.ratpoly import Poly
-from support import random_squarefree_poly, random_strictly_positive_poly
+from support import cap_packing, random_squarefree_poly, random_strictly_positive_poly
 
 X = Poly.x()
 F_CUBE = X**3 - Poly.constant(2)
@@ -184,3 +184,19 @@ def test_pipeline_certificates_verify_and_mutations_fail():
             Certificate(cert.f, cert.g, cert.weights, cert.polys, cert.q + X)
         )
         done += 1
+
+
+def test_verify_sparse_certificate_with_a_large_coefficient(monkeypatch):
+    # h = c + x^(n-1) and q = c*x^(n-1) + 1 with one 13,288-bit c: packed at
+    # the width of their largest product digit, each product would take
+    # about 2n digits of 3.3 KB (130 MB here)
+    cap_packing(monkeypatch, 2**20)
+    n, c = 20000, 10**4000
+    f = Poly.monomial(n) + Poly.one()
+    h = Poly.monomial(n - 1) + Poly.constant(c)
+    q = Poly.monomial(n - 1, c) + Poly.one()
+    g = Poly.monomial(2 * n - 2, 3) + Poly.monomial(2 * n - 1, c) + Poly.monomial(n, 1)
+    g = g + Poly.monomial(n - 1, 7 * c) + Poly.constant(3 * c * c + 1)
+    cert = Certificate(f, g, (F(3),), (h,), q)
+    assert verify(cert)
+    assert not verify(Certificate(f, g + Poly.one(), (F(3),), (h,), q))

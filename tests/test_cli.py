@@ -7,7 +7,7 @@ import pytest
 
 from rootsos import cli
 from rootsos.certificate import Certificate, deserialize, verify
-from rootsos.cli import MAX_EXPONENT, ParseError, main, parse_poly
+from rootsos.cli import MAX_EXPONENT, MAX_POWER_BITS, ParseError, main, parse_poly
 from rootsos.ratpoly import Poly
 
 X = Poly.x()
@@ -226,6 +226,24 @@ def test_parse_rejects_nested_power_before_computing(monkeypatch, capsys):
     assert max(degrees) <= MAX_EXPONENT
     assert main(["certify", "--f", "(x^10000)^10000", "--g", "x"]) == 1
     assert "a power of degree <= 10000" in capsys.readouterr().err
+
+
+def test_parse_rejects_large_coefficient_power_before_computing(monkeypatch, capsys):
+    exponents = []
+    power = Poly.__pow__
+
+    def spy(base, exponent):
+        exponents.append(exponent)
+        return power(base, exponent)
+
+    monkeypatch.setattr(Poly, "__pow__", spy)
+    assert parse_poly("(2^100)^10000") == Poly.constant(2**1000000)  # 1,010,000 bits
+    for text in ["(2^200)^10000", "((10^4000)^10000)^10000", "(10^4000*x+1)^100"]:
+        with pytest.raises(ParseError, match=f"coefficients <= {MAX_POWER_BITS} bits"):
+            parse_poly(text)
+    assert exponents == [100, 10000, 200, 4000, 4000]
+    assert main(["certify", "--f", "(10^4000)^100*x-1", "--g", "x"]) == 1
+    assert f"a power of coefficients <= {MAX_POWER_BITS} bits" in capsys.readouterr().err
 
 
 def test_certify_oversized_hypothesis_violation_exits_two(capsys):

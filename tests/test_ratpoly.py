@@ -20,7 +20,7 @@ from rootsos.ratpoly import (
     sturm_real_root_count,
     weighted_square_sum,
 )
-from support import grid_real_root_count, random_nonzero_poly
+from support import cap_packing, grid_real_root_count, random_nonzero_poly
 
 X = Poly.x()
 F_CUBE = X**3 - Poly.constant(2)  # x^3 - 2
@@ -256,7 +256,8 @@ def test_weighted_square_sum_matches_schoolbook(terms):
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-def test_product_digit_at_packing_boundary(sign):
+def test_product_digit_at_packing_boundary(sign, monkeypatch):
+    packings = cap_packing(monkeypatch, 2**10)
     # max|a| * max|b| * min(len a, len b) is 2^15 - 1 (2^63 - 1), the largest
     # digit a 2-byte (8-byte) signed width holds, and the middle coefficient
     # of the product reaches it
@@ -264,9 +265,11 @@ def test_product_digit_at_packing_boundary(sign):
         a, b = Poly([a_val] * 7), Poly([sign * b_val] * 7)
         assert a * b == Poly(convolve(a.coeffs, b.coeffs))
         assert (a * b).coefficient(6) == sign * (2**bits - 1)
+    assert len(packings) == 8  # each of the four products packed both operands
     # a square's digits are non-negative: 181^2 = 2^15 - 7 is the largest
     # square of one integer that a 2-byte signed width holds
     assert weighted_square_sum([sign], [Poly([181])]) == Poly([sign * (2**15 - 7)])
+    assert len(packings) == 9
     hs = [Poly([181, 0, -181]), Poly([F(181, 3)])]
     expected = Poly(convolve(hs[0].coeffs, hs[0].coeffs)) * sign + hs[1] * hs[1] * 5
     assert weighted_square_sum([sign, 5], hs) == expected
@@ -276,3 +279,31 @@ def test_mul_degree_10000_monomials():
     x10k = Poly.monomial(10000)
     assert x10k * x10k == Poly.monomial(20000)
     assert (x10k + Poly.one()) * (x10k - Poly.one()) == Poly.monomial(20000) - Poly.one()
+
+
+def test_sparse_products_are_not_packed(monkeypatch):
+    # one 13,288-bit coefficient against x^10000: packing would give each of
+    # the 10,001 digits that width, about 16.6 MB, for a product of one term
+    packings = cap_packing(monkeypatch, 2**20)
+    big = 10**4000
+    assert Poly([big]) * Poly.monomial(10000) == Poly.monomial(10000, big)
+    h = Poly.monomial(9999) + Poly.constant(big)
+    square = Poly.monomial(19998) + Poly.monomial(9999, 2 * big) + Poly.constant(big**2)
+    assert h * h == square
+    assert weighted_square_sum([F(1, 3)], [h]) == square * F(1, 3)
+    assert packings == []
+    # dense operands of one size still go through the packing
+    dense = Poly([big - k for k in range(50)])
+    assert dense * dense == Poly(convolve(dense.coeffs, dense.coeffs))
+    assert len(packings) == 2
+
+
+def test_weighted_square_sum_sparse_terms_with_different_denominators():
+    # the common denominator of the 40 terms has 79,465 bits, and each of the
+    # 61 non-zero coefficients would carry it; these are summed term by term
+    hs = [Poly.monomial(i + 1) + Poly.constant(F(1, 10**300 + i)) for i in range(40)]
+    weights = [F(i + 1, 7) for i in range(40)]
+    expected = Poly()
+    for w, h in zip(weights, hs):
+        expected = expected + Poly(convolve(h.coeffs, h.coeffs)) * w
+    assert weighted_square_sum(weights, hs) == expected
