@@ -32,6 +32,9 @@ EXIT_PRECISION = 4
 MAX_EXPONENT = 10**4
 #: Cap on the bits of any numerator or denominator a power ``^`` may build.
 MAX_POWER_BITS = 2**20
+#: Cap on the dense size, coefficients x bits, of any power or product the
+#: parser builds, so that a short expression cannot ask for minutes of work.
+MAX_SIZE_BITS = 2**21
 
 
 class ParseError(ValueError):
@@ -119,11 +122,14 @@ def _parse_term(toks: _Tokens) -> Poly:
         ch = toks.peek()
         if ch == "*":
             toks.take()
-            acc = acc * _parse_factor(toks)
-        elif ch == "(":  # implicit adjacency: x(x^3-2)^2
-            acc = acc * _parse_factor(toks)
-        else:
+        elif ch != "(":  # "(" is implicit adjacency: x(x^3-2)^2
             return acc
+        factor = _parse_factor(toks)
+        bits = math.floor(_log_height(acc) + _log_height(factor)) + 1
+        size = (len(acc.coeffs) + len(factor.coeffs) - 1) * bits
+        if size > MAX_SIZE_BITS:
+            raise ParseError(toks.pos, f"a product of size <= {MAX_SIZE_BITS} bits")
+        acc = acc * factor
 
 
 def _parse_factor(toks: _Tokens) -> Poly:
@@ -135,20 +141,24 @@ def _parse_factor(toks: _Tokens) -> Poly:
             raise ParseError(toks.pos, f"an exponent <= {MAX_EXPONENT}")
         if base.degree * exponent > MAX_EXPONENT:  # (x^a)^b
             raise ParseError(toks.pos, f"a power of degree <= {MAX_EXPONENT}")
-        if _power_bits(base, exponent) > MAX_POWER_BITS:  # (10^a)^b
+        bits = math.floor(exponent * _log_height(base)) + 1
+        if bits > MAX_POWER_BITS:  # (10^a)^b
             raise ParseError(toks.pos, f"a power of coefficients <= {MAX_POWER_BITS} bits")
+        if (max(base.degree, 0) * exponent + 1) * bits > MAX_SIZE_BITS:  # (x+1)^b
+            raise ParseError(toks.pos, f"a power of size <= {MAX_SIZE_BITS} bits")
         return base**exponent
     return base
 
 
-def _power_bits(base: Poly, exponent: int) -> int:
-    """A bound on the bits of every numerator and denominator of
-    base**exponent.  Over a common denominator D with integer numerators N,
-    the power is N**exponent / D**exponent, and no coefficient of
-    N**exponent exceeds sum(|N|)**exponent."""
-    den = math.lcm(*(c.denominator for c in base.coeffs))
-    norm = sum(abs(c.numerator) * (den // c.denominator) for c in base.coeffs)
-    return exponent * max(norm.bit_length(), den.bit_length())
+def _log_height(p: Poly) -> float:
+    """log2(max(sum(|N|), D)) for the integer numerators N of p over their
+    common denominator D.  It adds up over products, because no coefficient
+    of a product of numerator vectors exceeds the product of their sums(|N|):
+    floor(h(a) + h(b)) + 1 bounds the bits of every numerator and denominator
+    of a*b, and floor(e*h(a)) + 1 those of a**e."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    norm = sum(abs(c.numerator) * (den // c.denominator) for c in p.coeffs)
+    return math.log2(max(norm, den))
 
 
 def _parse_base(toks: _Tokens) -> Poly:

@@ -21,6 +21,7 @@ from .numeric import (
     IllConditioned,
     NotStrictlyPositive,
     RootClassificationUnstable,
+    antidiagonal_sums,
     exact_fraction,
 )
 from .ratpoly import Poly, gcd, norm2_squared, sqrt_upper_bound, weighted_square_sum
@@ -119,12 +120,7 @@ def _as_matrix(rows) -> Matrix:
 
 def gram_poly(rows) -> Poly:
     """The quadratic form x^T Q x as a polynomial in x = [1, x, ..., x^{n-1}]."""
-    n = len(rows)
-    coeffs = [Fraction(0)] * (2 * n - 1) if n else []
-    for i in range(n):
-        for j in range(n):
-            coeffs[i + j] += rows[i][j]
-    return Poly(coeffs)
+    return Poly(antidiagonal_sums(rows))
 
 
 def gram_of_poly(p: Poly, n: int) -> Matrix:
@@ -248,9 +244,13 @@ def gram_to_sos(lift: GramLift) -> SOSDecomposition:
     report = check_positive_definite(lift.Q)
     if report is None:
         raise NotPD("Gram matrix is not positive definite")
-    n = len(lift.Q)
+    return _sos_from_ldl(report, lift.f)
+
+
+def _sos_from_ldl(report: LDLReport, modulus: Poly) -> SOSDecomposition:
+    n = len(report.diag)
     polys = tuple(Poly(report.lower[r][i] for r in range(n)) for i in range(n))
-    return SOSDecomposition(report.diag, polys, lift.f)
+    return SOSDecomposition(report.diag, polys, modulus)
 
 
 def _digits_for(delta: Fraction, cap: int) -> int:
@@ -313,15 +313,16 @@ def certify_strict_squarefree(
             last_sigma, last_rho, last_delta = gram.sigma, gram.rho, delta
             if delta > 0:
                 digits = _digits_for(delta, digits_cap)
-                for t in (digits, min(digits + 2, digits_cap)):
+                for t in sorted({digits, min(digits + 2, digits_cap)}):
                     qbar = round_to_digits(gram.Qstar, t)
                     q_round = round_to_digits(Poly(exact_fraction(c) for c in gram.qstar), t)
                     target = g_red - q_round * f
                     q_exact = project(qbar, target)
-                    if check_positive_definite(q_exact) is None:
+                    report = check_positive_definite(q_exact)
+                    if report is None:
                         continue
                     lift = GramLift(q_exact, q_round + q_reduction, f, g)
-                    sos = gram_to_sos(lift)
+                    sos = _sos_from_ldl(report, f)
                     if sos.square_sum() != gram_poly(q_exact):
                         raise AssertionError("LDL reconstruction mismatch")
                     return lift, sos

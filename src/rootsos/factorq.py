@@ -118,15 +118,24 @@ def _zp_mul(a: list[int], b: list[int], m: int) -> list[int]:
     return _trim(out)
 
 
-def _zp_divmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
-    """Division by a monic polynomial over Z/mZ."""
-    if not b or b[-1] % m != 1:
-        raise ValueError("divisor must be monic")
+def _gf_monic(a: list[int], p: int) -> list[int]:
+    if not a:
+        return []
+    inv = pow(a[-1], -1, p)
+    return [(x * inv) % p for x in a]
+
+
+def _zp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Long division over Z/mZ by ``b``, whose leading coefficient must be a
+    unit mod m (so quotient and remainder are unique)."""
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial mod m")
+    inv = pow(b[-1], -1, m)
     rem = [x % m for x in a]
     db = _deg(b)
     quo = [0] * max(len(rem) - db, 0)
     for top in range(len(rem) - 1, db - 1, -1):
-        c = rem[top]
+        c = (rem[top] * inv) % m
         if not c:
             continue
         quo[top - db] = c
@@ -135,34 +144,10 @@ def _zp_divmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], lis
     return _trim(quo), _trim(rem)
 
 
-def _gf_monic(a: list[int], p: int) -> list[int]:
-    if not a:
-        return []
-    inv = pow(a[-1], -1, p)
-    return [(x * inv) % p for x in a]
-
-
-def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial mod p")
-    inv = pow(b[-1], -1, p)
-    rem = [x % p for x in a]
-    db = _deg(b)
-    quo = [0] * max(len(rem) - db, 0)
-    for top in range(len(rem) - 1, db - 1, -1):
-        c = (rem[top] * inv) % p
-        if not c:
-            continue
-        quo[top - db] = c
-        for i, y in enumerate(b):
-            rem[top - db + i] = (rem[top - db + i] - c * y) % p
-    return _trim(quo), _trim(rem)
-
-
 def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     r0, r1 = _zp_reduce(a, p), _zp_reduce(b, p)
     while r1:
-        r0, r1 = r1, _gf_divmod(r0, r1, p)[1]
+        r0, r1 = r1, _zp_divmod(r0, r1, p)[1]
     return _gf_monic(r0, p)
 
 
@@ -172,7 +157,7 @@ def _gf_gcdex(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int],
     s0, s1 = [1], []
     t0, t1 = [], [1]
     while r1:
-        q, r = _gf_divmod(r0, r1, p)
+        q, r = _zp_divmod(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _zp_sub(s0, _zp_mul(q, s1, p), p)
         t0, t1 = t1, _zp_sub(t0, _zp_mul(q, t1, p), p)
@@ -183,25 +168,13 @@ def _gf_gcdex(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int],
 
 def _gf_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
     result = [1]
-    base = _gf_divmod(a, f, p)[1]
+    base = _zp_divmod(a, f, p)[1]
     while e:
         if e & 1:
-            result = _gf_divmod(_zp_mul(result, base, p), f, p)[1]
-        base = _gf_divmod(_zp_mul(base, base, p), f, p)[1]
+            result = _zp_divmod(_zp_mul(result, base, p), f, p)[1]
+        base = _zp_divmod(_zp_mul(base, base, p), f, p)[1]
         e >>= 1
     return result
-
-
-def _z_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
 
 
 def _z_divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -334,8 +307,8 @@ def _gf_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
         g = _gf_gcd(_zp_sub(h, [0, 1], p), v, p)
         if _deg(g) > 0:
             out.append((g, d))
-            v = _gf_divmod(v, g, p)[0]
-            h = _gf_divmod(h, v, p)[1]
+            v = _zp_divmod(v, g, p)[0]
+            h = _zp_divmod(h, v, p)[1]
     return out
 
 
@@ -357,7 +330,7 @@ def _gf_equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[l
             u = _gf_gcd(b, f, p)
             if not 0 < _deg(u) < n:
                 continue
-        rest = _gf_divmod(f, u, p)[0]
+        rest = _zp_divmod(f, u, p)[0]
         return _gf_equal_degree(u, d, p, rng) + _gf_equal_degree(rest, d, p, rng)
 
 
@@ -399,12 +372,12 @@ def _lift_pair(
         level = min(2 * level, target)
         m = p**level
         e = _zp_sub(_zp_reduce(f, m), _zp_mul(g, h, m), m)
-        q, r = _zp_divmod_monic(_zp_mul(s, e, m), h, m)
+        q, r = _zp_divmod(_zp_mul(s, e, m), h, m)
         g = _zp_add(g, _zp_add(_zp_mul(t, e, m), _zp_mul(q, g, m), m), m)
         h = _zp_add(h, r, m)
         if level < target:
             b = _zp_sub(_zp_add(_zp_mul(s, g, m), _zp_mul(t, h, m), m), [1], m)
-            c, d = _zp_divmod_monic(_zp_mul(s, b, m), h, m)
+            c, d = _zp_divmod(_zp_mul(s, b, m), h, m)
             s = _zp_sub(s, d, m)
             t = _zp_sub(t, _zp_add(_zp_mul(t, b, m), _zp_mul(c, g, m), m), m)
     return g, h

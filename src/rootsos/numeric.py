@@ -3,19 +3,23 @@
 Simultaneous root approximation (Aberth-Ehrlich), conjugate-pair
 classification cross-checked against the exact Sturm count, Lagrange basis
 construction, and assembly of the interior Gram pair (Q*, q*) whose exact
-rounding is performed downstream.  Precision is managed in software floats
-with a configurable mantissa (mpmath), doubling on retry up to a hard cap.
+rounding is performed downstream.  The margin sigma is the smallest
+eigenvalue of Q* from mpmath's ``eigsy``; it only picks the rounding digits,
+and the exact LDL^T downstream proves positive definiteness.  Precision is
+managed in software floats with a configurable mantissa (mpmath), doubling
+on retry up to a hard cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 from mpmath import mp
 
-from .ratpoly import Poly, norm2_squared, sqrt_upper_bound, sturm_real_root_count
+from .ratpoly import Poly, horner, norm2_squared, sqrt_upper_bound, sturm_real_root_count
 
 DEFAULT_PRECISION_BITS = 106
 PRECISION_CAP_BITS = 848
@@ -75,8 +79,9 @@ class RootProfile:
 class InteriorGram:
     """Interior Gram pair: g = x^T Qstar x + qstar*f up to the residual rho.
 
-    sigma is a defensible lower estimate of the smallest eigenvalue of Qstar,
-    rho an upper bound on the coefficient 2-norm of the identity residual.
+    sigma is the smallest eigenvalue of Qstar at the working precision,
+    shrunk by a factor 1 - 2^-32; rho is an upper bound on the coefficient
+    2-norm of the identity residual.
     """
 
     Qstar: tuple
@@ -99,25 +104,25 @@ def exact_fraction(x) -> Fraction:
     raise TypeError(f"cannot convert {type(x).__name__} exactly to Fraction")
 
 
+def antidiagonal_sums(rows, zero=Fraction(0)) -> list:
+    """Coefficients of the quadratic form x^T Q x in x = [1, x, ..., x^{n-1}]:
+    entry k sums Q[i][j] over i + j = k (the Hankel projection).  Summed row by
+    row from ``zero``, so mpf sums always round in the same order."""
+    sums = [zero] * (2 * len(rows) - 1)
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            sums[i + j] += v
+    return sums
+
+
 def _mp_coeffs(p: Poly) -> list:
     return [mp.mpf(c.numerator) / c.denominator for c in p.coeffs]
 
 
-def _horner(coeffs, x):
-    acc = x * 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _deflate(coeffs, xi):
-    """Quotient of coeffs (ascending) by (x - xi), remainder discarded."""
-    n = len(coeffs) - 1
-    quo = [mp.mpc(0)] * n
-    quo[n - 1] = coeffs[n]
-    for k in range(n - 2, -1, -1):
-        quo[k] = coeffs[k + 1] + xi * quo[k + 1]
-    return quo
+    """Quotient of coeffs (ascending) by (x - xi), remainder discarded: the
+    intermediate values of Horner's scheme at xi, lowest degree first."""
+    return list(accumulate(reversed(coeffs[1:]), lambda acc, c: acc * xi + c))[::-1]
 
 
 def _aberth(coeffs, bits):
@@ -138,10 +143,10 @@ def _aberth(coeffs, bits):
     for _ in range(_ABERTH_MAX_ITER):
         shift = mp.mpf(0)
         for i in range(n):
-            pv = _horner(monic, z[i])
+            pv = horner(monic, z[i])
             if pv == 0:
                 continue
-            dv = _horner(deriv, z[i])
+            dv = horner(deriv, z[i])
             if dv == 0:
                 z[i] += mp.ldexp(1, -bits // 2) * (1 + abs(z[i]))
                 continue
@@ -205,7 +210,7 @@ def _classify(z, f: Poly, expected_real: int, bits: int):
     norm_f = mp.sqrt(mp.mpf(norm2.numerator) / norm2.denominator)
     bound = mp.ldexp(1, -(bits // 4)) * norm_f
     for xi in list(reals) + reps:
-        if abs(_horner(fc, xi)) > bound * max(1, abs(xi)) ** n:
+        if abs(horner(fc, xi)) > bound * max(1, abs(xi)) ** n:
             return None
 
     reals.sort()
@@ -257,7 +262,7 @@ def lagrange_basis(f: Poly, roots: RootProfile) -> list:
         basis = []
         for xi in xs:
             quo = _deflate(monic, xi)
-            dval = _horner(quo, xi)  # f'(xi)/lc = prod_{j != i} (xi - xj)
+            dval = horner(quo, xi)  # f'(xi)/lc = prod_{j != i} (xi - xj)
             if dval == 0:
                 raise IllConditioned("vanishing derivative at a root")
             basis.append([c / dval for c in quo])
@@ -265,53 +270,9 @@ def lagrange_basis(f: Poly, roots: RootProfile) -> list:
         for i, u in enumerate(basis):
             for j, xj in enumerate(xs):
                 want = 1 if i == j else 0
-                if abs(_horner(u, xj) - want) > tol:
+                if abs(horner(u, xj) - want) > tol:
                     raise IllConditioned("interpolation residual too large")
         return [tuple(u) for u in basis]
-
-
-def _jacobi_lower_eigen_bound(rows, bits):
-    """Smallest-eigenvalue lower estimate by cyclic Jacobi sweeps.
-
-    Returns min(diagonal) minus the off-diagonal Frobenius residual, a valid
-    lower bound up to the rounding of the sweeps themselves.
-    """
-    n = len(rows)
-    a = [[mp.mpf(x) for x in row] for row in rows]
-    if n == 1:
-        return a[0][0]
-
-    def off_norm():
-        return mp.sqrt(sum(a[i][j] ** 2 for i in range(n) for j in range(n) if i != j))
-
-    scale = max(abs(a[i][j]) for i in range(n) for j in range(n)) + 1
-    stop = mp.ldexp(1, -bits + 8) * scale
-    for _ in range(60):
-        if off_norm() <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if abs(apq) <= stop / (n * n):
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2 * apq)
-                if theta == 0:
-                    t = mp.mpf(1)
-                else:
-                    t = mp.sign(theta) / (abs(theta) + mp.sqrt(theta**2 + 1))
-                c = 1 / mp.sqrt(t**2 + 1)
-                s = t * c
-                app, aqq = a[p][p], a[q][q]
-                a[p][p] = app - t * apq
-                a[q][q] = aqq + t * apq
-                a[p][q] = a[q][p] = mp.mpf(0)
-                for r in range(n):
-                    if r in (p, q):
-                        continue
-                    arp, arq = a[r][p], a[r][q]
-                    a[r][p] = a[p][r] = c * arp - s * arq
-                    a[r][q] = a[q][r] = s * arp + c * arq
-    return min(a[i][i] for i in range(n)) - off_norm()
 
 
 def build_interior_gram(
@@ -342,7 +303,7 @@ def build_interior_gram(
         weights = []
         columns = []
         for i, xi in enumerate(roots.real_roots):
-            val = _horner(gc, xi)
+            val = horner(gc, xi)
             if val <= thr:
                 raise NotStrictlyPositive(xi, val, definitive=bool(val <= -thr))
             weights.append(val)
@@ -351,7 +312,7 @@ def build_interior_gram(
         k = len(roots.real_roots)
         for idx, rep in enumerate(roots.complex_pairs):
             u = basis[k + 2 * idx + 1]  # basis polynomial at the representative
-            gamma = _horner(gc, rep)
+            gamma = horner(gc, rep)
             mag = abs(gamma)
             lam = mp.mpf(lambda_factor) * mag if mag > 0 else mp.mpf(lambda_factor)
             den = lam + mp.re(gamma)
@@ -376,10 +337,7 @@ def build_interior_gram(
                 rows[r][c] = rows[c][r] = acc
 
         # q* by synthetic division of (g - x^T Q* x) by f
-        quad = [mp.mpf(0)] * (2 * n - 1)
-        for r in range(n):
-            for c in range(n):
-                quad[r + c] += rows[r][c]
+        quad = antidiagonal_sums(rows, mp.mpf(0))
         num = [(gc[i] if i < len(gc) else mp.mpf(0)) - quad[i] for i in range(2 * n - 1)]
         fc = _mp_coeffs(f)
         qstar = [mp.mpf(0)] * max(len(num) - len(fc) + 1, 0)
@@ -390,16 +348,16 @@ def build_interior_gram(
             for i, y in enumerate(fc):
                 rem[top - len(fc) + 1 + i] -= cof * y
 
-        sigma = _jacobi_lower_eigen_bound(rows, bits) * (1 - mp.ldexp(1, -32))
+        try:
+            eigenvalues = mp.eigsy(mp.matrix(rows), eigvals_only=True)
+        except RuntimeError as exc:  # the tridiagonal QL iteration did not converge
+            raise IllConditioned(str(exc)) from exc
+        sigma = min(eigenvalues) * (1 - mp.ldexp(1, -32))
 
         # exact residual norm: binary floats are rationals, so the identity
         # error of (Q*, q*) can be bounded without any floating-point slack
         q_exact = [[exact_fraction(x) for x in row] for row in rows]
-        quad_exact = [Fraction(0)] * (2 * n - 1)
-        for r in range(n):
-            for c in range(n):
-                quad_exact[r + c] += q_exact[r][c]
-        resid = Poly(quad_exact) + Poly(exact_fraction(x) for x in qstar) * f - g
+        resid = Poly(antidiagonal_sums(q_exact)) + Poly(exact_fraction(x) for x in qstar) * f - g
         rho_frac = sqrt_upper_bound(norm2_squared(resid)) * (1 + Fraction(1, 2**32))
         rho = mp.mpf(rho_frac.numerator) / rho_frac.denominator
 

@@ -216,10 +216,7 @@ class Poly:
 
     def __call__(self, point):
         """Horner evaluation; exact for Fraction/int points, generic otherwise."""
-        acc = point * 0  # zero of the point's type
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        return horner(self.coeffs, point)
 
     # -- display -----------------------------------------------------------
 
@@ -262,6 +259,15 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return digits(x.numerator)
     return f"{digits(x.numerator)}/{digits(x.denominator)}"
+
+
+def horner(coeffs, point):
+    """Value at ``point`` of the ascending coefficients ``coeffs``, in the
+    arithmetic of ``point`` (Fraction, int, mpf or mpc)."""
+    acc = point * 0  # zero of the point's type
+    for c in reversed(coeffs):
+        acc = acc * point + c
+    return acc
 
 
 # -- integer kernel: Kronecker substitution --------------------------------

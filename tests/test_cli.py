@@ -5,9 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from rootsos import cli
+from rootsos import cli, numeric
 from rootsos.certificate import Certificate, deserialize, verify
-from rootsos.cli import MAX_EXPONENT, MAX_POWER_BITS, ParseError, main, parse_poly
+from rootsos.cli import MAX_EXPONENT, MAX_POWER_BITS, MAX_SIZE_BITS, ParseError, main, parse_poly
 from rootsos.ratpoly import Poly
 
 X = Poly.x()
@@ -179,6 +179,45 @@ def test_certify_deep_lift_pinned_bytes(tmp_path, capsys):
     capsys.readouterr()
 
 
+# g = x^2 - r with r = floor(2^(1/4) * 10^20) / 10^20, so g(+-2^(1/8)) is in
+# (0, 1e-20]: the shape of the benchmark's near-boundary refute instances
+NEAR_BOUNDARY_G = "x^2 - 118920711500272106671/100000000000000000000"
+
+
+@pytest.mark.parametrize(
+    "f, g, precisions, digest",
+    [
+        ("x^16-2", "x^2+2*x+3", [106],
+         "dec117ff8ded16f922f173b794bc1496e51713c2d27d2668c8ee961f29265181"),
+        ("x^8-2", NEAR_BOUNDARY_G, [106, 212, 424],
+         "d76fdd0c9431ab95ccb676d5121a51609771984c5bcb2eb300a90ea6476c39c4"),
+    ],
+    ids=["dense-gram-16", "near-boundary"],
+)
+def test_certify_pinned_bytes(f, g, precisions, digest, monkeypatch, capsys):
+    tried = []
+    find_roots = numeric.find_roots
+
+    def spy(poly, bits):
+        tried.append(bits)
+        return find_roots(poly, bits)
+
+    monkeypatch.setattr(numeric, "find_roots", spy)
+    assert main(["certify", "--f", f, "--g", g]) == 0
+    out = capsys.readouterr().out
+    assert tried == precisions
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_certify_eigensolver_failure_exits_four(monkeypatch, capsys):
+    def no_convergence(*_args, **_kwargs):
+        raise RuntimeError("tridiag_eigen: no convergence to an eigenvalue")
+
+    monkeypatch.setattr(numeric.mp, "eigsy", no_convergence)
+    assert main(["certify", "--f", "x^3-2", "--g", "x"]) == 4
+    assert "precision exhausted" in capsys.readouterr().err
+
+
 def test_verify_oversized_integer_is_a_parse_error(tmp_path, capsys):
     big = "1" + "0" * 5000  # Python converts at most 4300 digits
     doc = {"version": "sos-cert/1", "f": ["-2", "0", "0", "1"], "g": ["1"],
@@ -256,3 +295,21 @@ def test_inspect_oversized_coefficient(capsys):
     out = capsys.readouterr().out
     assert "unit <16610-bit integer, too large to print>" in out
     assert "hypothesis gcd(d, f/d) = 1: OK" in out
+
+
+@pytest.mark.parametrize(
+    "text, what",
+    [
+        ("(x+1)^10000", "a power"),
+        ("(x+1)^5000*(x+1)^5000", "a power"),
+        # each power is below the cap, their product is not
+        ("(x+1)^1000*(x+1)^1000", "a product"),
+    ],
+)
+def test_parse_bounds_the_size_of_powers_and_products(text, what, capsys):
+    started = time.perf_counter()
+    with pytest.raises(ParseError, match=f"{what} of size <= {MAX_SIZE_BITS} bits"):
+        parse_poly(text)
+    assert main(["certify", "--f", text, "--g", "x"]) == 1
+    assert time.perf_counter() - started < 1.0
+    assert f"{what} of size <= {MAX_SIZE_BITS} bits" in capsys.readouterr().err

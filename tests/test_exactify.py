@@ -1,14 +1,16 @@
+import contextlib
 import random
 from fractions import Fraction as F
 
 import pytest
 from mpmath import mp
 
-from rootsos import numeric
+from rootsos import exactify, numeric
 from rootsos.exactify import (
     DegreeTooHigh,
     GramLift,
     NotPD,
+    PrecisionExhausted,
     SharedFactor,
     certify_strict_squarefree,
     check_positive_definite,
@@ -313,3 +315,49 @@ def test_certify_strict_rejects_shared_factor(f, g, common, monkeypatch):
         certify_strict_squarefree(f, g)
     assert info.value.common == common
     assert str(common) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "f, g, digits_cap, attempts",
+    [
+        # certifies at its first t: one projection and one LDL^T in all
+        (F_CUBE, X, 64, 1),
+        # with digits_cap = 1 both tried t are 1; every entry of this Gram
+        # matrix is below 0.05, so its projected 1-digit rounding is singular
+        (X**2 - Poly.constant(2), Poly.constant(F(1, 1000)), 1, 3),
+    ],
+    ids=["first-t", "repeated-t"],
+)
+def test_certify_strict_one_projection_and_ldl_per_tried_t(
+    f, g, digits_cap, attempts, monkeypatch
+):
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(exactify, name, wrapper)
+
+    spy("project", exactify.project)
+    spy("check_positive_definite", exactify.check_positive_definite)
+    spy("gram_to_sos", exactify.gram_to_sos)
+    exhausts = pytest.raises(PrecisionExhausted) if attempts > 1 else contextlib.nullcontext()
+    with exhausts:
+        certify_strict_squarefree(f, g, digits_cap=digits_cap, max_retries=attempts - 1)
+    assert calls == ["project", "check_positive_definite"] * attempts
+
+
+def test_certify_strict_eigensolver_failure_exhausts_precision(monkeypatch):
+    tried = []
+
+    def no_convergence(*_args, **_kwargs):
+        tried.append(mp.prec)
+        raise RuntimeError("tridiag_eigen: no convergence to an eigenvalue")
+
+    monkeypatch.setattr(numeric.mp, "eigsy", no_convergence)
+    with pytest.raises(PrecisionExhausted) as info:
+        certify_strict_squarefree(F_CUBE, X, max_retries=2)
+    assert tried == [106, 212, 424]  # each failure retries at double precision
+    assert info.value.sigma is None
