@@ -198,6 +198,17 @@ def _read_seed() -> int:
         raise ValueError(f"SOS_CERT_SEED must be an integer, got {raw!r}") from exc
 
 
+def _lambda_factor(text: str) -> float:
+    """--lambda-factor read as an exact rational, then as the float the Gram
+    build takes."""
+    try:
+        return float(Fraction(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from exc
+    except OverflowError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r} is too large for a float") from exc
+
+
 def _coeff_bits(x: Fraction) -> int:
     return max(abs(x.numerator).bit_length(), x.denominator.bit_length())
 
@@ -243,7 +254,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             precision_bits=args.precision_bits,
             digits_cap=args.digits_cap,
             max_retries=args.max_retries,
-            lambda_factor=float(args.lambda_factor),
+            lambda_factor=args.lambda_factor,
             seed=seed,
         )
     except HypothesisViolated as exc:
@@ -365,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--precision-bits", type=int, default=106)
     cert.add_argument("--digits-cap", type=int, default=64)
     cert.add_argument("--max-retries", type=int, default=3)
-    cert.add_argument("--lambda-factor", type=Fraction, default=Fraction(2))
+    cert.add_argument("--lambda-factor", type=_lambda_factor, default=2.0)
     fmt = cert.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON output (default)")
     fmt.add_argument("--pretty", action="store_true", help="human-readable output")

@@ -293,14 +293,18 @@ def certify_strict_squarefree(
     digits_cap = max(1, min(digits_cap, 64))
     q_reduction, g_red = divmod(g, f)
 
-    bits = precision_bits
+    bits = min(precision_bits, PRECISION_CAP_BITS)
     last_sigma = last_rho = last_delta = None
-    for _attempt in range(max_retries + 1):
+    for attempt in range(max_retries + 1):
+        if attempt:
+            if bits == PRECISION_CAP_BITS:
+                break
+            bits = min(2 * bits, PRECISION_CAP_BITS)
         try:
             roots = numeric.find_roots(f, bits)
             gram = numeric.build_interior_gram(f, g_red, roots, lambda_factor)
-        except RootClassificationUnstable as exc:
-            raise PrecisionExhausted(str(exc), precision_bits=bits) from exc
+        except RootClassificationUnstable as exc:  # find_roots gave up at the cap
+            raise PrecisionExhausted(str(exc), precision_bits=PRECISION_CAP_BITS) from exc
         except IllConditioned:
             gram = None
         except NotStrictlyPositive as exc:
@@ -326,11 +330,6 @@ def certify_strict_squarefree(
                     if sos.square_sum() != gram_poly(q_exact):
                         raise AssertionError("LDL reconstruction mismatch")
                     return lift, sos
-
-        new_bits = min(2 * bits, PRECISION_CAP_BITS)
-        if new_bits == bits:
-            break
-        bits = new_bits
 
     raise PrecisionExhausted(
         f"no positive-definite rounding found up to {bits} bits "

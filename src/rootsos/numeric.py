@@ -1,6 +1,6 @@
 """Floating-point stage of the certification pipeline.
 
-Simultaneous root approximation (Aberth-Ehrlich), conjugate-pair
+Simultaneous root approximation (mpmath's ``polyroots``), conjugate-pair
 classification cross-checked against the exact Sturm count, Lagrange basis
 construction, and assembly of the interior Gram pair (Q*, q*) whose exact
 rounding is performed downstream.  The margin sigma is the smallest
@@ -24,7 +24,7 @@ from .ratpoly import Poly, horner, norm2_squared, sqrt_upper_bound, sturm_real_r
 DEFAULT_PRECISION_BITS = 106
 PRECISION_CAP_BITS = 848
 
-_ABERTH_MAX_ITER = 500
+_POLYROOTS_MAX_STEPS = 500
 
 
 class RootClassificationUnstable(ArithmeticError):
@@ -125,54 +125,22 @@ def _deflate(coeffs, xi):
     return list(accumulate(reversed(coeffs[1:]), lambda acc, c: acc * xi + c))[::-1]
 
 
-def _aberth(coeffs, bits):
-    """Aberth-Ehrlich simultaneous iteration; None when it fails to settle."""
+def _polyroots(coeffs):
+    """Roots by mpmath's Durand-Kerner ``polyroots``, None if it does not converge.
+    Its stopping test is absolute, so the monic polynomial is scaled by 2^k,
+    k = max_i floor(e_i / i) = floor(max_i log2|a_{n-i}|^(1/i)) with e_i =
+    floor(log2|a_{n-i}|): by Fujiwara's bound every scaled root has |y| <= 4."""
     n = len(coeffs) - 1
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
+    monic = [c / coeffs[-1] for c in coeffs]
     if n == 1:
         return [mp.mpc(-monic[0])]
-    deriv = [k * monic[k] for k in range(1, n + 1)]
-
-    radius = 1 + max(abs(c) for c in monic[:-1])
-    z = [
-        radius * mp.expjpi(mp.mpf(2 * j) / n + mp.mpf(1) / (3 * n) + mp.mpf("0.1"))
-        for j in range(n)
-    ]
-    eps = mp.ldexp(1, -bits + 8)
-    for _ in range(_ABERTH_MAX_ITER):
-        shift = mp.mpf(0)
-        for i in range(n):
-            pv = horner(monic, z[i])
-            if pv == 0:
-                continue
-            dv = horner(deriv, z[i])
-            if dv == 0:
-                z[i] += mp.ldexp(1, -bits // 2) * (1 + abs(z[i]))
-                continue
-            w = pv / dv
-            s = mp.mpc(0)
-            collided = False
-            for j in range(n):
-                if j == i:
-                    continue
-                diff = z[i] - z[j]
-                if diff == 0:
-                    collided = True
-                    break
-                s += 1 / diff
-            if collided:
-                z[i] += mp.ldexp(1, -bits // 2) * (1 + abs(z[i]))
-                continue
-            denom = 1 - w * s
-            corr = w if denom == 0 else w / denom
-            z[i] -= corr
-            rel = abs(corr) / (1 + abs(z[i]))
-            if rel > shift:
-                shift = rel
-        if shift < eps:
-            return z
-    return None
+    k = max((mp.frexp(c)[1] - 1) // (n - j) for j, c in enumerate(monic[:-1]) if c)
+    scaled = [mp.ldexp(c, k * (j - n)) for j, c in enumerate(monic)]
+    try:
+        ys = mp.polyroots(scaled[::-1], maxsteps=_POLYROOTS_MAX_STEPS, cleanup=False)
+    except mp.NoConvergence:
+        return None
+    return [y * mp.ldexp(1, k) for y in ys]  # exact: a power-of-two scale
 
 
 def _classify(z, f: Poly, expected_real: int, bits: int):
@@ -221,7 +189,8 @@ def _classify(z, f: Poly, expected_real: int, bits: int):
 def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootProfile:
     """All complex roots of a squarefree polynomial, classified real/pair.
 
-    The real count is validated against the exact Sturm count; on mismatch
+    The real count is validated against the exact Sturm count; on mismatch,
+    a failed residual screen or no convergence of the one ``polyroots`` call
     the working precision doubles, up to PRECISION_CAP_BITS.
     """
     if f.is_zero or f.degree < 1:
@@ -233,7 +202,7 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootPro
     bits = min(precision_bits, PRECISION_CAP_BITS)
     while True:
         with mp.workprec(bits):
-            z = _aberth(_mp_coeffs(f), bits)
+            z = _polyroots(_mp_coeffs(f))
             split = _classify(z, f, expected, bits) if z is not None else None
         if split is not None:
             reals, reps = split

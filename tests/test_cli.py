@@ -4,6 +4,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from mpmath import mp
 
 from rootsos import cli, numeric
 from rootsos.certificate import Certificate, deserialize, verify
@@ -158,15 +159,27 @@ def test_bad_seed_env(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "option",
-    [["--precision-bits", "0"], ["--precision-bits", "-5"], ["--max-retries", "-1"]],
-    ids=["precision-bits-0", "precision-bits-negative", "max-retries-negative"],
+    "option, message",
+    [
+        (["--precision-bits", "0"], "must be >="),
+        (["--precision-bits", "-5"], "must be >="),
+        (["--max-retries", "-1"], "must be >="),
+        (["--lambda-factor", "1/0"], "error: argument --lambda-factor: '1/0' is not a rational"),
+        (["--lambda-factor", "1e400"], "error: argument --lambda-factor: '1e400' is too large"),
+    ],
+    ids=[
+        "precision-bits-0",
+        "precision-bits-negative",
+        "max-retries-negative",
+        "lambda-factor-zero-denominator",
+        "lambda-factor-overflow",
+    ],
 )
-def test_certify_rejects_bad_numeric_options(option, capsys):
+def test_certify_rejects_bad_numeric_options(option, message, capsys):
     started = time.perf_counter()
     assert main(["certify", "--f", "x^3-2", "--g", "x"] + option) == 1
     assert time.perf_counter() - started < 1.0
-    assert "must be >=" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_certify_deep_lift_pinned_bytes(tmp_path, capsys):
@@ -191,8 +204,12 @@ NEAR_BOUNDARY_G = "x^2 - 118920711500272106671/100000000000000000000"
          "dec117ff8ded16f922f173b794bc1496e51713c2d27d2668c8ee961f29265181"),
         ("x^8-2", NEAR_BOUNDARY_G, [106, 212, 424],
          "d76fdd0c9431ab95ccb676d5121a51609771984c5bcb2eb300a90ea6476c39c4"),
+        ("x^8-10^40", "x+10^6", [106, 106, 106, 106],
+         "eaed94af1669d67d493551326eefbf6df3b196e3a928655db4c0aa85dd0c9079"),
+        ("x^4+x+10^50", "x-1", [106, 212, 424],
+         "f8204c6a9088959c26cd295b8afdc6e2f0d28bcb6d73b14aa1599f303cb303eb"),
     ],
-    ids=["dense-gram-16", "near-boundary"],
+    ids=["dense-gram-16", "near-boundary", "large-roots", "huge-constant"],
 )
 def test_certify_pinned_bytes(f, g, precisions, digest, monkeypatch, capsys):
     tried = []
@@ -214,6 +231,15 @@ def test_certify_eigensolver_failure_exits_four(monkeypatch, capsys):
         raise RuntimeError("tridiag_eigen: no convergence to an eigenvalue")
 
     monkeypatch.setattr(numeric.mp, "eigsy", no_convergence)
+    assert main(["certify", "--f", "x^3-2", "--g", "x"]) == 4
+    assert "precision exhausted" in capsys.readouterr().err
+
+
+def test_certify_root_finder_failure_exits_four(monkeypatch, capsys):
+    def no_convergence(*_args, **_kwargs):
+        raise mp.NoConvergence("Didn't converge in maxsteps=500 steps.")
+
+    monkeypatch.setattr(numeric.mp, "polyroots", no_convergence)
     assert main(["certify", "--f", "x^3-2", "--g", "x"]) == 4
     assert "precision exhausted" in capsys.readouterr().err
 

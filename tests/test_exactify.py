@@ -361,3 +361,34 @@ def test_certify_strict_eigensolver_failure_exhausts_precision(monkeypatch):
         certify_strict_squarefree(F_CUBE, X, max_retries=2)
     assert tried == [106, 212, 424]  # each failure retries at double precision
     assert info.value.sigma is None
+    assert info.value.precision_bits == 424
+    assert "up to 424 bits" in str(info.value)
+
+
+def test_certify_strict_above_the_cap_tries_the_cap_once(monkeypatch):
+    tried = []
+
+    def no_convergence(*_args, **_kwargs):
+        tried.append(mp.prec)
+        raise RuntimeError("tridiag_eigen: no convergence to an eigenvalue")
+
+    monkeypatch.setattr(numeric.mp, "eigsy", no_convergence)
+    with pytest.raises(PrecisionExhausted) as info:
+        certify_strict_squarefree(F_CUBE, X, precision_bits=2000)
+    assert tried == [848]
+    assert info.value.precision_bits == 848
+
+
+def test_certify_strict_root_finder_failure_exhausts_precision(monkeypatch):
+    tried = []
+
+    def no_convergence(*_args, **_kwargs):
+        tried.append(mp.prec)
+        raise mp.NoConvergence("Didn't converge in maxsteps=500 steps.")
+
+    monkeypatch.setattr(numeric.mp, "polyroots", no_convergence)
+    with pytest.raises(PrecisionExhausted) as info:
+        certify_strict_squarefree(F_CUBE, X)
+    assert tried == [106, 212, 424, 848]
+    assert info.value.sigma is None
+    assert info.value.precision_bits == 848

@@ -4,8 +4,10 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mp
 
+from rootsos import numeric
 from rootsos.numeric import (
     NotStrictlyPositive,
+    RootClassificationUnstable,
     build_interior_gram,
     exact_fraction,
     find_roots,
@@ -55,6 +57,30 @@ def test_find_roots_two_reals():
 def test_find_roots_rejects_repeated():
     with pytest.raises(NotSquarefree):
         find_roots((X - Poly.one()) ** 2)
+
+
+def test_find_roots_keeps_a_root_below_the_working_epsilon():
+    # 1e-40 is far below 2^-106; the real/complex call is _classify's alone
+    tiny = F(1, 10**40)
+    prof = find_roots(X**2 + X - Poly.constant(tiny), 106)
+    assert prof.precision_bits == 106
+    assert len(prof.real_roots) == 2
+    with mp.workprec(106):
+        want = mp.mpf(tiny.numerator) / tiny.denominator
+        assert abs(prof.real_roots[1] - want) < mp.ldexp(want, -50)
+
+
+def test_find_roots_without_convergence_exhausts_precision(monkeypatch):
+    tried = []
+
+    def no_convergence(*_args, **_kwargs):
+        tried.append(mp.prec)
+        raise mp.NoConvergence("Didn't converge in maxsteps=500 steps.")
+
+    monkeypatch.setattr(numeric.mp, "polyroots", no_convergence)
+    with pytest.raises(RootClassificationUnstable):
+        find_roots(F_CUBE)
+    assert tried == [106, 212, 424, 848]  # one call per attempt, doubling
 
 
 def test_root_residuals_random():
