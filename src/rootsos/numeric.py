@@ -1,20 +1,22 @@
 """Floating-point stage of the certification pipeline.
 
-Simultaneous root approximation (mpmath's ``polyroots``), conjugate-pair
-classification cross-checked against the exact Sturm count, Lagrange basis
-construction, and assembly of the interior Gram pair (Q*, q*) whose exact
-rounding is performed downstream.  The margin sigma is the smallest
-eigenvalue of Q* from mpmath's ``eigsy``; it only picks the rounding digits,
-and the exact LDL^T downstream proves positive definiteness.  Precision is
-managed in software floats with a configurable mantissa (mpmath), doubling
-on retry up to a hard cap.
+Simultaneous root approximation (mpmath's ``polyroots``, started from a
+Durand-Kerner pass in builtin complex floats), conjugate-pair classification
+cross-checked against the exact Sturm count, Lagrange basis construction, and
+assembly of the interior Gram pair (Q*, q*) whose exact rounding is performed
+downstream.  The margin sigma is the smallest eigenvalue of Q* from mpmath's
+``eigsy``; it only picks the rounding digits, and the exact LDL^T downstream
+proves positive definiteness.  Precision is managed in software floats with a
+configurable mantissa (mpmath), doubling on retry up to a hard cap.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import prod
 
 import mpmath
 from mpmath import mp
@@ -25,6 +27,8 @@ DEFAULT_PRECISION_BITS = 106
 PRECISION_CAP_BITS = 848
 
 _POLYROOTS_MAX_STEPS = 500
+_SEED_MAX_STEPS = 200
+_SEED_TOL = 1e-13
 
 
 class RootClassificationUnstable(ArithmeticError):
@@ -125,22 +129,46 @@ def _deflate(coeffs, xi):
     return list(accumulate(reversed(coeffs[1:]), lambda acc, c: acc * xi + c))[::-1]
 
 
+def _float_seeds(monic):
+    """Durand-Kerner in builtin complex on ascending monic coefficients, from
+    mpmath's own start (0.4+0.9j)^k; None unless every seed is finite."""
+    cs = [complex(c) for c in monic]
+    zs = [(0.4 + 0.9j) ** k for k in range(len(cs) - 1)]
+    try:
+        for _ in range(_SEED_MAX_STEPS):
+            largest = 0.0
+            for i, z in enumerate(zs):
+                dz = horner(cs, z) / prod(z - w for j, w in enumerate(zs) if j != i)
+                zs[i] = z - dz
+                largest = max(largest, abs(dz))
+            if largest < _SEED_TOL:
+                break
+    except (ZeroDivisionError, OverflowError):  # coincident or runaway seeds
+        return None
+    return zs if all(cmath.isfinite(z) for z in zs) else None
+
+
 def _polyroots(coeffs):
     """Roots by mpmath's Durand-Kerner ``polyroots``, None if it does not converge.
     Its stopping test is absolute, so the monic polynomial is scaled by 2^k,
     k = max_i floor(e_i / i) = floor(max_i log2|a_{n-i}|^(1/i)) with e_i =
-    floor(log2|a_{n-i}|): by Fujiwara's bound every scaled root has |y| <= 4."""
+    floor(log2|a_{n-i}|): by Fujiwara's bound every scaled root has |y| <= 4.
+    The float seeds only pick where it starts; a cluster may need extraprec."""
     n = len(coeffs) - 1
     monic = [c / coeffs[-1] for c in coeffs]
     if n == 1:
         return [mp.mpc(-monic[0])]
     k = max((mp.frexp(c)[1] - 1) // (n - j) for j, c in enumerate(monic[:-1]) if c)
     scaled = [mp.ldexp(c, k * (j - n)) for j, c in enumerate(monic)]
-    try:
-        ys = mp.polyroots(scaled[::-1], maxsteps=_POLYROOTS_MAX_STEPS, cleanup=False)
-    except mp.NoConvergence:
-        return None
-    return [y * mp.ldexp(1, k) for y in ys]  # exact: a power-of-two scale
+    seeds = _float_seeds(scaled)
+    for extra in (10, mp.prec):  # mpmath's default, then the working precision
+        try:
+            ys = mp.polyroots(scaled[::-1], maxsteps=_POLYROOTS_MAX_STEPS, cleanup=False,
+                              extraprec=extra, roots_init=seeds)
+        except mp.NoConvergence:
+            continue
+        return [y * mp.ldexp(1, k) for y in ys]  # exact: a power-of-two scale
+    return None
 
 
 def _classify(z, f: Poly, expected_real: int, bits: int):
@@ -190,8 +218,8 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootPro
     """All complex roots of a squarefree polynomial, classified real/pair.
 
     The real count is validated against the exact Sturm count; on mismatch,
-    a failed residual screen or no convergence of the one ``polyroots`` call
-    the working precision doubles, up to PRECISION_CAP_BITS.
+    a failed residual screen or no convergence of ``polyroots`` (at either
+    extraprec) the working precision doubles, up to PRECISION_CAP_BITS.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("find_roots needs degree >= 1")
@@ -217,16 +245,14 @@ def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootPro
 def lagrange_basis(f: Poly, roots: RootProfile) -> list:
     """Lagrange basis u_i = f/(f'(xi_i)(x - xi_i)) over the ordered roots.
 
-    Each u_i is a coefficient tuple of degree n-1 with u_i(xi_j) ~ delta_ij;
-    a cluster that breaks the interpolation tolerance raises IllConditioned.
+    Each u_i is a coefficient tuple of degree n-1 with u_i(xi_j) ~ delta_ij; a
+    poor basis shows in the exact residual bound rho and the exact LDL^T.
     """
     n = int(f.degree)
     with mp.workprec(roots.precision_bits):
         xs = [mp.mpc(x) for x in roots.ordered_roots()]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if xs[i] == xs[j]:
-                    raise IllConditioned("coincident roots at working precision")
+        if len(set(xs)) < n:
+            raise IllConditioned("coincident roots at working precision")
         monic = _mp_coeffs(f.monic())
         basis = []
         for xi in xs:
@@ -235,12 +261,6 @@ def lagrange_basis(f: Poly, roots: RootProfile) -> list:
             if dval == 0:
                 raise IllConditioned("vanishing derivative at a root")
             basis.append([c / dval for c in quo])
-        tol = mp.ldexp(1, -(roots.precision_bits // 4))
-        for i, u in enumerate(basis):
-            for j, xj in enumerate(xs):
-                want = 1 if i == j else 0
-                if abs(horner(u, xj) - want) > tol:
-                    raise IllConditioned("interpolation residual too large")
         return [tuple(u) for u in basis]
 
 
@@ -265,18 +285,15 @@ def build_interior_gram(
 
     bits = roots.precision_bits
     with mp.workprec(bits):
-        basis = lagrange_basis(f, roots)
         gc = _mp_coeffs(g)
         thr = mp.ldexp(1, -(bits // 4))
-
-        weights = []
-        columns = []
-        for i, xi in enumerate(roots.real_roots):
-            val = horner(gc, xi)
+        weights = [horner(gc, xi) for xi in roots.real_roots]
+        for xi, val in zip(roots.real_roots, weights):  # refuse before the basis
             if val <= thr:
                 raise NotStrictlyPositive(xi, val, definitive=bool(val <= -thr))
-            weights.append(val)
-            columns.append([mp.re(c) for c in basis[i]])
+
+        basis = lagrange_basis(f, roots)
+        columns = [[mp.re(c) for c in u] for u in basis[: len(weights)]]
 
         k = len(roots.real_roots)
         for idx, rep in enumerate(roots.complex_pairs):
@@ -287,9 +304,7 @@ def build_interior_gram(
             den = lam + mp.re(gamma)
             if den <= thr:
                 raise IllConditioned("degenerate pair weight")
-            disc = lam**2 - mag**2
-            if disc < 0:
-                disc = mp.mpf(0)
+            disc = max(lam**2 - mag**2, mp.mpf(0))
             ratio = mp.im(gamma) / den
             root_disc = mp.sqrt(disc) / den
             columns.append([mp.re(c) - ratio * mp.im(c) for c in u])

@@ -195,6 +195,8 @@ def test_certify_deep_lift_pinned_bytes(tmp_path, capsys):
 # g = x^2 - r with r = floor(2^(1/4) * 10^20) / 10^20, so g(+-2^(1/8)) is in
 # (0, 1e-20]: the shape of the benchmark's near-boundary refute instances
 NEAR_BOUNDARY_G = "x^2 - 118920711500272106671/100000000000000000000"
+# the same with r = floor(3^(1/4) * 10^20) / 10^20 for x^8 - 3
+NEAR_BOUNDARY_G3 = "x^2 - 131607401295249246081/100000000000000000000"
 
 
 @pytest.mark.parametrize(
@@ -208,8 +210,13 @@ NEAR_BOUNDARY_G = "x^2 - 118920711500272106671/100000000000000000000"
          "eaed94af1669d67d493551326eefbf6df3b196e3a928655db4c0aa85dd0c9079"),
         ("x^4+x+10^50", "x-1", [106, 212, 424],
          "f8204c6a9088959c26cd295b8afdc6e2f0d28bcb6d73b14aa1599f303cb303eb"),
+        ("x^8-3", NEAR_BOUNDARY_G3, [106, 212, 424],
+         "47bbd2776a191d952ac0c2d1f791e6aabc6898e6bb1d0d7c4f597656d8c2a8c3"),
+        ("x^32-2", "x+3", [106],
+         "c2af913141988144828acaab8bda5ffb5fa303a4e7a55444025cbfdd4abc72e6"),
     ],
-    ids=["dense-gram-16", "near-boundary", "large-roots", "huge-constant"],
+    ids=["dense-gram-16", "near-boundary", "large-roots", "huge-constant",
+         "near-boundary-3", "dense-gram-32"],
 )
 def test_certify_pinned_bytes(f, g, precisions, digest, monkeypatch, capsys):
     tried = []

@@ -382,13 +382,14 @@ def test_certify_strict_above_the_cap_tries_the_cap_once(monkeypatch):
 def test_certify_strict_root_finder_failure_exhausts_precision(monkeypatch):
     tried = []
 
-    def no_convergence(*_args, **_kwargs):
-        tried.append(mp.prec)
+    def no_convergence(*_args, **kwargs):
+        tried.append((mp.prec, kwargs["extraprec"]))
         raise mp.NoConvergence("Didn't converge in maxsteps=500 steps.")
 
     monkeypatch.setattr(numeric.mp, "polyroots", no_convergence)
     with pytest.raises(PrecisionExhausted) as info:
         certify_strict_squarefree(F_CUBE, X)
-    assert tried == [106, 212, 424, 848]
+    assert tried == [(106, 10), (106, 106), (212, 10), (212, 212),
+                     (424, 10), (424, 424), (848, 10), (848, 848)]
     assert info.value.sigma is None
     assert info.value.precision_bits == 848

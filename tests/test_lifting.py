@@ -246,6 +246,17 @@ def test_certify_nonnegative_zero_g():
     assert verify(cert)
 
 
+def test_certify_nonnegative_ill_conditioned_irreducible():
+    # f is irreducible with ill-conditioned roots: at any working precision,
+    # polyroots converges only with far more than its default 10 extra bits
+    f = Poly.one()
+    for k in range(1, 11):
+        f = f * (X - Poly.constant(k))
+    f = f + Poly.constant(F(1, 7))
+    cert = certify_nonnegative(f, X**2 + Poly.one())
+    assert verify(cert)
+
+
 def test_certify_nonnegative_counterexample():
     with pytest.raises(HypothesisViolated):
         certify_nonnegative(X**2, X)

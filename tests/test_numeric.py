@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction as F
 
@@ -73,14 +74,68 @@ def test_find_roots_keeps_a_root_below_the_working_epsilon():
 def test_find_roots_without_convergence_exhausts_precision(monkeypatch):
     tried = []
 
-    def no_convergence(*_args, **_kwargs):
-        tried.append(mp.prec)
+    def no_convergence(*_args, **kwargs):
+        tried.append((mp.prec, kwargs["extraprec"]))
         raise mp.NoConvergence("Didn't converge in maxsteps=500 steps.")
 
     monkeypatch.setattr(numeric.mp, "polyroots", no_convergence)
     with pytest.raises(RootClassificationUnstable):
         find_roots(F_CUBE)
-    assert tried == [106, 212, 424, 848]  # one call per attempt, doubling
+    # per attempt: mpmath's default extraprec, then as many extra bits as the
+    # working precision; then the precision doubles
+    assert tried == [(106, 10), (106, 106), (212, 10), (212, 212),
+                     (424, 10), (424, 424), (848, 10), (848, 848)]
+
+
+def _spy_polyroots(monkeypatch):
+    calls = []
+    polyroots = numeric.mp.polyroots
+
+    def spy(coeffs, **kwargs):
+        calls.append(kwargs)
+        return polyroots(coeffs, **kwargs)
+
+    monkeypatch.setattr(numeric.mp, "polyroots", spy)
+    return calls
+
+
+def test_polyroots_starts_from_finite_float_seeds(monkeypatch):
+    calls = _spy_polyroots(monkeypatch)
+    f = X**10 - Poly.constant(3)
+    prof = find_roots(f)
+    assert prof.precision_bits == 106 and len(prof.real_roots) == 2
+    assert len(calls) == 1
+    seeds = calls[0]["roots_init"]
+    assert len(seeds) == 10
+    assert all(cmath.isfinite(z) for z in seeds)
+
+
+def test_non_finite_seeds_fall_back_to_the_default_start(monkeypatch):
+    calls = _spy_polyroots(monkeypatch)
+    horner = numeric.horner
+
+    def nan_in_floats(coeffs, point):
+        return complex("nan+nanj") if type(point) is complex else horner(coeffs, point)
+
+    monkeypatch.setattr(numeric, "horner", nan_in_floats)
+    prof = find_roots(F_CUBE)
+    assert len(prof.real_roots) == 1 and len(prof.complex_pairs) == 1
+    assert [c["roots_init"] for c in calls] == [None]
+
+
+def test_seeds_do_not_change_the_roots(monkeypatch):
+    rng = random.Random(4242)
+    polys = [random_squarefree_poly(rng, rng.randint(2, 12), 50) for _ in range(40)]
+    seeded = [find_roots(f) for f in polys]
+    monkeypatch.setattr(numeric, "_float_seeds", lambda _monic: None)
+    for f, a in zip(polys, seeded):
+        b = find_roots(f)
+        assert (a.precision_bits, len(a.real_roots), len(a.complex_pairs)) == (
+            b.precision_bits, len(b.real_roots), len(b.complex_pairs))
+        with mp.workprec(a.precision_bits):
+            tol = mp.ldexp(1, -(a.precision_bits // 2))
+            for x, y in zip(a.ordered_roots(), b.ordered_roots()):
+                assert abs(x - y) <= tol
 
 
 def test_root_residuals_random():
@@ -169,6 +224,18 @@ def test_identity_residual_small():
     assert gram.rho < 1e-25
     # weights are g(xi) = 1 at both roots: Q* = H H^T
     assert abs(gram.Qstar[0][0] - 0.5) < 1e-25
+
+
+def test_refusal_comes_before_the_lagrange_basis(monkeypatch):
+    def no_basis(*_args):
+        raise AssertionError("lagrange_basis called")
+
+    monkeypatch.setattr(numeric, "lagrange_basis", no_basis)
+    f = X**10 - Poly.constant(3)
+    with pytest.raises(NotStrictlyPositive) as info:
+        build_interior_gram(f, X - Poly.one(), find_roots(f))
+    assert info.value.definitive
+    assert info.value.value < 0
 
 
 def test_not_strictly_positive():
