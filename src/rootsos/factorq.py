@@ -71,6 +71,11 @@ class ModularFactorSet:
 
 # ---------------------------------------------------------------------------
 # integer / modular coefficient-list helpers (ascending order, trimmed)
+#
+# Inputs may hold any integers; outputs are canonical representatives in
+# [0, m).  Products and long division sum their partial products in plain
+# integers and reduce each output coefficient once, not after every partial
+# product.
 # ---------------------------------------------------------------------------
 
 
@@ -114,8 +119,8 @@ def _zp_mul(a: list[int], b: list[int], m: int) -> list[int]:
         if not x:
             continue
         for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % m
-    return _trim(out)
+            out[i + j] += x * y
+    return _zp_reduce(out, m)
 
 
 def _gf_monic(a: list[int], p: int) -> list[int]:
@@ -131,7 +136,7 @@ def _zp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]
     if not b:
         raise ZeroDivisionError("division by zero polynomial mod m")
     inv = pow(b[-1], -1, m)
-    rem = [x % m for x in a]
+    rem = list(a)
     db = _deg(b)
     quo = [0] * max(len(rem) - db, 0)
     for top in range(len(rem) - 1, db - 1, -1):
@@ -139,9 +144,9 @@ def _zp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]
         if not c:
             continue
         quo[top - db] = c
-        for i, y in enumerate(b):
-            rem[top - db + i] = (rem[top - db + i] - c * y) % m
-    return _trim(quo), _trim(rem)
+        for i in range(db):
+            rem[top - db + i] -= c * b[i]
+    return _trim(quo), _zp_reduce(rem[:db], m)
 
 
 def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:

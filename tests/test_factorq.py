@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,6 +10,8 @@ from rootsos.factorq import (
     DegreeTooLarge,
     ModularFactorSet,
     ZeroOrConstant,
+    _zp_divmod,
+    _zp_mul,
     factor_mod_p,
     factor_over_Q,
     hensel_lift_factors,
@@ -174,3 +177,46 @@ def test_factor_non_monic_and_rational():
     assert fact.reconstruct() == f
     degrees = sorted(int(p.degree) for p, _ in fact.factors)
     assert degrees == [1, 2]
+
+
+def zp_mul_stepwise(a, b, m):
+    """Product over Z/mZ, reducing after every partial product."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % m
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def zp_divmod_stepwise(a, b, m):
+    """Long division over Z/mZ, reducing after every partial product."""
+    inv = pow(b[-1], -1, m)
+    rem = [x % m for x in a]
+    quo = [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + len(b) - 1] * inv % m
+        quo[k] = c
+        for i, y in enumerate(b):
+            rem[k + i] = (rem[k + i] - c * y) % m
+    for c in (quo, rem):
+        while c and c[-1] == 0:
+            c.pop()
+    return quo, rem
+
+
+@pytest.mark.parametrize("m", [3, 7**9, 101**3, 2**61 - 1])
+def test_modular_kernels_match_stepwise_reduction(m):
+    # negative and unreduced inputs, zeros, and high entries that vanish mod m
+    rng = random.Random(m)
+
+    def draw(n):
+        return [rng.choice([0, m, -m, rng.randint(-3 * m, 3 * m)]) for _ in range(n)]
+
+    for _ in range(150):
+        a, b = draw(rng.randint(0, 14)), draw(rng.randint(0, 8))
+        assert _zp_mul(a, b, m) == zp_mul_stepwise(a, b, m)
+        lead = rng.randint(-3 * m, 3 * m)
+        if math.gcd(lead, m) == 1:
+            assert _zp_divmod(a, b + [lead], m) == zp_divmod_stepwise(a, b + [lead], m)

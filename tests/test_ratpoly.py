@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootsos import ratpoly
 from rootsos.ratpoly import (
     NEG_INF,
     BothZero,
@@ -20,7 +21,7 @@ from rootsos.ratpoly import (
     sturm_real_root_count,
     weighted_square_sum,
 )
-from support import cap_packing, grid_real_root_count, random_nonzero_poly
+from support import cap_packing, grid_real_root_count, random_nonzero_poly, random_poly
 
 X = Poly.x()
 F_CUBE = X**3 - Poly.constant(2)  # x^3 - 2
@@ -70,10 +71,147 @@ def test_divrem_reconstruction(ac, bc):
     assert r.degree < b.degree
 
 
+def long_division(a, b):
+    """Quotient and remainder coefficient lists of a / b by schoolbook long
+    division, one Fraction operation at a time; b[-1] must be non-zero."""
+    rem = [F(c) for c in a]
+    quo = [F(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + len(b) - 1] / F(b[-1])
+        quo[k] = c
+        for i, v in enumerate(b):
+            rem[k + i] -= c * F(v)
+    return quo, rem
+
+
+# small and shared denominators, distinct 64-bit ones, multi-word integers
+# and zeros: mostly the integer path
+division_coeffs = st.one_of(
+    st.just(0),
+    st.fractions(min_value=-50, max_value=50, max_denominator=20),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.builds(F, st.integers(min_value=-(2**64), max_value=2**64), st.integers(1, 2**64)),
+)
+nonzero_division_coeffs = division_coeffs.filter(bool)
+MERSENNE_PRIMES = [2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1]
+# coefficients over four pairwise coprime denominators: a common denominator
+# 257 bits past the largest, which a short quotient divides in Fractions
+spread_coeffs = st.lists(st.integers(-99, 99), max_size=14).map(
+    lambda ns: [F(n, MERSENNE_PRIMES[i % 4]) for i, n in enumerate(ns)]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.lists(division_coeffs, max_size=14), spread_coeffs),
+    st.lists(division_coeffs, max_size=7),
+    st.one_of(st.integers(2, 2**70), st.integers(-(2**70), -1), nonzero_division_coeffs),
+)
+def test_divmod_matches_long_division(ac, bc, lead):
+    # the divisor's own leading coefficient is drawn apart so that it is
+    # rarely 1 and its integer numerator rarely divides the dividend's
+    a, b = Poly(ac), Poly(bc + [lead])
+    q, r = divmod(a, b)
+    quo, rem = long_division(a.coeffs, b.coeffs)
+    assert q == Poly(quo)
+    assert r == Poly(rem)
+    assert q * b + r == a
+
+
+def test_divmod_runs_in_fractions_only_where_the_lift_outweighs_the_saved_steps(monkeypatch):
+    taken = []
+    fractions_loop = ratpoly._divmod_fractions
+    monkeypatch.setattr(
+        ratpoly, "_divmod_fractions", lambda a, b: taken.append(len(a)) or fractions_loop(a, b)
+    )
+    rng = random.Random(38)
+    spread = [F(rng.randrange(-(2**64), 2**64), rng.randrange(1, 2**64)) for _ in range(40)]
+    eight = [rng.randrange(2**31, 2**32) for _ in range(8)]
+
+    def over_eight(n):  # n coefficients over 8 different 32-bit denominators, then 1
+        return Poly([F(rng.randrange(1, 99), eight[i % 8]) for i in range(n)] + [1])
+
+    cases = [
+        (Poly(spread[:39]), Poly(spread[39:] + spread[:37])),  # lcm ~2,500 bits, 2 steps
+        (Poly(spread[:39]), Poly([-7, 13])),  # only the dividend's lcm is large
+        (over_eight(10), over_eight(10)),  # lcm ~220 bits past the largest, 1 step
+        (over_eight(20), over_eight(10)),  # the same, 11 steps
+        (Poly([F(k, 2 ** (k % 9)) for k in range(1, 30)]), Poly([F(1, 4), F(3, 16), 1])),
+        (Poly([F(1, 2**400), F(3, 2**399), 1]), Poly([F(5, 2**398), 1])),  # lcm is the largest
+        (Poly([F(k, 12) for k in range(-9, 30)]), Poly([F(1, 4), 0, 3])),
+        (Poly(range(1, 60)), Poly([F(-7, 13), 1])),
+        (Poly(range(1, 60)), Poly([5, -3, 2**200 + 1])),
+        (Poly([F(7 * k + 1, 7**20) for k in range(29)]), Poly([F(3**30, 7**20), F(2**40 + 1, 7**20), 5])),
+    ]
+    for a, b in cases:
+        quo, rem = long_division(a.coeffs, b.coeffs)
+        assert divmod(a, b) == (Poly(quo), Poly(rem))
+    assert taken == [39, 39, 11]
+
+
+def test_divmod_by_a_longer_divisor_returns_the_dividend():
+    a = Poly([F(1, 3), 0, 5])
+    assert divmod(a, X**3 + Poly.constant(F(1, 7))) == (Poly.zero(), a)
+    assert divmod(Poly.zero(), X) == (Poly.zero(), Poly.zero())
+
+
 def test_gcd_examples():
     assert gcd(F_CUBE, X) == Poly.one()
     assert gcd(X * F_CUBE**2, X**3) == X
     assert gcd(X**2 - Poly.one(), X - Poly.one()) == X - Poly.one()
+
+
+GCD_PRIME = 2**61 - 1
+
+
+def euclid_gcd(a, b):
+    """Monic gcd by the Euclidean remainder sequence over Q."""
+    while b:
+        a, b = b, Poly(long_division(a.coeffs, b.coeffs)[1])
+    return a.monic()
+
+
+def test_gcd_coprime_over_q_but_equal_modulo_the_prime():
+    # x and x + p have the same image modulo p, which decides nothing
+    assert gcd(X, X + Poly.constant(GCD_PRIME)) == Poly.one()
+    assert gcd(X * (X - Poly.one()), X + Poly.constant(GCD_PRIME)) == Poly.one()
+
+
+def test_gcd_prime_divides_a_leading_coefficient():
+    # p*x + 1 is the constant 1 modulo p, so the images x and x + 1 of
+    # d*x and d*(x + 1) are coprime modulo p although d divides both
+    d = Poly([1, GCD_PRIME])
+    assert gcd(d * X, d * (X + Poly.one())) == d.monic()
+    assert gcd(d, X) == Poly.one()
+
+
+def test_gcd_prime_divides_a_denominator():
+    d = Poly([F(1, GCD_PRIME), 1])
+    assert gcd(d * X, d * (X + Poly.one())) == d
+    assert gcd(d, X) == Poly.one()
+
+
+def test_gcd_of_pairs_with_a_common_factor_matches_euclid():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        common = random_poly(rng, rng.randint(1, 6), 30)
+        a = common * random_nonzero_poly(rng, 8, 30)
+        b = common * random_nonzero_poly(rng, 8, 30) * Poly.constant(F(rng.randint(1, 9), 7))
+        assert gcd(a, b) == euclid_gcd(a, b)
+    assert gcd(Poly.zero(), X * 3 + Poly.one()) == X + Poly.constant(F(1, 3))
+    assert gcd(Poly.constant(F(2, 3)), X) == Poly.one()
+
+
+def test_gcd_of_a_coprime_pair_does_no_division(monkeypatch):
+    rng = random.Random(30)
+    pairs = [(random_poly(rng, 30, 10**6), random_poly(rng, 30, 10**6)) for _ in range(5)]
+    pairs.append((Poly([F(k + 1, k + 2) for k in range(31)]), X**25 - Poly.constant(F(1, 3))))
+    assert all(euclid_gcd(a, b) == Poly.one() for a, b in pairs)
+    divisions = []
+    monkeypatch.setattr(Poly, "__divmod__", lambda a, b: divisions.append(1))
+    for a, b in pairs:
+        assert gcd(a, b) == Poly.one()
+    assert divisions == []
 
 
 def test_gcd_both_zero():
