@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -19,7 +18,7 @@ from fractions import Fraction
 from . import certificate as certmod
 from .certificate import Certificate, ParseError as CertificateParseError
 from .exactify import PrecisionExhausted
-from .factorq import DEFAULT_SEED, factor_over_Q
+from .factorq import factor_over_Q
 from .lifting import HypothesisViolated, NotNonnegative, certify_nonnegative
 from .ratpoly import Poly, format_rational, gcd, squarefree_decompose, sturm_real_root_count
 
@@ -188,16 +187,6 @@ def _parse_base(toks: _Tokens) -> Poly:
     raise ParseError(toks.pos, "a number, 'x', '(' or '-'")
 
 
-def _read_seed() -> int:
-    raw = os.environ.get("SOS_CERT_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"SOS_CERT_SEED must be an integer, got {raw!r}") from exc
-
-
 def _lambda_factor(text: str) -> float:
     """--lambda-factor read as an exact rational, then as the float the Gram
     build takes."""
@@ -241,7 +230,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
     try:
         f = parse_poly(args.f)
         g = parse_poly(args.g)
-        seed = _read_seed()
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -255,7 +243,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
             digits_cap=args.digits_cap,
             max_retries=args.max_retries,
             lambda_factor=args.lambda_factor,
-            seed=seed,
         )
     except HypothesisViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
@@ -324,7 +311,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     try:
         f = parse_poly(args.f)
         g = parse_poly(args.g) if args.g is not None else None
-        seed = _read_seed()
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -338,7 +324,11 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         lines.append("squarefree decomposition:")
         for factor, mult in sqf.parts:
             lines.append(f"  ({factor})^{mult}")
-        fact = factor_over_Q(f, seed=seed)
+        try:
+            fact = factor_over_Q(f)
+        except ValueError as exc:  # over the degree cap, or no usable prime
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
         lines.append(f"irreducible factorization (unit {format_rational(fact.unit)}):")
         for p, e in fact.factors:
             lines.append(

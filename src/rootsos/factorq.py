@@ -1,9 +1,11 @@
 """Irreducible factorization of rational polynomials.
 
-Zassenhaus scheme: reduce to a monic integer polynomial, factor modulo a
-small odd prime (distinct-degree then equal-degree splitting), lift the
-modular factors past the Landau-Mignotte coefficient bound by quadratic
-Hensel steps, then recombine subsets by trial division over Z.
+Zassenhaus scheme on one monic integer image G of each squarefree part:
+reduce G modulo the first odd prime that keeps it squarefree, factor it
+there (distinct-degree then equal-degree splitting), lift the modular
+factors past the Landau-Mignotte coefficient bound by quadratic Hensel
+steps, then recombine subsets by trial division over Z.  Only the factors
+found are mapped back to rational polynomials.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from .ratpoly import Poly, squarefree_decompose
 #: Inputs above this degree are refused instead of silently grinding.
 DEGREE_CAP = 64
 
-DEFAULT_SEED = 0
-
 _PRIME_ATTEMPTS = 200
 
 
@@ -28,8 +28,9 @@ class ZeroOrConstant(ValueError):
     """Factorization needs a polynomial of degree at least 1."""
 
 
-class BadPrime(ValueError):
-    """Chosen prime divides the leading coefficient or breaks squarefreeness."""
+class NoUsablePrime(ValueError):
+    """No prime among the first _PRIME_ATTEMPTS odd primes keeps the integer
+    image squarefree."""
 
 
 class LiftFailure(ValueError):
@@ -52,21 +53,6 @@ class IrreducibleFactorization:
         for p, e in self.factors:
             out = out * p**e
         return out
-
-
-@dataclass(frozen=True)
-class ModularFactorSet:
-    """Monic factors of ``poly`` modulo prime**level.
-
-    ``poly`` is the monic integer image of the original input (denominators
-    cleared by the x -> x/L substitution); coefficients of the factors are
-    stored as canonical representatives in [0, prime**level).
-    """
-
-    prime: int
-    level: int
-    poly: tuple[int, ...]
-    factors: tuple[tuple[int, ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -265,37 +251,18 @@ def _mignotte_bound(g: list[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def factor_mod_p(f: Poly, prime: int, seed: int = DEFAULT_SEED) -> ModularFactorSet:
-    """Complete monic irreducible factorization modulo an odd prime.
+def factor_mod_p(gbar: list[int], p: int, rng: random.Random) -> list[list[int]]:
+    """Monic irreducible factors of ``gbar``, monic and squarefree modulo the
+    odd prime p, sorted by (degree, coefficients).
 
-    Distinct-degree splitting followed by seeded Cantor-Zassenhaus
-    equal-degree splitting; the factorization is of the monic integer image
-    of f, with factors sorted by (degree, coefficients).
+    Distinct-degree splitting followed by Cantor-Zassenhaus equal-degree
+    splitting, drawing its random polynomials from ``rng``.
     """
-    if f.is_zero or f.degree < 1:
-        raise ZeroOrConstant("factor_mod_p needs degree >= 1")
-    if prime < 3 or not _is_prime(prime):
-        raise BadPrime(f"{prime} is not an odd prime")
-    for c in f.coeffs:
-        if c.denominator != 1:
-            raise ValueError("factor_mod_p expects integer coefficients")
-    if int(f.leading_coefficient) % prime == 0:
-        raise BadPrime(f"{prime} divides the leading coefficient")
-
-    g_int, _scale = _monic_integral(f)
-    fbar = _zp_reduce(g_int, prime)
-    if _deg(fbar) != _deg(g_int):
-        raise BadPrime(f"degree drops mod {prime}")
-    deriv = _trim([(k * fbar[k]) % prime for k in range(1, len(fbar))])
-    if _deg(_gf_gcd(fbar, deriv, prime)) != 0:
-        raise BadPrime(f"input is not squarefree mod {prime}")
-
-    rng = random.Random(f"{seed}:{prime}:{_deg(fbar)}")
     irreducibles: list[list[int]] = []
-    for part, d in _gf_distinct_degree(fbar, prime):
-        irreducibles.extend(_gf_equal_degree(part, d, prime, rng))
+    for part, d in _gf_distinct_degree(gbar, p):
+        irreducibles.extend(_gf_equal_degree(part, d, p, rng))
     irreducibles.sort(key=lambda c: (len(c), c))
-    return ModularFactorSet(prime, 1, tuple(g_int), tuple(tuple(c) for c in irreducibles))
+    return irreducibles
 
 
 def _gf_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
@@ -328,29 +295,16 @@ def _gf_equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[l
         if _deg(a) < 1:
             continue
         u = _gf_gcd(a, f, p)
-        if 0 < _deg(u) < n:
-            pass
-        else:
-            b = _zp_sub(_gf_powmod(a, exponent, f, p), [1], p)
-            u = _gf_gcd(b, f, p)
+        if not 0 < _deg(u) < n:
+            u = _gf_gcd(_zp_sub(_gf_powmod(a, exponent, f, p), [1], p), f, p)
             if not 0 < _deg(u) < n:
                 continue
         rest = _zp_divmod(f, u, p)[0]
         return _gf_equal_degree(u, d, p, rng) + _gf_equal_degree(rest, d, p, rng)
 
 
-def hensel_lift_factors(mf: ModularFactorSet, target_level: int) -> ModularFactorSet:
-    """Quadratic Hensel lifting of a modular factor set to prime**target_level."""
-    if target_level <= mf.level:
-        return mf
-    p = mf.prime
-    base = [_zp_reduce(list(c), p) for c in mf.factors]
-    lifted = _lift_tree(list(mf.poly), base, p, target_level)
-    lifted.sort(key=lambda c: (len(c), c))
-    return ModularFactorSet(p, target_level, mf.poly, tuple(tuple(c) for c in lifted))
-
-
 def _lift_tree(f: list[int], facs: list[list[int]], p: int, target: int) -> list[list[int]]:
+    """Quadratic Hensel lifting of the factors of f modulo p to p**target."""
     modulus = p**target
     if len(facs) == 1:
         return [_zp_reduce(f, modulus)]
@@ -388,20 +342,14 @@ def _lift_pair(
     return g, h
 
 
-def recombine(mf: ModularFactorSet, f: Poly) -> list[Poly]:
-    """True monic irreducible rational factors of squarefree f from its
-    lifted modular factor set, by subset products and trial division."""
-    g_int, scale = _monic_integral(f)
-    if tuple(g_int) != mf.poly:
-        raise ValueError("factor set does not belong to this polynomial")
-    bound = _mignotte_bound(g_int)
-    modulus = mf.prime**mf.level
-    if modulus <= 2 * bound:
-        raise ValueError("factor set is not lifted past the coefficient bound")
-
-    remaining = [list(c) for c in mf.factors]
+def recombine(g: list[int], lifted: list[list[int]], modulus: int, bound: int) -> list[list[int]]:
+    """Monic irreducible factors over Z of the monic squarefree g, from its
+    modular factors lifted modulo ``modulus`` > 2*``bound``, where ``bound``
+    bounds the coefficients of every monic factor of g over Z: subset
+    products in the symmetric range are trial-divided into g."""
+    remaining = lifted
     found: list[list[int]] = []
-    rest = list(g_int)
+    rest = list(g)
     size = 1
     while 2 * size <= len(remaining):
         hit = True
@@ -426,13 +374,10 @@ def recombine(mf: ModularFactorSet, f: Poly) -> list[Poly]:
         size += 1
     if _deg(rest) > 0:
         found.append(rest)
-
-    out = [_from_integer_factor(c, scale) for c in found]
-    out.sort(key=lambda q: (q.degree, q.coeffs))
-    return out
+    return found
 
 
-def factor_over_Q(f: Poly, seed: int = DEFAULT_SEED) -> IrreducibleFactorization:
+def factor_over_Q(f: Poly) -> IrreducibleFactorization:
     """Factor f into monic irreducible rational polynomials with multiplicities."""
     if f.is_zero or f.degree < 1:
         raise ZeroOrConstant("factorization needs degree >= 1")
@@ -442,33 +387,37 @@ def factor_over_Q(f: Poly, seed: int = DEFAULT_SEED) -> IrreducibleFactorization
     sqf = squarefree_decompose(f)
     factors: list[tuple[Poly, int]] = []
     for part, mult in sqf.parts:
-        for irr in _factor_squarefree(part, seed):
+        for irr in _factor_squarefree(part):
             factors.append((irr, mult))
     factors.sort(key=lambda pe: (pe[0].degree, pe[0].coeffs))
     return IrreducibleFactorization(sqf.constant, tuple(factors))
 
 
-def _factor_squarefree(part: Poly, seed: int) -> list[Poly]:
+def _factor_squarefree(part: Poly) -> list[Poly]:
     if part.degree == 1:
         return [part.monic()]
-    g_int, _scale = _monic_integral(part)
-    g_poly = Poly(g_int)
-
-    mf = None
+    g, scale = _monic_integral(part)
+    n = _deg(g)
+    # g is monic, so its image keeps its degree modulo every prime.  Primes
+    # dividing its discriminant leave a square factor; x*(x - P), with P the
+    # product of the first _PRIME_ATTEMPTS odd primes, has no usable one.
     for prime, _ in zip(_odd_primes(), range(_PRIME_ATTEMPTS)):
-        try:
-            mf = factor_mod_p(g_poly, prime, seed)
+        gbar = _zp_reduce(g, prime)
+        deriv = [k * gbar[k] for k in range(1, n + 1)]
+        if _deg(_gf_gcd(gbar, deriv, prime)) == 0:
             break
-        except BadPrime:
-            continue
-    if mf is None:
-        raise BadPrime("no usable prime found")  # unreachable for squarefree input
-    if len(mf.factors) == 1:
+    else:
+        raise NoUsablePrime(
+            f"no usable prime: a squarefree factor of degree {n} is not "
+            f"squarefree modulo any of the first {_PRIME_ATTEMPTS} odd primes"
+        )
+    modular = factor_mod_p(gbar, prime, random.Random(f"0:{prime}:{n}"))
+    if len(modular) == 1:
         return [part.monic()]
 
-    bound = _mignotte_bound(g_int)
+    bound = _mignotte_bound(g)
     target = 1
-    while mf.prime**target <= 2 * bound:
+    while prime**target <= 2 * bound:
         target += 1
-    lifted = hensel_lift_factors(mf, target)
-    return recombine(lifted, part)
+    lifted = _lift_tree(g, modular, prime, target)
+    return [_from_integer_factor(c, scale) for c in recombine(g, lifted, prime**target, bound)]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import exactify
 from .certificate import Certificate, verify
 from .exactify import SOSDecomposition, certify_strict_squarefree
-from .factorq import DEFAULT_SEED, factor_over_Q
+from .factorq import factor_over_Q
 from .numeric import NotStrictlyPositive
 from .ratpoly import Poly, extended_gcd, gcd, weighted_square_sum
 
@@ -236,7 +236,6 @@ def certify_nonnegative(
     digits_cap: int = exactify.DEFAULT_DIGITS_CAP,
     max_retries: int = exactify.DEFAULT_MAX_RETRIES,
     lambda_factor: float = 2.0,
-    seed: int = DEFAULT_SEED,
 ) -> Certificate:
     """Certificate that g is non-negative at all real roots of f.
 
@@ -260,7 +259,7 @@ def certify_nonnegative(
             raise AssertionError("f should divide g when f/gcd(f,g) is constant")
         cert = Certificate(f, g, (), (), quotient)
     else:
-        factorization = factor_over_Q(cofactor, seed=seed)
+        factorization = factor_over_Q(cofactor)
         parts: list[tuple[Poly, SOSDecomposition]] = []
         for p, e in factorization.factors:
             b_p = b % p

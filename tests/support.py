@@ -36,6 +36,16 @@ def random_strictly_positive_poly(rng: random.Random, half_degree: int, bound: i
     return s * s + Poly.constant(rng.randint(1, 4))
 
 
+def odd_primes_product(count: int) -> int:
+    """Product of the first ``count`` odd primes, by trial division."""
+    out, n = 1, 3
+    while count:
+        if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
+            out, count = out * n, count - 1
+        n += 2
+    return out
+
+
 def random_irreducible(rng: random.Random) -> Poly:
     """Random monic irreducible of degree 1 or 2 (non-square discriminant)."""
     if rng.random() < 0.4:

@@ -10,6 +10,7 @@ from rootsos import cli, numeric
 from rootsos.certificate import Certificate, deserialize, verify
 from rootsos.cli import MAX_EXPONENT, MAX_POWER_BITS, MAX_SIZE_BITS, ParseError, main, parse_poly
 from rootsos.ratpoly import Poly
+from support import odd_primes_product
 
 X = Poly.x()
 
@@ -139,23 +140,28 @@ def test_inspect_factor_table(capsys):
     assert "distinct real roots: 0" in out
 
 
-def test_deterministic_output(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        ("x^70+1", "error: degree 70 exceeds cap 64"),
+        (f"x*(x-{odd_primes_product(200)})", "error: no usable prime"),
+    ],
+    ids=["over-degree-cap", "no-usable-prime"],
+)
+def test_refused_factorization_exits_1(f, message, capsys):
+    assert main(["inspect", "--f", f]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert main(["certify", "--f", f, "--g", "x^2+2"]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_deterministic_output(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     args = ["certify", "--f", "(x^2-2)*(x^2+1)", "--g", "x^2+3"]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-    monkeypatch.setenv("SOS_CERT_SEED", "12345")
-    c = tmp_path / "c.json"
-    assert main(args + ["--out", str(c)]) == 0
-    assert verify(deserialize(c.read_text()))
-
-
-def test_bad_seed_env(monkeypatch, capsys):
-    monkeypatch.setenv("SOS_CERT_SEED", "not-a-number")
-    assert main(["certify", "--f", "x^3-2", "--g", "x"]) == 1
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

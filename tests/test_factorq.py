@@ -4,21 +4,22 @@ from fractions import Fraction as F
 
 import pytest
 
+from rootsos import factorq
 from rootsos.factorq import (
     DEGREE_CAP,
-    BadPrime,
     DegreeTooLarge,
-    ModularFactorSet,
+    NoUsablePrime,
     ZeroOrConstant,
+    _factor_squarefree,
+    _lift_tree,
     _zp_divmod,
     _zp_mul,
     factor_mod_p,
     factor_over_Q,
-    hensel_lift_factors,
     recombine,
 )
 from rootsos.ratpoly import Poly, gcd
-from support import is_irreducible_by_brute_force, random_irreducible
+from support import is_irreducible_by_brute_force, odd_primes_product, random_irreducible
 
 X = Poly.x()
 F_CUBE = X**3 - Poly.constant(2)
@@ -53,85 +54,130 @@ def test_factor_over_q_with_multiplicities():
     assert fact.reconstruct() == X * F_CUBE**2
 
 
+def _image_mod(f, m):
+    return [int(c) % m for c in f.coeffs]
+
+
 def test_factor_mod_p_cubic():
-    mf = factor_mod_p(F_CUBE, 5)
+    factors = factor_mod_p(_image_mod(F_CUBE, 5), 5, random.Random(0))
     # brute-force oracle over GF(5): the only linear factor is x + 2,
     # and the cofactor x^2 + 3x + 4 has no root among 0..4
-    assert mf.factors == ((2, 1), (4, 3, 1))
+    assert factors == [[2, 1], [4, 3, 1]]
     quad = Poly([4, 3, 1])
     assert all(int(quad(F(a))) % 5 != 0 for a in range(5))
-    assert _product_mod(mf.factors, 5) == Poly(int(c) % 5 for c in F_CUBE.coeffs)
+    assert _product_mod(factors, 5) == Poly(_image_mod(F_CUBE, 5))
 
 
 def test_factor_mod_p_irreducible_quadratic():
-    mf = factor_mod_p(X**2 + Poly.one(), 3)
-    assert mf.factors == ((1, 0, 1),)
+    assert factor_mod_p([1, 0, 1], 3, random.Random(0)) == [[1, 0, 1]]
 
 
 def test_factor_mod_p_split_quadratic():
-    mf = factor_mod_p(X**2 - Poly.one(), 7)
-    assert mf.factors == ((1, 1), (6, 1))  # x+1 and x-1 = x+6
+    factors = factor_mod_p(_image_mod(X**2 - Poly.one(), 7), 7, random.Random(0))
+    assert factors == [[1, 1], [6, 1]]  # x+1 and x-1 = x+6
 
 
-def test_factor_mod_p_bad_prime():
-    # x^2 - 2x + 1 stays a square mod every prime
-    with pytest.raises(BadPrime):
-        factor_mod_p(Poly([1, -2, 1]), 5)
-    with pytest.raises(BadPrime):
-        factor_mod_p(Poly([1, 0, 5]), 5)  # prime divides the leading coefficient
-    with pytest.raises(ValueError):
-        factor_mod_p(Poly([F(1, 2), 1]), 5)  # non-integral coefficients
+def test_prime_search_skips_bad_primes(monkeypatch):
+    primes = []
+    real = factorq.factor_mod_p
+
+    def spy(gbar, p, rng):
+        primes.append(p)
+        return real(gbar, p, rng)
+
+    monkeypatch.setattr(factorq, "factor_mod_p", spy)
+    # (x-1)(x-4) = (x-1)^2 mod 3, and x^2 - 1 = (x-1)(x+1) mod 5
+    f = (X - Poly.one()) * (X - Poly.constant(4))
+    assert factor_over_Q(f).factors == ((X - Poly.constant(4), 1), (X - Poly.one(), 1))
+    assert primes == [5]
+    # x^2 - 2x + 1 stays a square modulo every prime
+    with pytest.raises(NoUsablePrime):
+        _factor_squarefree(Poly([1, -2, 1]))
+    # the discriminant P^2 of x(x - P) is divisible by every prime tried
+    with pytest.raises(NoUsablePrime, match="first 200 odd primes"):
+        factor_over_Q(X * (X - Poly.constant(odd_primes_product(200))))
+    assert primes == [5]
+
+
+def test_monic_image_is_built_once_per_squarefree_part(monkeypatch):
+    calls = []
+    real = factorq._monic_integral
+
+    def spy(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(factorq, "_monic_integral", spy)
+    # squarefree parts (x^2 - 2)(x - 3), x^2 + 1 and x - 5; the linear one
+    # needs no image
+    sq = X**2 + Poly.one()
+    f = (X**2 - Poly.constant(2)) * (X - Poly.constant(3)) * sq**2 * (X - Poly.constant(5)) ** 3
+    fact = factor_over_Q(f)
+    assert fact.reconstruct() == f
+    assert len(calls) == 2
+
+
+def test_factorization_does_not_depend_on_the_splitting_stream(monkeypatch):
+    rng = random.Random(8)
+    polys = []
+    while len(polys) < 12:
+        f = Poly.one()
+        for _ in range(rng.randint(2, 4)):
+            f = f * random_irreducible(rng) ** rng.randint(1, 2)
+        if 2 <= f.degree <= 16:
+            polys.append(f)
+    expected = [factor_over_Q(f) for f in polys]
+    real = factorq.factor_mod_p
+    for stream in (1, 99, 12345):
+        monkeypatch.setattr(
+            factorq,
+            "factor_mod_p",
+            lambda gbar, p, _rng, s=stream: real(gbar, p, random.Random(f"{s}:{p}")),
+        )
+        assert [factor_over_Q(f) for f in polys] == expected
 
 
 def test_hensel_lift_level2():
-    mf = factor_mod_p(F_CUBE, 5)
-    lifted = hensel_lift_factors(mf, 2)
-    assert lifted.level == 2
-    assert _product_mod(lifted.factors, 25) == Poly(int(c) % 25 for c in F_CUBE.coeffs)
+    g = [int(c) for c in F_CUBE.coeffs]
+    factors = factor_mod_p(_image_mod(F_CUBE, 5), 5, random.Random(0))
+    lifted = _lift_tree(g, factors, 5, 2)
+    assert _product_mod(lifted, 25) == Poly(_image_mod(F_CUBE, 25))
 
 
 def test_hensel_lift_single_factor():
-    mf = factor_mod_p(F_CUBE, 7)
-    if len(mf.factors) == 1:
-        lifted = hensel_lift_factors(mf, 3)
-        assert lifted.factors == (tuple(int(c) % 7**3 for c in F_CUBE.coeffs),)
-    else:  # 7 may split the cubic; exercise the single-factor path directly
-        single = ModularFactorSet(7, 1, mf.poly, (tuple(int(c) % 7 for c in F_CUBE.coeffs),))
-        lifted = hensel_lift_factors(single, 3)
-        assert lifted.factors == (tuple(int(c) % 7**3 for c in F_CUBE.coeffs),)
+    g = [int(c) for c in F_CUBE.coeffs]
+    assert _lift_tree(g, [_image_mod(F_CUBE, 7)], 7, 3) == [_image_mod(F_CUBE, 7**3)]
 
 
 def test_hensel_lift_exact_integer_factors():
-    mf = factor_mod_p(X**2 - Poly.one(), 7)
-    lifted = hensel_lift_factors(mf, 2)
+    factors = factor_mod_p(_image_mod(X**2 - Poly.one(), 7), 7, random.Random(0))
+    lifted = _lift_tree([-1, 0, 1], factors, 7, 2)
     # the true factors x-1, x+1 are exact over Z, so lifting fixes them
-    assert lifted.factors == ((1, 1), (48, 1))
+    assert lifted == [[1, 1], [48, 1]]
 
 
-def _lifted_past_bound(f, prime):
-    mf = factor_mod_p(f, prime)
+def _recombined(f, prime):
+    g = [int(c) for c in f.coeffs]
+    factors = factor_mod_p(_image_mod(f, prime), prime, random.Random(0))
     target = 1
     bound = 2 ** int(f.degree) * (int(sum(c * c for c in f.coeffs)) + 1)
     while prime**target <= 2 * bound:
         target += 1
-    return hensel_lift_factors(mf, target)
+    lifted = _lift_tree(g, factors, prime, target)
+    return sorted(recombine(g, lifted, prime**target, bound), key=lambda c: (len(c), c))
 
 
 def test_recombine_irreducible():
-    lifted = _lifted_past_bound(F_CUBE, 5)
-    assert recombine(lifted, F_CUBE) == [F_CUBE]
+    assert _recombined(F_CUBE, 5) == [[-2, 0, 0, 1]]
 
 
 def test_recombine_quartic():
-    f = X**4 - Poly.one()
-    lifted = _lifted_past_bound(f, 3)
-    assert recombine(lifted, f) == [X - Poly.one(), X + Poly.one(), X**2 + Poly.one()]
+    assert _recombined(X**4 - Poly.one(), 3) == [[-1, 1], [1, 1], [1, 0, 1]]
 
 
 def test_recombine_trial_division_rejects_false_lifts():
-    f = X**2 - Poly.constant(2)
-    lifted = _lifted_past_bound(f, 7)  # (x-3)(x+3) mod 7, neither lifts over Z
-    assert recombine(lifted, f) == [f]
+    # (x-3)(x+3) mod 7, neither lifts over Z
+    assert _recombined(X**2 - Poly.constant(2), 7) == [[-2, 0, 1]]
 
 
 def test_degree_cap():
