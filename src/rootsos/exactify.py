@@ -6,6 +6,8 @@ g - q*f (Frobenius-orthogonal), certifies positive definiteness by an exact
 LDL^T decomposition over Q, and extracts the weighted sum-of-squares
 decomposition.  Every certificate identity is re-verified exactly before it
 is returned, so floating-point behaviour can never produce a wrong result.
+``certify_strict_squarefree`` owns the one precision loop: each numeric call
+makes one attempt, and every reason to retry doubles the precision there.
 """
 
 from __future__ import annotations
@@ -15,21 +17,14 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import numeric
-from .numeric import (
-    DEFAULT_PRECISION_BITS,
-    PRECISION_CAP_BITS,
-    IllConditioned,
-    NotStrictlyPositive,
-    RootClassificationUnstable,
-    antidiagonal_sums,
-    exact_fraction,
-)
+from .numeric import DEFAULT_PRECISION_BITS, IllConditioned, antidiagonal_sums, exact_fraction
 from .ratpoly import Poly, gcd, norm2_squared, sqrt_upper_bound, weighted_square_sum
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 DEFAULT_DIGITS_CAP = 64
 DEFAULT_MAX_RETRIES = 3
+PRECISION_CAP_BITS = 848
 
 
 class DegreeTooHigh(ValueError):
@@ -275,11 +270,13 @@ def certify_strict_squarefree(
 
     Pipeline per attempt: approximate roots, build the interior pair
     (Q*, q*), derive the safe rounding precision from the eigenvalue margin,
-    round, project, and check positive definiteness exactly.  When the margin
-    is not positive (or the exact check fails even after two extra digits),
-    the working precision doubles; after ``max_retries`` doublings the
-    attempt is abandoned with diagnostics.  Raises SharedFactor, before any
-    numeric work, when gcd(f, g) is not constant.
+    round, project, and check positive definiteness exactly.  Whatever fails
+    (IllConditioned from the numeric stage, a margin that is not positive, or
+    the exact check even after two extra digits), the working precision
+    doubles, up to PRECISION_CAP_BITS; after ``max_retries`` doublings the
+    attempt is abandoned with diagnostics naming the last reason.  Raises
+    NotStrictlyPositive when g is clearly negative at a real root, and
+    SharedFactor, before any numeric work, when gcd(f, g) is not constant.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("f must have degree >= 1")
@@ -287,10 +284,12 @@ def certify_strict_squarefree(
         raise ValueError(f"precision_bits must be >= 1, got {precision_bits}")
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+    if digits_cap < 1:
+        raise ValueError(f"digits_cap must be >= 1, got {digits_cap}")
     common = gcd(f, g)
     if common.degree > 0:
         raise SharedFactor(common)
-    digits_cap = max(1, min(digits_cap, 64))
+    digits_cap = min(digits_cap, DEFAULT_DIGITS_CAP)
     q_reduction, g_red = divmod(g, f)
 
     bits = min(precision_bits, PRECISION_CAP_BITS)
@@ -303,36 +302,33 @@ def certify_strict_squarefree(
         try:
             roots = numeric.find_roots(f, bits)
             gram = numeric.build_interior_gram(f, g_red, roots, lambda_factor)
-        except RootClassificationUnstable as exc:  # find_roots gave up at the cap
-            raise PrecisionExhausted(str(exc), precision_bits=PRECISION_CAP_BITS) from exc
-        except IllConditioned:
-            gram = None
-        except NotStrictlyPositive as exc:
-            if exc.definitive:
-                raise
-            gram = None  # too close to zero to call; retry sharper
-
-        if gram is not None:
-            delta = delta_bound(f, gram.sigma, gram.rho)
-            last_sigma, last_rho, last_delta = gram.sigma, gram.rho, delta
-            if delta > 0:
-                digits = _digits_for(delta, digits_cap)
-                for t in sorted({digits, min(digits + 2, digits_cap)}):
-                    qbar = round_to_digits(gram.Qstar, t)
-                    q_round = round_to_digits(Poly(exact_fraction(c) for c in gram.qstar), t)
-                    target = g_red - q_round * f
-                    q_exact = project(qbar, target)
-                    report = check_positive_definite(q_exact)
-                    if report is None:
-                        continue
-                    lift = GramLift(q_exact, q_round + q_reduction, f, g)
-                    sos = _sos_from_ldl(report, f)
-                    if sos.square_sum() != gram_poly(q_exact):
-                        raise AssertionError("LDL reconstruction mismatch")
-                    return lift, sos
+        except IllConditioned as exc:
+            reason = str(exc)
+            continue
+        delta = delta_bound(f, gram.sigma, gram.rho)
+        last_sigma, last_rho, last_delta = gram.sigma, gram.rho, delta
+        if delta <= 0:
+            reason = "no rounding margin (delta <= 0)"
+            continue
+        digits = _digits_for(delta, digits_cap)
+        tried = sorted({digits, min(digits + 2, digits_cap)})
+        for t in tried:
+            qbar = round_to_digits(gram.Qstar, t)
+            q_round = round_to_digits(Poly(exact_fraction(c) for c in gram.qstar), t)
+            target = g_red - q_round * f
+            q_exact = project(qbar, target)
+            report = check_positive_definite(q_exact)
+            if report is None:
+                continue
+            lift = GramLift(q_exact, q_round + q_reduction, f, g)
+            sos = _sos_from_ldl(report, f)
+            if sos.square_sum() != gram_poly(q_exact):
+                raise AssertionError("LDL reconstruction mismatch")
+            return lift, sos
+        reason = f"no positive exact LDL^T at {' or '.join(map(str, tried))} digits"
 
     raise PrecisionExhausted(
-        f"no positive-definite rounding found up to {bits} bits "
+        f"no positive-definite rounding found up to {bits} bits; last attempt: {reason} "
         f"(sigma={last_sigma}, rho={last_rho}, delta={last_delta})",
         sigma=last_sigma,
         rho=last_rho,

@@ -35,8 +35,7 @@ class NotCoprime(ValueError):
 class HypothesisViolated(ValueError):
     """gcd(f, g) and f/gcd(f, g) share a factor; no certificate can exist."""
 
-    def __init__(self, d: Poly, cofactor: Poly):
-        common = gcd(d, cofactor)
+    def __init__(self, d: Poly, cofactor: Poly, common: Poly):
         super().__init__(
             f"gcd(f,g) = {d} and f/gcd(f,g) = {cofactor} share the factor {common}"
         )
@@ -105,14 +104,12 @@ def newton_sqrt_iterates(gbar: Poly, h0: Poly, p: Poly, e: int) -> list[Poly]:
     return iterates
 
 
-def hensel_lift_sos(
-    sos: SOSDecomposition, p: Poly, e: int, g: Poly, lift_index: int | None = None
-) -> SOSDecomposition:
+def hensel_lift_sos(sos: SOSDecomposition, p: Poly, e: int, g: Poly) -> SOSDecomposition:
     """Lift an SOS decomposition of g modulo irreducible p to modulo p**e.
 
-    Only one square is replaced (the last one coprime to p unless
-    ``lift_index`` overrides); weights are unchanged.  Requires p not to
-    divide g, which guarantees an invertible square exists.
+    Only one square is replaced (the last one coprime to p); weights are
+    unchanged.  Requires p not to divide g, which guarantees an invertible
+    square exists.
     """
     if e < 1:
         raise ValueError("target exponent must be >= 1")
@@ -123,18 +120,10 @@ def hensel_lift_sos(
     if (g % p).is_zero:
         raise NoInvertibleSquare("p divides g; the lifting lemma does not apply")
 
-    if lift_index is None:
-        candidates = [
-            j for j, h in enumerate(sos.polys) if not h.is_zero and gcd(h, p).degree == 0
-        ]
-        if not candidates:
-            raise NoInvertibleSquare("every square is divisible by p")
-        j = candidates[-1]
-    else:
-        j = lift_index
-        h = sos.polys[j]
-        if h.is_zero or gcd(h, p).degree != 0:
-            raise NoInvertibleSquare(f"square {j} is divisible by p")
+    candidates = [j for j, h in enumerate(sos.polys) if not h.is_zero and gcd(h, p).degree == 0]
+    if not candidates:
+        raise NoInvertibleSquare("every square is divisible by p")
+    j = candidates[-1]
 
     rest = weighted_square_sum(
         (w for i, w in enumerate(sos.weights) if i != j),
@@ -158,10 +147,8 @@ def hensel_lift_sos(
     return SOSDecomposition(sos.weights, tuple(polys), target)
 
 
-def crt_combine_sos(
-    parts: list[tuple[Poly, SOSDecomposition]], g: Poly
-) -> SOSDecomposition:
-    """Combine SOS decompositions of g modulo pairwise-coprime moduli.
+def crt_combine_sos(parts: list[tuple[Poly, SOSDecomposition]]) -> SOSDecomposition:
+    """Combine SOS decompositions of one polynomial modulo pairwise-coprime moduli.
 
     Each square h is mapped to (s_i * C_i * h) mod F, where F is the product
     of the moduli, C_i = F/f_i, and s_i the inverse of C_i modulo f_i; the
@@ -211,8 +198,10 @@ def reduce_nonneg_to_strict(f: Poly, g: Poly) -> StrictReduction:
     cofactor, rem = divmod(f, d)
     if not rem.is_zero:
         raise AssertionError("gcd does not divide f")
-    if d.degree > 0 and gcd(d, cofactor).degree != 0:
-        raise HypothesisViolated(d, cofactor)
+    if d.degree > 0:
+        common = gcd(d, cofactor)
+        if common.degree != 0:
+            raise HypothesisViolated(d, cofactor, common)
 
     if cofactor.degree == 0:
         return StrictReduction(d, cofactor, Poly.zero())
@@ -277,7 +266,7 @@ def certify_nonnegative(
             if e > 1:
                 sos = hensel_lift_sos(sos, p, e, b)
             parts.append((p**e, sos))
-        combined = crt_combine_sos(parts, b)
+        combined = crt_combine_sos(parts)
 
         weights = combined.weights
         polys = tuple(d * h for h in combined.polys)

@@ -6,8 +6,10 @@ cross-checked against the exact Sturm count, Lagrange basis construction, and
 assembly of the interior Gram pair (Q*, q*) whose exact rounding is performed
 downstream.  The margin sigma is the smallest eigenvalue of Q* from mpmath's
 ``eigsy``; it only picks the rounding digits, and the exact LDL^T downstream
-proves positive definiteness.  Precision is managed in software floats with a
-configurable mantissa (mpmath), doubling on retry up to a hard cap.
+proves positive definiteness.  Every function here makes one attempt at the
+precision it is given (software floats with a configurable mantissa, mpmath)
+and raises IllConditioned when that precision does not suffice; the caller
+owns the retry at a higher precision.
 """
 
 from __future__ import annotations
@@ -24,15 +26,10 @@ from mpmath import mp
 from .ratpoly import Poly, horner, norm2_squared, sqrt_upper_bound, sturm_real_root_count
 
 DEFAULT_PRECISION_BITS = 106
-PRECISION_CAP_BITS = 848
 
 _POLYROOTS_MAX_STEPS = 500
 _SEED_MAX_STEPS = 200
 _SEED_TOL = 1e-13
-
-
-class RootClassificationUnstable(ArithmeticError):
-    """Real/complex classification keeps disagreeing with the Sturm count."""
 
 
 class IllConditioned(ArithmeticError):
@@ -40,17 +37,12 @@ class IllConditioned(ArithmeticError):
 
 
 class NotStrictlyPositive(ArithmeticError):
-    """g is not strictly positive at a real root (within the numeric threshold).
+    """g is clearly negative at a real root: below minus the numeric threshold."""
 
-    ``definitive`` is set when the value is clearly negative rather than
-    merely too close to zero to call at the working precision.
-    """
-
-    def __init__(self, root, value, definitive: bool):
-        super().__init__(f"g({mpmath.nstr(root, 12)}) = {mpmath.nstr(value, 12)} <= threshold")
+    def __init__(self, root, value):
+        super().__init__(f"g({mpmath.nstr(root, 12)}) = {mpmath.nstr(value, 12)} < 0")
         self.root = root
         self.value = value
-        self.definitive = definitive
 
 
 @dataclass(frozen=True)
@@ -149,11 +141,12 @@ def _float_seeds(monic):
 
 
 def _polyroots(coeffs):
-    """Roots by mpmath's Durand-Kerner ``polyroots``, None if it does not converge.
-    Its stopping test is absolute, so the monic polynomial is scaled by 2^k,
-    k = max_i floor(e_i / i) = floor(max_i log2|a_{n-i}|^(1/i)) with e_i =
-    floor(log2|a_{n-i}|): by Fujiwara's bound every scaled root has |y| <= 4.
-    The float seeds only pick where it starts; a cluster may need extraprec."""
+    """Roots by mpmath's Durand-Kerner ``polyroots``; IllConditioned if it
+    converges at neither extraprec.  Its stopping test is absolute, so the
+    monic polynomial is scaled by 2^k, k = max_i floor(e_i / i) =
+    floor(max_i log2|a_{n-i}|^(1/i)) with e_i = floor(log2|a_{n-i}|): by
+    Fujiwara's bound every scaled root has |y| <= 4.  The float seeds only
+    pick where it starts; a cluster may need extraprec."""
     n = len(coeffs) - 1
     monic = [c / coeffs[-1] for c in coeffs]
     if n == 1:
@@ -168,14 +161,14 @@ def _polyroots(coeffs):
         except mp.NoConvergence:
             continue
         return [y * mp.ldexp(1, k) for y in ys]  # exact: a power-of-two scale
-    return None
+    raise IllConditioned(f"polyroots did not converge at {mp.prec} bits")
 
 
 def _classify(z, f: Poly, expected_real: int, bits: int):
     """Split approximations into real roots and conjugate-pair representatives.
 
-    Returns None when the picture is inconsistent (wrong real count, unpaired
-    complex roots, or residuals too large), signalling a precision retry.
+    Raises IllConditioned when the picture is inconsistent: a real count other
+    than Sturm's, unpaired complex roots, or residuals too large.
     """
     n = len(z)
     thr = mp.ldexp(1, -(bits // 2))
@@ -186,18 +179,18 @@ def _classify(z, f: Poly, expected_real: int, bits: int):
             reals.append(mp.re(zi))
         else:
             complexes.append(zi)
-    if len(reals) != expected_real or len(complexes) % 2 != 0:
-        return None
+    if len(reals) != expected_real:
+        raise IllConditioned(f"{len(reals)} real roots where Sturm counts {expected_real}")
 
     pos = sorted((c for c in complexes if mp.im(c) > 0), key=lambda c: (mp.re(c), mp.im(c)))
     neg = sorted((c for c in complexes if mp.im(c) < 0), key=lambda c: (mp.re(c), -mp.im(c)))
     if len(pos) != len(neg):
-        return None
+        raise IllConditioned("complex roots do not pair up")
     pair_tol = mp.ldexp(1, -(bits // 4))
     reps = []
     for a, b in zip(pos, neg):
         if abs(a - mp.conj(b)) > pair_tol * (1 + abs(a)):
-            return None
+            raise IllConditioned("complex roots do not pair up")
         reps.append((a + mp.conj(b)) / 2)
 
     # residual screen: every returned root must nearly annihilate f
@@ -207,7 +200,7 @@ def _classify(z, f: Poly, expected_real: int, bits: int):
     bound = mp.ldexp(1, -(bits // 4)) * norm_f
     for xi in list(reals) + reps:
         if abs(horner(fc, xi)) > bound * max(1, abs(xi)) ** n:
-            return None
+            raise IllConditioned("a root fails the residual screen")
 
     reals.sort()
     reps.sort(key=lambda c: (mp.re(c), mp.im(c)))
@@ -215,31 +208,21 @@ def _classify(z, f: Poly, expected_real: int, bits: int):
 
 
 def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootProfile:
-    """All complex roots of a squarefree polynomial, classified real/pair.
+    """All complex roots of a squarefree polynomial, classified real/pair, in
+    one attempt at ``precision_bits``.
 
-    The real count is validated against the exact Sturm count; on mismatch,
+    The real count is validated against the exact Sturm count.  A mismatch,
     a failed residual screen or no convergence of ``polyroots`` (at either
-    extraprec) the working precision doubles, up to PRECISION_CAP_BITS.
+    extraprec) raises IllConditioned: retry at a higher precision.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("find_roots needs degree >= 1")
     if precision_bits < 1:
         raise ValueError(f"precision_bits must be >= 1, got {precision_bits}")
     expected = sturm_real_root_count(f)  # raises NotSquarefree when repeated
-
-    bits = min(precision_bits, PRECISION_CAP_BITS)
-    while True:
-        with mp.workprec(bits):
-            z = _polyroots(_mp_coeffs(f))
-            split = _classify(z, f, expected, bits) if z is not None else None
-        if split is not None:
-            reals, reps = split
-            return RootProfile(reals, reps, bits)
-        if bits >= PRECISION_CAP_BITS:
-            raise RootClassificationUnstable(
-                f"root classification of {f} unstable at {bits} bits"
-            )
-        bits = min(2 * bits, PRECISION_CAP_BITS)
+    with mp.workprec(precision_bits):
+        reals, reps = _classify(_polyroots(_mp_coeffs(f)), f, expected, precision_bits)
+    return RootProfile(reals, reps, precision_bits)
 
 
 def lagrange_basis(f: Poly, roots: RootProfile) -> list:
@@ -289,8 +272,10 @@ def build_interior_gram(
         thr = mp.ldexp(1, -(bits // 4))
         weights = [horner(gc, xi) for xi in roots.real_roots]
         for xi, val in zip(roots.real_roots, weights):  # refuse before the basis
+            if val <= -thr:
+                raise NotStrictlyPositive(xi, val)
             if val <= thr:
-                raise NotStrictlyPositive(xi, val, definitive=bool(val <= -thr))
+                raise IllConditioned(f"g({mpmath.nstr(xi, 12)}) is too close to zero to call")
 
         basis = lagrange_basis(f, roots)
         columns = [[mp.re(c) for c in u] for u in basis[: len(weights)]]

@@ -256,7 +256,7 @@ def _suite_f_crt(rng):
         _, s1, _ = extended_gcd(total // p1, p1)
         _, s2, _ = extended_gcd(total // p2, p2)
         g = (s1 * (total // p1) * g_parts[0] + s2 * (total // p2) * g_parts[1]) % total
-        combined = crt_combine_sos(parts, g)
+        combined = crt_combine_sos(parts)
         acc = Poly.zero()
         for w, h in zip(combined.weights, combined.polys):
             acc = acc + h * h * w

@@ -170,6 +170,8 @@ def test_deterministic_output(tmp_path):
         (["--precision-bits", "0"], "must be >="),
         (["--precision-bits", "-5"], "must be >="),
         (["--max-retries", "-1"], "must be >="),
+        (["--digits-cap", "0"], "digits_cap must be >= 1"),
+        (["--digits-cap", "-5"], "digits_cap must be >= 1"),
         (["--lambda-factor", "1/0"], "error: argument --lambda-factor: '1/0' is not a rational"),
         (["--lambda-factor", "1e400"], "error: argument --lambda-factor: '1e400' is too large"),
     ],
@@ -177,6 +179,8 @@ def test_deterministic_output(tmp_path):
         "precision-bits-0",
         "precision-bits-negative",
         "max-retries-negative",
+        "digits-cap-0",
+        "digits-cap-negative",
         "lambda-factor-zero-denominator",
         "lambda-factor-overflow",
     ],

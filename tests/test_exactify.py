@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -6,6 +7,7 @@ import pytest
 from mpmath import mp
 
 from rootsos import exactify, numeric
+from rootsos.certificate import serialize
 from rootsos.exactify import (
     DegreeTooHigh,
     GramLift,
@@ -21,6 +23,7 @@ from rootsos.exactify import (
     project,
     round_to_digits,
 )
+from rootsos.lifting import certify_nonnegative
 from rootsos.numeric import NotStrictlyPositive
 from rootsos.ratpoly import Poly, norm2_squared
 from support import random_nonzero_poly
@@ -393,3 +396,56 @@ def test_certify_strict_root_finder_failure_exhausts_precision(monkeypatch):
                      (424, 10), (424, 424), (848, 10), (848, 848)]
     assert info.value.sigma is None
     assert info.value.precision_bits == 848
+
+
+# x^2 + 1e-40: at 106 bits the pair +-1e-20 i reads as real (the roots fail),
+# at 212 bits g = x is too small at the pair (the Gram fails), at 424 bits
+# the run certifies
+TINY_PAIR = X**2 + Poly.constant(F(1, 10**40))
+
+
+def _spy_numeric_stages(monkeypatch):
+    calls = []
+    find_roots, build_gram = numeric.find_roots, numeric.build_interior_gram
+
+    def roots_spy(f, bits):
+        calls.append(("roots", bits))
+        return find_roots(f, bits)
+
+    def gram_spy(f, g, roots, lambda_factor):
+        calls.append(("gram", roots.precision_bits))
+        return build_gram(f, g, roots, lambda_factor)
+
+    monkeypatch.setattr(numeric, "find_roots", roots_spy)
+    monkeypatch.setattr(numeric, "build_interior_gram", gram_spy)
+    return calls
+
+
+def test_certify_strict_tries_each_precision_once(monkeypatch):
+    calls = _spy_numeric_stages(monkeypatch)
+    cert = certify_nonnegative(TINY_PAIR, X)
+    assert calls == [("roots", 106), ("roots", 212), ("gram", 212),
+                     ("roots", 424), ("gram", 424)]
+    digest = hashlib.sha256(serialize(cert).encode()).hexdigest()
+    assert digest == "10f474c9ef2cd775a8e0f8a59b5725f88029bd8890bb7f6eb03d44fbabc5ef5b"
+
+
+@pytest.mark.parametrize(
+    "max_retries, calls_made, bits, reason",
+    [
+        (0, [("roots", 106)], 106, "Sturm counts 0"),  # no Gram: the roots failed
+        (1, [("roots", 106), ("roots", 212), ("gram", 212)], 212, "degenerate pair weight"),
+    ],
+    ids=["roots-fail", "gram-fails"],
+)
+def test_certify_strict_max_retries_bounds_every_doubling(
+    max_retries, calls_made, bits, reason, monkeypatch
+):
+    calls = _spy_numeric_stages(monkeypatch)
+    with pytest.raises(PrecisionExhausted) as info:
+        certify_strict_squarefree(TINY_PAIR, X, max_retries=max_retries)
+    assert calls == calls_made
+    assert info.value.precision_bits == bits
+    assert info.value.sigma is None
+    assert f"up to {bits} bits" in str(info.value)
+    assert reason in str(info.value)  # the reason of the last attempt

@@ -111,7 +111,7 @@ def test_newton_iterates_invariant_random():
 
 def test_crt_single_part_reduces_only():
     sos = SOSDecomposition((F(2),), (Poly.one(),), X - Poly.one())
-    combined = crt_combine_sos([(X - Poly.one(), sos)], Poly.constant(2))
+    combined = crt_combine_sos([(X - Poly.one(), sos)])
     assert combined.weights == (F(2),)
     assert combined.polys == (Poly.one(),)
     assert combined.modulus == X - Poly.one()
@@ -121,7 +121,7 @@ def test_crt_two_linear_parts():
     one = Poly.one()
     part_a = SOSDecomposition((F(1),), (one,), X)
     part_b = SOSDecomposition((F(1),), (one,), X - one)
-    combined = crt_combine_sos([(X, part_a), (X - one, part_b)], one)
+    combined = crt_combine_sos([(X, part_a), (X - one, part_b)])
     total = X * (X - one)
     assert ((_square_sum(combined) - one) % total).is_zero
     assert all(h.degree < total.degree for h in combined.polys)
@@ -131,7 +131,7 @@ def test_crt_evaluation_oracle():
     one = Poly.one()
     part_a = SOSDecomposition((F(1),), (one,), X - one)  # 1 = 1^2 matches g(1) = 1
     part_b = SOSDecomposition((F(1),), (Poly.constant(2),), X - Poly.constant(4))  # 4 = 2^2
-    combined = crt_combine_sos([(X - one, part_a), (X - Poly.constant(4), part_b)], X)
+    combined = crt_combine_sos([(X - one, part_a), (X - Poly.constant(4), part_b)])
     s = _square_sum(combined)
     assert s(F(1)) == 1
     assert s(F(4)) == 4
@@ -141,12 +141,12 @@ def test_crt_evaluation_oracle():
 def test_crt_rejects_common_factor():
     part = SOSDecomposition((F(1),), (Poly.one(),), X)
     with pytest.raises(NotCoprime):
-        crt_combine_sos([(X, part), (X, part)], Poly.one())
+        crt_combine_sos([(X, part), (X, part)])
     # the first two moduli are coprime; the third shares x with the first
     moduli = (X, X + Poly.one(), X * (X + Poly.constant(2)))
     parts = [(m, SOSDecomposition((F(1),), (Poly.one(),), m)) for m in moduli]
     with pytest.raises(NotCoprime):
-        crt_combine_sos(parts, Poly.one())
+        crt_combine_sos(parts)
 
 
 def test_crt_random_congruences():
@@ -171,7 +171,7 @@ def test_crt_random_congruences():
         _, s1, _ = extended_gcd(total // p1, p1)
         _, s2, _ = extended_gcd(total // p2, p2)
         g = (s1 * (total // p1) * g_parts[0] + s2 * (total // p2) * g_parts[1]) % total
-        combined = crt_combine_sos(parts, g)
+        combined = crt_combine_sos(parts)
         idempotents = (s1 * (total // p1), s2 * (total // p2))
         assert combined.polys == tuple(
             (e * h) % total for e, (_, sos) in zip(idempotents, parts) for h in sos.polys

@@ -7,8 +7,8 @@ from mpmath import mp
 
 from rootsos import numeric
 from rootsos.numeric import (
+    IllConditioned,
     NotStrictlyPositive,
-    RootClassificationUnstable,
     build_interior_gram,
     exact_fraction,
     find_roots,
@@ -71,7 +71,7 @@ def test_find_roots_keeps_a_root_below_the_working_epsilon():
         assert abs(prof.real_roots[1] - want) < mp.ldexp(want, -50)
 
 
-def test_find_roots_without_convergence_exhausts_precision(monkeypatch):
+def test_find_roots_without_convergence_makes_one_attempt(monkeypatch):
     tried = []
 
     def no_convergence(*_args, **kwargs):
@@ -79,12 +79,19 @@ def test_find_roots_without_convergence_exhausts_precision(monkeypatch):
         raise mp.NoConvergence("Didn't converge in maxsteps=500 steps.")
 
     monkeypatch.setattr(numeric.mp, "polyroots", no_convergence)
-    with pytest.raises(RootClassificationUnstable):
+    with pytest.raises(IllConditioned):
         find_roots(F_CUBE)
-    # per attempt: mpmath's default extraprec, then as many extra bits as the
-    # working precision; then the precision doubles
-    assert tried == [(106, 10), (106, 106), (212, 10), (212, 212),
-                     (424, 10), (424, 424), (848, 10), (848, 848)]
+    # mpmath's default extraprec, then as many extra bits as the working
+    # precision; the doubling belongs to the caller
+    assert tried == [(106, 10), (106, 106)]
+
+
+def test_find_roots_misclassification_is_ill_conditioned():
+    # at 106 bits the pair +-1e-20 i reads as two real roots; Sturm counts none
+    f = X**2 + Poly.constant(F(1, 10**40))
+    with pytest.raises(IllConditioned, match="Sturm counts 0"):
+        find_roots(f, 106)
+    assert find_roots(f, 212).complex_pairs
 
 
 def _spy_polyroots(monkeypatch):
@@ -234,7 +241,7 @@ def test_refusal_comes_before_the_lagrange_basis(monkeypatch):
     f = X**10 - Poly.constant(3)
     with pytest.raises(NotStrictlyPositive) as info:
         build_interior_gram(f, X - Poly.one(), find_roots(f))
-    assert info.value.definitive
+    assert info.value.value <= -mp.ldexp(1, -(106 // 4))  # clearly negative
     assert info.value.value < 0
 
 
@@ -242,8 +249,22 @@ def test_not_strictly_positive():
     f = (X - Poly.one()) * (X - Poly.constant(2))
     with pytest.raises(NotStrictlyPositive) as info:
         build_interior_gram(f, -X, find_roots(f))
-    assert info.value.definitive
+    assert info.value.value <= -mp.ldexp(1, -(106 // 4))  # clearly negative
     assert info.value.value < 0
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["above-zero", "below-zero"])
+def test_value_too_close_to_zero_is_ill_conditioned(sign, monkeypatch):
+    # |g(1)| = 1e-40 is below the 106-bit threshold 2^-26 on either side of
+    # zero: not a refusal, a retry at higher precision
+    def no_basis(*_args):
+        raise AssertionError("lagrange_basis called")
+
+    monkeypatch.setattr(numeric, "lagrange_basis", no_basis)
+    f = (X - Poly.one()) * (X - Poly.constant(2))
+    g = X - Poly.one() + Poly.constant(F(sign, 10**40))
+    with pytest.raises(IllConditioned, match="too close to zero"):
+        build_interior_gram(f, g, find_roots(f, 106))
 
 
 def test_unreduced_g_rejected():
