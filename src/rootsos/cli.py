@@ -1,10 +1,12 @@
 """Command-line front end: certify, verify, inspect.
 
-Polynomial expressions are parsed exactly (integer, decimal, and a/b
-literals; +, -, *, ^; parentheses with implicit adjacency), certificates are
-written in the JSON format of the certificate module, and exit codes are
-stable: 0 success, 1 parse/IO error, 2 hypothesis violated, 3 not
-non-negative / invalid certificate, 4 precision exhausted.
+Polynomial expressions are parsed exactly (integer and decimal literals;
++, -, *, / by a non-zero constant, and ^, which binds tighter than * and /,
+so 3/2^2 is 3/4; parentheses with implicit adjacency), certificates are
+written in the JSON format of the certificate module (as text with
+--pretty), and exit codes are stable: 0 success, 1 parse/IO error, 2
+hypothesis violated, 3 not non-negative / invalid certificate, 4 precision
+exhausted.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from fractions import Fraction
 
 from . import certificate as certmod
 from .certificate import Certificate, ParseError as CertificateParseError
-from .exactify import PrecisionExhausted
+from .exactify import DEFAULT_MAX_RETRIES, PrecisionExhausted
 from .factorq import factor_over_Q
 from .lifting import HypothesisViolated, NotNonnegative, certify_nonnegative
+from .numeric import DEFAULT_PRECISION_BITS
 from .ratpoly import Poly, format_rational, gcd, squarefree_decompose, sturm_real_root_count
 
 EXIT_OK = 0
@@ -119,11 +122,15 @@ def _parse_term(toks: _Tokens) -> Poly:
     acc = _parse_factor(toks)
     while True:
         ch = toks.peek()
-        if ch == "*":
+        if ch in ("*", "/"):
             toks.take()
         elif ch != "(":  # "(" is implicit adjacency: x(x^3-2)^2
             return acc
         factor = _parse_factor(toks)
+        if ch == "/":
+            if factor.degree != 0:
+                raise ParseError(toks.pos, "a non-zero constant divisor")
+            factor = Poly.constant(1 / factor.coeffs[0])
         bits = math.floor(_log_height(acc) + _log_height(factor)) + 1
         size = (len(acc.coeffs) + len(factor.coeffs) - 1) * bits
         if size > MAX_SIZE_BITS:
@@ -176,26 +183,8 @@ def _parse_base(toks: _Tokens) -> Poly:
         toks.take()
         return Poly.x()
     if ch.isdigit() or ch == ".":
-        value = toks.number()
-        if toks.peek() == "/":
-            toks.take()
-            denom = toks.number()
-            if denom == 0:
-                raise ParseError(toks.pos, "a non-zero denominator")
-            value = value / denom
-        return Poly.constant(value)
+        return Poly.constant(toks.number())
     raise ParseError(toks.pos, "a number, 'x', '(' or '-'")
-
-
-def _lambda_factor(text: str) -> float:
-    """--lambda-factor read as an exact rational, then as the float the Gram
-    build takes."""
-    try:
-        return float(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from exc
-    except OverflowError as exc:
-        raise argparse.ArgumentTypeError(f"{text!r} is too large for a float") from exc
 
 
 def _coeff_bits(x: Fraction) -> int:
@@ -237,12 +226,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
         cert = certify_nonnegative(
-            f,
-            g,
-            precision_bits=args.precision_bits,
-            digits_cap=args.digits_cap,
-            max_retries=args.max_retries,
-            lambda_factor=args.lambda_factor,
+            f, g, precision_bits=args.precision_bits, max_retries=args.max_retries
         )
     except HypothesisViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
@@ -363,13 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--f", required=True, metavar="EXPR", help="modulus polynomial")
     cert.add_argument("--g", required=True, metavar="EXPR", help="polynomial to certify")
     cert.add_argument("--out", metavar="PATH", help="write the certificate here")
-    cert.add_argument("--precision-bits", type=int, default=106)
-    cert.add_argument("--digits-cap", type=int, default=64)
-    cert.add_argument("--max-retries", type=int, default=3)
-    cert.add_argument("--lambda-factor", type=_lambda_factor, default=2.0)
-    fmt = cert.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-    fmt.add_argument("--pretty", action="store_true", help="human-readable output")
+    cert.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS)
+    cert.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES)
+    cert.add_argument("--pretty", action="store_true", help="human-readable output")
     cert.set_defaults(func=cmd_certify)
 
     ver = sub.add_parser("verify", help="verify a certificate file exactly")

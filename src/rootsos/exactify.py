@@ -22,7 +22,8 @@ from .ratpoly import Poly, gcd, norm2_squared, sqrt_upper_bound, weighted_square
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
-DEFAULT_DIGITS_CAP = 64
+#: Most decimal digits a rounding may use, whatever the margin delta asks for.
+DIGITS_CAP = 64
 DEFAULT_MAX_RETRIES = 3
 PRECISION_CAP_BITS = 848
 
@@ -181,28 +182,23 @@ def _round_scalar(value, digits: int) -> Fraction:
     return Fraction(q if num >= 0 else -q, 10**digits)
 
 
-def round_to_digits(value, digits: int):
+def round_to_digits(value: Sequence, digits: int):
     """Round floats to the nearest fractions with denominator 10**digits.
 
-    Accepts a scalar, a polynomial (Poly or flat coefficient sequence,
-    returned as Poly), or a square matrix (rounded on the lower triangle and
-    mirrored, so symmetry is exact by construction).
+    Accepts a square matrix (rounded on the lower triangle and mirrored, so
+    symmetry is exact by construction) or a flat coefficient sequence,
+    returned as a Poly.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    if isinstance(value, Poly):
-        return Poly(_round_scalar(c, digits) for c in value.coeffs)
-    if isinstance(value, Sequence) or isinstance(value, tuple):
-        seq = list(value)
-        if seq and isinstance(seq[0], (Sequence, tuple)) and not isinstance(seq[0], (str, bytes)):
-            n = len(seq)
-            rows = [[Fraction(0)] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1):
-                    rows[i][j] = rows[j][i] = _round_scalar(seq[i][j], digits)
-            return tuple(tuple(row) for row in rows)
-        return Poly(_round_scalar(c, digits) for c in seq)
-    return _round_scalar(value, digits)
+    if value and isinstance(value[0], Sequence):
+        n = len(value)
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                rows[i][j] = rows[j][i] = _round_scalar(value[i][j], digits)
+        return tuple(tuple(row) for row in rows)
+    return Poly(_round_scalar(c, digits) for c in value)
 
 
 def check_positive_definite(rows) -> Optional[LDLReport]:
@@ -248,10 +244,10 @@ def _sos_from_ldl(report: LDLReport, modulus: Poly) -> SOSDecomposition:
     return SOSDecomposition(report.diag, polys, modulus)
 
 
-def _digits_for(delta: Fraction, cap: int) -> int:
-    """ceil(log10(1/delta)) clamped to [1, cap]."""
+def _digits_for(delta: Fraction) -> int:
+    """ceil(log10(1/delta)) clamped to [1, DIGITS_CAP]."""
     t = 1
-    while Fraction(1, 10**t) > delta and t < cap:
+    while Fraction(1, 10**t) > delta and t < DIGITS_CAP:
         t += 1
     return t
 
@@ -261,9 +257,7 @@ def certify_strict_squarefree(
     g: Poly,
     *,
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    digits_cap: int = DEFAULT_DIGITS_CAP,
     max_retries: int = DEFAULT_MAX_RETRIES,
-    lambda_factor: float = 2.0,
 ) -> tuple[GramLift, SOSDecomposition]:
     """Exact rational Gram certificate for g strictly positive at the real
     roots of a squarefree f.
@@ -284,12 +278,9 @@ def certify_strict_squarefree(
         raise ValueError(f"precision_bits must be >= 1, got {precision_bits}")
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-    if digits_cap < 1:
-        raise ValueError(f"digits_cap must be >= 1, got {digits_cap}")
     common = gcd(f, g)
     if common.degree > 0:
         raise SharedFactor(common)
-    digits_cap = min(digits_cap, DEFAULT_DIGITS_CAP)
     q_reduction, g_red = divmod(g, f)
 
     bits = min(precision_bits, PRECISION_CAP_BITS)
@@ -301,7 +292,7 @@ def certify_strict_squarefree(
             bits = min(2 * bits, PRECISION_CAP_BITS)
         try:
             roots = numeric.find_roots(f, bits)
-            gram = numeric.build_interior_gram(f, g_red, roots, lambda_factor)
+            gram = numeric.build_interior_gram(f, g_red, roots)
         except IllConditioned as exc:
             reason = str(exc)
             continue
@@ -310,11 +301,11 @@ def certify_strict_squarefree(
         if delta <= 0:
             reason = "no rounding margin (delta <= 0)"
             continue
-        digits = _digits_for(delta, digits_cap)
-        tried = sorted({digits, min(digits + 2, digits_cap)})
+        digits = _digits_for(delta)
+        tried = sorted({digits, min(digits + 2, DIGITS_CAP)})
         for t in tried:
             qbar = round_to_digits(gram.Qstar, t)
-            q_round = round_to_digits(Poly(exact_fraction(c) for c in gram.qstar), t)
+            q_round = round_to_digits(gram.qstar, t)
             target = g_red - q_round * f
             q_exact = project(qbar, target)
             report = check_positive_definite(q_exact)

@@ -222,9 +222,7 @@ def certify_nonnegative(
     g: Poly,
     *,
     precision_bits: int = exactify.DEFAULT_PRECISION_BITS,
-    digits_cap: int = exactify.DEFAULT_DIGITS_CAP,
     max_retries: int = exactify.DEFAULT_MAX_RETRIES,
-    lambda_factor: float = 2.0,
 ) -> Certificate:
     """Certificate that g is non-negative at all real roots of f.
 
@@ -254,12 +252,7 @@ def certify_nonnegative(
             b_p = b % p
             try:
                 _lift, sos = certify_strict_squarefree(
-                    p,
-                    b_p,
-                    precision_bits=precision_bits,
-                    digits_cap=digits_cap,
-                    max_retries=max_retries,
-                    lambda_factor=lambda_factor,
+                    p, b_p, precision_bits=precision_bits, max_retries=max_retries
                 )
             except NotStrictlyPositive as exc:
                 raise NotNonnegative(p, exc.root, g(exc.root)) from exc

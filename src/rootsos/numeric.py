@@ -26,6 +26,9 @@ from mpmath import mp
 from .ratpoly import Poly, horner, norm2_squared, sqrt_upper_bound, sturm_real_root_count
 
 DEFAULT_PRECISION_BITS = 106
+#: lambda = LAMBDA_FACTOR*|g| at each conjugate pair: any value above 1 keeps
+#: Q* interior (positive definite), and 1 is the rank-deficient boundary.
+LAMBDA_FACTOR = 2
 
 _POLYROOTS_MAX_STEPS = 500
 _SEED_MAX_STEPS = 200
@@ -247,24 +250,21 @@ def lagrange_basis(f: Poly, roots: RootProfile) -> list:
         return [tuple(u) for u in basis]
 
 
-def build_interior_gram(
-    f: Poly, g: Poly, roots: RootProfile, lambda_factor: float = 2.0
-) -> InteriorGram:
+def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
     """Interior Gram pair (Q*, q*) for g modulo squarefree f.
 
     Columns of the square-sum matrix come from the Lagrange basis: one column
     per real root weighted by g there, two real columns per conjugate pair
-    with weight 2(lambda + Re g(xi)) and lambda = lambda_factor*|g(xi)|.
-    With lambda_factor > 1 the matrix is positive definite; lambda_factor = 1
-    degenerates to the boundary construction (exposed for testing).
+    with weight 2(lambda + Re g(xi)) and lambda = LAMBDA_FACTOR*|g(xi)|,
+    which keeps the matrix positive definite.  g is checked at every real
+    root first: a value at or below -thr raises NotStrictlyPositive, and only
+    when there is none does a value in (-thr, thr] raise IllConditioned.
     """
     n = int(f.degree)
     if not g.degree < n:
         raise ValueError("g must be reduced modulo f first")
     if roots.degree != n:
         raise ValueError("root profile does not match f")
-    if lambda_factor < 1:
-        raise ValueError("lambda_factor must be >= 1")
 
     bits = roots.precision_bits
     with mp.workprec(bits):
@@ -274,6 +274,7 @@ def build_interior_gram(
         for xi, val in zip(roots.real_roots, weights):  # refuse before the basis
             if val <= -thr:
                 raise NotStrictlyPositive(xi, val)
+        for xi, val in zip(roots.real_roots, weights):
             if val <= thr:
                 raise IllConditioned(f"g({mpmath.nstr(xi, 12)}) is too close to zero to call")
 
@@ -285,7 +286,7 @@ def build_interior_gram(
             u = basis[k + 2 * idx + 1]  # basis polynomial at the representative
             gamma = horner(gc, rep)
             mag = abs(gamma)
-            lam = mp.mpf(lambda_factor) * mag if mag > 0 else mp.mpf(lambda_factor)
+            lam = LAMBDA_FACTOR * mag if mag > 0 else mp.mpf(LAMBDA_FACTOR)
             den = lam + mp.re(gamma)
             if den <= thr:
                 raise IllConditioned("degenerate pair weight")

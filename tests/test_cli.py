@@ -35,6 +35,20 @@ def test_parse_decimals_and_fractions():
     assert parse_poly("0.1*x^3 + x") == Poly([0, 1, 0, F(1, 10)])
     assert parse_poly("1/2*x - 3.25") == Poly([F(-13, 4), F(1, 2)])
     assert parse_poly("-(x-1)^2") == -((X - Poly.one()) ** 2)
+    # / is a term operator beside *: left-associative, looser than ^
+    assert parse_poly("-1/2*x^3 + 3/7*x") == Poly([0, F(3, 7), 0, F(-1, 2)])
+    assert parse_poly("3/2^2") == Poly.constant(F(3, 4))
+    assert parse_poly("2*3/2^2") == Poly.constant(F(3, 2))
+    assert parse_poly("x/2/3") == Poly([0, F(1, 6)])
+    assert parse_poly("x^2/(1+1)") == Poly([0, 0, F(1, 2)])
+
+
+@pytest.mark.parametrize("text", ["x/0", "x/x"])
+def test_parse_division_needs_a_nonzero_constant(text, capsys):
+    with pytest.raises(ParseError, match="a non-zero constant divisor"):
+        parse_poly(text)
+    assert main(["certify", "--f", "x^2-2", "--g", text]) == 1
+    assert "non-zero constant divisor" in capsys.readouterr().err
 
 
 def test_parse_errors_have_position():
@@ -170,10 +184,12 @@ def test_deterministic_output(tmp_path):
         (["--precision-bits", "0"], "must be >="),
         (["--precision-bits", "-5"], "must be >="),
         (["--max-retries", "-1"], "must be >="),
-        (["--digits-cap", "0"], "digits_cap must be >= 1"),
-        (["--digits-cap", "-5"], "digits_cap must be >= 1"),
-        (["--lambda-factor", "1/0"], "error: argument --lambda-factor: '1/0' is not a rational"),
-        (["--lambda-factor", "1e400"], "error: argument --lambda-factor: '1e400' is too large"),
+        # the digits cap and the lambda factor are constants, not options
+        (["--digits-cap", "0"], "unrecognized arguments: --digits-cap 0"),
+        (["--digits-cap", "-5"], "unrecognized arguments: --digits-cap -5"),
+        (["--lambda-factor", "1/0"], "unrecognized arguments: --lambda-factor 1/0"),
+        (["--lambda-factor", "1e400"], "unrecognized arguments: --lambda-factor 1e400"),
+        (["--json"], "unrecognized arguments: --json"),
     ],
     ids=[
         "precision-bits-0",
@@ -183,6 +199,7 @@ def test_deterministic_output(tmp_path):
         "digits-cap-negative",
         "lambda-factor-zero-denominator",
         "lambda-factor-overflow",
+        "json-removed",
     ],
 )
 def test_certify_rejects_bad_numeric_options(option, message, capsys):
@@ -259,6 +276,23 @@ def test_certify_root_finder_failure_exits_four(monkeypatch, capsys):
     monkeypatch.setattr(numeric.mp, "polyroots", no_convergence)
     assert main(["certify", "--f", "x^3-2", "--g", "x"]) == 4
     assert "precision exhausted" in capsys.readouterr().err
+
+
+def test_certify_clear_negative_beats_an_earlier_near_zero(monkeypatch, capsys):
+    # g(-sqrt 2) ~ 1e-70 is too close to zero to call at 106 bits, but
+    # g(sqrt 2) ~ -2.83 is clearly negative: a refusal, not a retry
+    tried = []
+    find_roots = numeric.find_roots
+
+    def spy(poly, bits):
+        tried.append(bits)
+        return find_roots(poly, bits)
+
+    monkeypatch.setattr(numeric, "find_roots", spy)
+    g = "-x-1.4142135623730950488016887242096980785696718753769480731766797379907324"
+    assert main(["certify", "--f", "x^2-2", "--g=" + g]) == 3
+    assert tried == [106]
+    assert "not non-negative" in capsys.readouterr().err
 
 
 def test_verify_oversized_integer_is_a_parse_error(tmp_path, capsys):
@@ -347,6 +381,8 @@ def test_inspect_oversized_coefficient(capsys):
         ("(x+1)^5000*(x+1)^5000", "a power"),
         # each power is below the cap, their product is not
         ("(x+1)^1000*(x+1)^1000", "a product"),
+        # a quotient goes through the same guard as a product
+        ("(x+1)^1000/(2^100)^10000", "a product"),
     ],
 )
 def test_parse_bounds_the_size_of_powers_and_products(text, what, capsys):

@@ -143,10 +143,10 @@ def test_delta_bound_signs_and_linear():
 
 
 def test_round_to_digits_scalar():
-    assert round_to_digits(0.2295612, 2) == F(23, 100)
-    assert round_to_digits(F(3, 10), 1) == F(3, 10)
+    assert round_to_digits([0.2295612], 2) == Poly.constant(F(23, 100))
+    assert round_to_digits([F(3, 10)], 1) == Poly.constant(F(3, 10))
     with pytest.raises(ValueError):
-        round_to_digits(0.5, 0)
+        round_to_digits([0.5], 0)
 
 
 def test_round_to_digits_matrix_one_digit():
@@ -325,7 +325,7 @@ def test_certify_strict_rejects_shared_factor(f, g, common, monkeypatch):
     [
         # certifies at its first t: one projection and one LDL^T in all
         (F_CUBE, X, 64, 1),
-        # with digits_cap = 1 both tried t are 1; every entry of this Gram
+        # with DIGITS_CAP = 1 both tried t are 1; every entry of this Gram
         # matrix is below 0.05, so its projected 1-digit rounding is singular
         (X**2 - Poly.constant(2), Poly.constant(F(1, 1000)), 1, 3),
     ],
@@ -346,9 +346,10 @@ def test_certify_strict_one_projection_and_ldl_per_tried_t(
     spy("project", exactify.project)
     spy("check_positive_definite", exactify.check_positive_definite)
     spy("gram_to_sos", exactify.gram_to_sos)
+    monkeypatch.setattr(exactify, "DIGITS_CAP", digits_cap)
     exhausts = pytest.raises(PrecisionExhausted) if attempts > 1 else contextlib.nullcontext()
     with exhausts:
-        certify_strict_squarefree(f, g, digits_cap=digits_cap, max_retries=attempts - 1)
+        certify_strict_squarefree(f, g, max_retries=attempts - 1)
     assert calls == ["project", "check_positive_definite"] * attempts
 
 
@@ -412,9 +413,9 @@ def _spy_numeric_stages(monkeypatch):
         calls.append(("roots", bits))
         return find_roots(f, bits)
 
-    def gram_spy(f, g, roots, lambda_factor):
+    def gram_spy(f, g, roots):
         calls.append(("gram", roots.precision_bits))
-        return build_gram(f, g, roots, lambda_factor)
+        return build_gram(f, g, roots)
 
     monkeypatch.setattr(numeric, "find_roots", roots_spy)
     monkeypatch.setattr(numeric, "build_interior_gram", gram_spy)

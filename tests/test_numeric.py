@@ -217,11 +217,12 @@ def test_interior_gram_symmetric_exactly():
             assert gram.Qstar[i][j] == gram.Qstar[j][i]
 
 
-def test_parrilo_boundary_flagged():
-    # lambda_factor = 1 reproduces the rank-deficient boundary matrix: the
+def test_parrilo_boundary_flagged(monkeypatch):
+    # LAMBDA_FACTOR = 1 reproduces the rank-deficient boundary matrix: the
     # smallest-eigenvalue estimate must hug zero so it is flagged not-definite
+    monkeypatch.setattr(numeric, "LAMBDA_FACTOR", 1)
     prof = find_roots(F_CUBE)
-    gram = build_interior_gram(F_CUBE, X, prof, lambda_factor=1.0)
+    gram = build_interior_gram(F_CUBE, X, prof)
     assert gram.sigma <= 1e-6
 
 
@@ -270,11 +271,6 @@ def test_value_too_close_to_zero_is_ill_conditioned(sign, monkeypatch):
 def test_unreduced_g_rejected():
     with pytest.raises(ValueError):
         build_interior_gram(F_CUBE, X**3, find_roots(F_CUBE))
-
-
-def test_lambda_factor_below_one_rejected():
-    with pytest.raises(ValueError):
-        build_interior_gram(F_CUBE, X, find_roots(F_CUBE), lambda_factor=0.5)
 
 
 def test_rho_decreases_with_precision():
