@@ -22,7 +22,7 @@ from .certificate import Certificate, ParseError as CertificateParseError
 from .exactify import DEFAULT_MAX_RETRIES, PrecisionExhausted
 from .factorq import factor_over_Q
 from .lifting import HypothesisViolated, NotNonnegative, certify_nonnegative
-from .numeric import DEFAULT_PRECISION_BITS
+from .numeric import DEFAULT_PRECISION_BITS, show_value
 from .ratpoly import Poly, format_rational, gcd, squarefree_decompose, sturm_real_root_count
 
 EXIT_OK = 0
@@ -233,7 +233,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         return EXIT_HYPOTHESIS
     except NotNonnegative as exc:
         print(
-            f"not non-negative: g({exc.root}) = {exc.value} < 0 "
+            f"not non-negative: g({show_value(exc.root)}) = {show_value(exc.value)} < 0 "
             f"at a real root of the factor {exc.factor}",
             file=sys.stderr,
         )

@@ -271,6 +271,10 @@ def certify_strict_squarefree(
     attempt is abandoned with diagnostics naming the last reason.  Raises
     NotStrictlyPositive when g is clearly negative at a real root, and
     SharedFactor, before any numeric work, when gcd(f, g) is not constant.
+
+    A linear f is decided exactly, without numerics: g mod f is v = g(root),
+    certified by the 1x1 Gram matrix (v) (what any projected 1x1 rounding
+    gives) when v > 0, and refused with the exact root and value when v < 0.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("f must have degree >= 1")
@@ -282,6 +286,12 @@ def certify_strict_squarefree(
     if common.degree > 0:
         raise SharedFactor(common)
     q_reduction, g_red = divmod(g, f)
+    if f.degree == 1:  # g_red is the constant g(root), non-zero after the gcd
+        value = g_red.leading_coefficient
+        if value < 0:
+            raise numeric.NotStrictlyPositive(-f.coeffs[0] / f.coeffs[1], value)
+        lift = GramLift(((value,),), q_reduction, f, g)
+        return lift, SOSDecomposition((value,), (Poly.one(),), f)
 
     bits = min(precision_bits, PRECISION_CAP_BITS)
     last_sigma = last_rho = last_delta = None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .ratpoly import Poly, squarefree_decompose
+from .ratpoly import Poly, long_division, squarefree_decompose
 
 #: Inputs above this degree are refused instead of silently grinding.
 DEGREE_CAP = 64
@@ -123,16 +123,8 @@ def _zp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]
         raise ZeroDivisionError("division by zero polynomial mod m")
     inv = pow(b[-1], -1, m)
     rem = list(a)
-    db = _deg(b)
-    quo = [0] * max(len(rem) - db, 0)
-    for top in range(len(rem) - 1, db - 1, -1):
-        c = (rem[top] * inv) % m
-        if not c:
-            continue
-        quo[top - db] = c
-        for i in range(db):
-            rem[top - db + i] -= c * b[i]
-    return _trim(quo), _zp_reduce(rem[:db], m)
+    quo = long_division(rem, b, lambda c: c * inv % m)
+    return _trim(quo), _zp_reduce(rem[: len(b) - 1], m)
 
 
 def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
@@ -170,16 +162,8 @@ def _gf_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
 
 def _z_divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     rem = list(a)
-    db = _deg(b)
-    quo = [0] * max(len(rem) - db, 0)
-    for top in range(len(rem) - 1, db - 1, -1):
-        c = rem[top]
-        if not c:
-            continue
-        quo[top - db] = c
-        for i, y in enumerate(b):
-            rem[top - db + i] -= c * y
-    return _trim(quo), _trim(rem)
+    quo = long_division(rem, b, lambda c: c)
+    return _trim(quo), _trim(rem[: len(b) - 1])
 
 
 def _symmetric(c: list[int], m: int) -> list[int]:

@@ -16,7 +16,7 @@ from . import exactify
 from .certificate import Certificate, verify
 from .exactify import SOSDecomposition, certify_strict_squarefree
 from .factorq import factor_over_Q
-from .numeric import NotStrictlyPositive
+from .numeric import NotStrictlyPositive, show_value
 from .ratpoly import Poly, extended_gcd, gcd, weighted_square_sum
 
 
@@ -48,10 +48,10 @@ class ZeroG(ValueError):
 
 
 class NotNonnegative(ArithmeticError):
-    """g is negative at a numerically located real root of a factor of f."""
+    """g is negative at a real root of a factor of f, exact or located numerically."""
 
     def __init__(self, factor: Poly, root, value):
-        super().__init__(f"g is negative near the real root {root} of {factor}")
+        super().__init__(f"g is negative near the real root {show_value(root)} of {factor}")
         self.factor = factor
         self.root = root
         self.value = value
@@ -74,14 +74,16 @@ class StrictReduction:
 def newton_sqrt_iterates(gbar: Poly, h0: Poly, p: Poly, e: int) -> list[Poly]:
     """Newton iterates h^(k+1) = h^(k) - (h^(k)^2 - gbar)*s/2 mod p^(2^(k+1)).
 
-    Starting from h0 with h0^2 = gbar mod p, iterate k = ceil(log2(e))
-    times.  The inverse is Newton-lifted alongside the root: h0 is inverted
-    once modulo p by extended_gcd, and s <- s*(2 - h^(k)*s) carries s to an
-    inverse of h^(k) modulo p^(2^k), which suffices because h^(k)^2 - gbar
-    vanishes modulo p^(2^k).  Each iterate is the unique square root of gbar
+    Starting from h0 with h0^2 = gbar mod p and deg h0 < deg p, iterate
+    k = ceil(log2(e)) times.  The inverse is Newton-lifted alongside the
+    root: h0 is inverted once modulo p by extended_gcd, and
+    s <- s*(2 - h^(k)*s) carries s to an inverse of h^(k) modulo M = p^(2^k).
+    Step k divides h^(k)^2 - gbar by M: a remainder breaks the invariant
+    h^(k)^2 = gbar mod M (AssertionError, as does the last iterate's check),
+    and the quotient E gives h^(k+1) = h^(k) - M*((E*s/2) mod M), the
+    reduction modulo M^2.  Each iterate is the unique square root of gbar
     modulo p^(2^k) that is congruent to h0 modulo p and has degree below
-    2^k*deg p.  The returned list contains h0 and every iterate, so
-    (iterates[k])^2 = gbar mod p^(2^k) can be checked step by step.
+    2^k*deg p.  The returned list contains h0 and every iterate.
     """
     if e < 1:
         raise ValueError("target exponent must be >= 1")
@@ -98,9 +100,14 @@ def newton_sqrt_iterates(gbar: Poly, h0: Poly, p: Poly, e: int) -> list[Poly]:
     for k in range(steps):
         if k:
             s = (s * (two - h * s)) % modulus  # inverse of h modulo p^(2^k)
+        error, rem = divmod(h * h - gbar, modulus)
+        if not rem.is_zero:
+            raise AssertionError("Newton square invariant broken")
+        h = h - modulus * ((error * s * Fraction(1, 2)) % modulus)
         modulus = modulus * modulus
-        h = (h - (h * h - gbar) * s * Fraction(1, 2)) % modulus
         iterates.append(h)
+    if not ((h * h - gbar) % modulus).is_zero:
+        raise AssertionError("Newton square invariant broken")
     return iterates
 
 
@@ -133,17 +140,9 @@ def hensel_lift_sos(sos: SOSDecomposition, p: Poly, e: int, g: Poly) -> SOSDecom
     if not ((sos.polys[j] * sos.polys[j] - gbar) % p).is_zero:
         raise NoInvertibleSquare("input is not an SOS decomposition of g modulo p")
 
-    iterates = newton_sqrt_iterates(gbar, sos.polys[j], p, e)
-    modulus = p
-    for k, h in enumerate(iterates):
-        if k:
-            modulus = modulus * modulus  # p^(2^k)
-        if not ((h * h - gbar) % modulus).is_zero:
-            raise AssertionError("Newton square invariant broken")
     target = p**e
-
     polys = list(sos.polys)
-    polys[j] = iterates[-1] % target
+    polys[j] = newton_sqrt_iterates(gbar, sos.polys[j], p, e)[-1] % target
     return SOSDecomposition(sos.weights, tuple(polys), target)
 
 

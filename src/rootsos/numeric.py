@@ -6,10 +6,12 @@ cross-checked against the exact Sturm count, Lagrange basis construction, and
 assembly of the interior Gram pair (Q*, q*) whose exact rounding is performed
 downstream.  The margin sigma is the smallest eigenvalue of Q* from mpmath's
 ``eigsy``; it only picks the rounding digits, and the exact LDL^T downstream
-proves positive definiteness.  Every function here makes one attempt at the
-precision it is given (software floats with a configurable mantissa, mpmath)
-and raises IllConditioned when that precision does not suffice; the caller
-owns the retry at a higher precision.
+proves positive definiteness.  Deflation by a root and q* are ratpoly's
+``long_division`` in mp arithmetic.  Every function here makes one attempt at
+the precision it is given (software floats with a configurable mantissa,
+mpmath) and raises IllConditioned when that precision does not suffice; the
+caller owns the retry at a higher precision.  A linear f is decided exactly
+upstream and never reaches this stage.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import prod
 
 import mpmath
 from mpmath import mp
 
-from .ratpoly import Poly, horner, norm2_squared, sqrt_upper_bound, sturm_real_root_count
+from .ratpoly import Poly, format_rational, horner, long_division, norm2_squared, sqrt_upper_bound
+from .ratpoly import sturm_real_root_count
 
 DEFAULT_PRECISION_BITS = 106
 #: lambda = LAMBDA_FACTOR*|g| at each conjugate pair: any value above 1 keeps
@@ -39,11 +41,17 @@ class IllConditioned(ArithmeticError):
     """Root cluster or degenerate data at the working precision; retry higher."""
 
 
+def show_value(x) -> str:
+    """An exact rational in full (``format_rational``), a float to 12 digits."""
+    return format_rational(x) if isinstance(x, Fraction) else mpmath.nstr(x, 12)
+
+
 class NotStrictlyPositive(ArithmeticError):
-    """g is clearly negative at a real root: below minus the numeric threshold."""
+    """g is negative at a real root: exactly (Fractions, for a linear f) or
+    below minus the numeric threshold (mpf)."""
 
     def __init__(self, root, value):
-        super().__init__(f"g({mpmath.nstr(root, 12)}) = {mpmath.nstr(value, 12)} < 0")
+        super().__init__(f"g({show_value(root)}) = {show_value(value)} < 0")
         self.root = root
         self.value = value
 
@@ -116,12 +124,6 @@ def antidiagonal_sums(rows, zero=Fraction(0)) -> list:
 
 def _mp_coeffs(p: Poly) -> list:
     return [mp.mpf(c.numerator) / c.denominator for c in p.coeffs]
-
-
-def _deflate(coeffs, xi):
-    """Quotient of coeffs (ascending) by (x - xi), remainder discarded: the
-    intermediate values of Horner's scheme at xi, lowest degree first."""
-    return list(accumulate(reversed(coeffs[1:]), lambda acc, c: acc * xi + c))[::-1]
 
 
 def _float_seeds(monic):
@@ -242,7 +244,7 @@ def lagrange_basis(f: Poly, roots: RootProfile) -> list:
         monic = _mp_coeffs(f.monic())
         basis = []
         for xi in xs:
-            quo = _deflate(monic, xi)
+            quo = long_division(list(monic), (-xi, 1), lambda c: c)  # f/(lc*(x - xi))
             dval = horner(quo, xi)  # f'(xi)/lc = prod_{j != i} (xi - xj)
             if dval == 0:
                 raise IllConditioned("vanishing derivative at a root")
@@ -306,17 +308,11 @@ def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
                     acc += w * col[r] * col[c]
                 rows[r][c] = rows[c][r] = acc
 
-        # q* by synthetic division of (g - x^T Q* x) by f
+        # q* by long division of (g - x^T Q* x) by f
         quad = antidiagonal_sums(rows, mp.mpf(0))
         num = [(gc[i] if i < len(gc) else mp.mpf(0)) - quad[i] for i in range(2 * n - 1)]
         fc = _mp_coeffs(f)
-        qstar = [mp.mpf(0)] * max(len(num) - len(fc) + 1, 0)
-        rem = list(num)
-        for top in range(len(rem) - 1, len(fc) - 2, -1):
-            cof = rem[top] / fc[-1]
-            qstar[top - len(fc) + 1] = cof
-            for i, y in enumerate(fc):
-                rem[top - len(fc) + 1 + i] -= cof * y
+        qstar = long_division(num, fc, lambda c: c / fc[-1])
 
         try:
             eigenvalues = mp.eigsy(mp.matrix(rows), eigvals_only=True)

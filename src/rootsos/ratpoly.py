@@ -32,7 +32,8 @@ carrying the common denominator.  When the common denominator outgrows the
 largest denominator by more than the saved operations pay for
 (``_LIFT_BITS_PER_OP`` bits each), as for a short quotient of operands with
 many different large denominators, the division runs in Fraction
-arithmetic instead.
+arithmetic instead, through ``long_division``: the package's one other
+division loop, which also divides in mp floats, Z/mZ and Z.
 
 ``gcd`` first maps both operands to one fixed prime, 2**61 - 1.  If the
 prime divides neither leading coefficient nor any denominator and the images
@@ -349,21 +350,28 @@ def _integer_vector_within(coeffs: tuple[Fraction, ...], excess: int) -> Union[t
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def long_division(rem: list, div, lead) -> list:
+    """Quotient of ``rem`` by ``div`` (ascending, any arithmetic), leaving the
+    remainder in ``rem[:len(div) - 1]``.  ``lead(c)`` is the quotient
+    coefficient that cancels a top coefficient c; zero ones stay int 0."""
+    db = len(div) - 1
+    quo = [0] * max(len(rem) - db, 0)
+    for top in range(len(rem) - 1, db - 1, -1):
+        c = lead(rem[top])
+        if not c:
+            continue
+        quo[top - db] = c
+        for i in range(db):  # rem[top] itself cancels
+            rem[top - db + i] -= c * div[i]
+    return quo
+
+
 def _divmod_fractions(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Poly, Poly]:
     """Long division of coefficient vectors in ``Fraction`` arithmetic."""
     rem = list(a)
-    db = len(b) - 1
     inv_lc = 1 / b[-1]
-    quo = [Fraction(0)] * (len(rem) - db)
-    for top in range(len(rem) - 1, db - 1, -1):
-        c = rem[top]
-        if not c:
-            continue
-        c *= inv_lc
-        quo[top - db] = c
-        for i in range(db):  # rem[top] itself cancels
-            rem[top - db + i] -= c * b[i]
-    return Poly(quo), Poly(rem[:db])
+    quo = long_division(rem, b, lambda c: c * inv_lc)
+    return Poly(quo), Poly(rem[: len(b) - 1])
 
 
 def _bias(n: int, width: int) -> int:
@@ -503,7 +511,8 @@ def gcd(a: Poly, b: Poly) -> Poly:
 def extended_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """Return (g, s, t) with s*a + t*b = g, g the monic gcd.
 
-    The cofactors are put in canonical minimal-degree form:
+    The cofactors are the Euclidean algorithm's own, scaled by the same unit
+    as g; they are already the canonical minimal-degree ones:
     deg s < deg b - deg g and deg t < deg a - deg g whenever those bounds are
     satisfiable (for two nonzero constants the convention is s = 0).
     """
@@ -525,16 +534,7 @@ def extended_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
     inv_lc = 1 / r0.leading_coefficient
-    g, s, t = r0 * inv_lc, s0 * inv_lc, t0 * inv_lc
-
-    # Canonicalize: reduce s modulo b/g, recompute t by exact division.
-    cof_b = b // g
-    s = s % cof_b
-    t_num = g - s * a
-    t, rem = divmod(t_num, b)
-    if not rem.is_zero:
-        raise AssertionError("extended_gcd internal error: inexact cofactor")
-    return g, s, t
+    return r0 * inv_lc, s0 * inv_lc, t0 * inv_lc
 
 
 @dataclass(frozen=True)
@@ -607,9 +607,9 @@ def sturm_real_root_count(f: Poly) -> int:
     """Number of distinct real roots of a squarefree polynomial."""
     if f.is_zero:
         raise ZeroPolynomial("root count of 0 is undefined")
-    if not is_squarefree(f):
-        raise NotSquarefree("Sturm root count requires a squarefree input")
     chain = sturm_sequence(f)
+    if chain[-1].degree > 0:  # the chain ends in gcd(f, f') up to a unit
+        raise NotSquarefree("Sturm root count requires a squarefree input")
 
     def sign_at_inf(p: Poly, positive: bool) -> int:
         lc = p.leading_coefficient

@@ -233,7 +233,8 @@ NEAR_BOUNDARY_G3 = "x^2 - 131607401295249246081/100000000000000000000"
          "dec117ff8ded16f922f173b794bc1496e51713c2d27d2668c8ee961f29265181"),
         ("x^8-2", NEAR_BOUNDARY_G, [106, 212, 424],
          "d76fdd0c9431ab95ccb676d5121a51609771984c5bcb2eb300a90ea6476c39c4"),
-        ("x^8-10^40", "x+10^6", [106, 106, 106, 106],
+        # two of its four factors are linear and are decided exactly
+        ("x^8-10^40", "x+10^6", [106, 106],
          "eaed94af1669d67d493551326eefbf6df3b196e3a928655db4c0aa85dd0c9079"),
         ("x^4+x+10^50", "x-1", [106, 212, 424],
          "f8204c6a9088959c26cd295b8afdc6e2f0d28bcb6d73b14aa1599f303cb303eb"),
@@ -293,6 +294,46 @@ def test_certify_clear_negative_beats_an_earlier_near_zero(monkeypatch, capsys):
     assert main(["certify", "--f", "x^2-2", "--g=" + g]) == 3
     assert tried == [106]
     assert "not non-negative" in capsys.readouterr().err
+
+
+TEN_TO_MINUS_80 = "0." + "0" * 79 + "1"
+
+
+@pytest.mark.parametrize(
+    "f, g, code, degrees",
+    [
+        ("x-1", TEN_TO_MINUS_80, 0, []),
+        ("x-1", "-" + TEN_TO_MINUS_80, 3, []),
+        # the linear factor is decided exactly; only x^2+1 has numeric work
+        ("(x-1)*(x^2+1)", "x-1+" + TEN_TO_MINUS_80, 0, [2]),
+    ],
+    ids=["linear-tiny-positive", "linear-tiny-negative", "linear-factor-tiny-positive"],
+)
+def test_certify_decides_a_rational_root_exactly(f, g, code, degrees, monkeypatch, capsys):
+    # |g(1)| = 10^-80 is too close to zero to call at every precision up to
+    # the cap, so a float decision would exit 4
+    seen = []
+    find_roots = numeric.find_roots
+
+    def spy(poly, bits):
+        seen.append(poly.degree)
+        return find_roots(poly, bits)
+
+    monkeypatch.setattr(numeric, "find_roots", spy)
+    assert main(["certify", "--f", f, "--g=" + g]) == code
+    assert seen == degrees
+    capsys.readouterr()
+
+
+def test_certify_reports_the_exact_rational_root_and_value(capsys):
+    assert main(["certify", "--f", "2*x-3", "--g=-x"]) == 3
+    assert "g(3/2) = -3/2 < 0" in capsys.readouterr().err
+
+
+def test_certify_refusal_with_a_huge_rational_root_prints(capsys):
+    # str() of the exact root 10^5000 would pass the int<->str digit limit
+    assert main(["certify", "--f", "x-10^5000", "--g=-x^2"]) == 3
+    assert "too large to print" in capsys.readouterr().err
 
 
 def test_verify_oversized_integer_is_a_parse_error(tmp_path, capsys):

@@ -293,6 +293,17 @@ def test_certify_strict_linear():
     assert sos.polys == (Poly.one(),)
 
 
+def test_certify_strict_linear_negative_is_exact(monkeypatch):
+    def no_numerics(*_args, **_kwargs):
+        raise AssertionError("find_roots called for a linear f")
+
+    monkeypatch.setattr(numeric, "find_roots", no_numerics)
+    with pytest.raises(NotStrictlyPositive) as info:
+        certify_strict_squarefree(2 * X - Poly.constant(3), X - Poly.constant(2))
+    assert (info.value.root, info.value.value) == (F(3, 2), F(-1, 2))
+    assert "g(3/2) = -1/2 < 0" in str(info.value)
+
+
 def test_certify_strict_negative_definitive():
     f = (X - Poly.one()) * (X + Poly.one())
     with pytest.raises(NotStrictlyPositive):

@@ -109,6 +109,12 @@ def test_newton_iterates_invariant_random():
         done += 1
 
 
+def test_newton_checks_the_square_invariant():
+    # h0^2 = 1 is not 3 modulo x^2 - 2, so step 0 finds a non-zero remainder
+    with pytest.raises(AssertionError, match="Newton square invariant broken"):
+        newton_sqrt_iterates(Poly.constant(3), Poly.one(), X**2 - Poly.constant(2), 2)
+
+
 def test_crt_single_part_reduces_only():
     sos = SOSDecomposition((F(2),), (Poly.one(),), X - Poly.one())
     combined = crt_combine_sos([(X - Poly.one(), sos)])

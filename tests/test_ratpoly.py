@@ -149,6 +149,13 @@ def test_divmod_runs_in_fractions_only_where_the_lift_outweighs_the_saved_steps(
     assert taken == [39, 39, 11]
 
 
+def test_long_division_skips_zero_steps_and_leaves_the_remainder_in_place():
+    rem = [F(1), F(0), F(0), F(0), F(2)]  # 2x^4 + 1 = (2x^2 + 2)(x^2 - 1) + 3
+    quo = ratpoly.long_division(rem, (F(-1), F(0), F(1)), lambda c: c)
+    assert quo == [2, 0, 2] and type(quo[1]) is int  # the x^3 step is skipped
+    assert rem[:2] == [3, 0]
+
+
 def test_divmod_by_a_longer_divisor_returns_the_dividend():
     a = Poly([F(1, 3), 0, 5])
     assert divmod(a, X**3 + Poly.constant(F(1, 7))) == (Poly.zero(), a)
@@ -244,6 +251,36 @@ def test_extended_gcd_random_bezout():
             assert s.degree < b.degree - g.degree
         if a.degree > g.degree:
             assert t.degree < a.degree - g.degree
+
+
+C = Poly.constant
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        ((X**2 + Poly.one()) * (X - C(3)), X**2 + Poly.one(),
+         (X**2 + Poly.one(), Poly.zero(), Poly.one())),
+        (X - C(2), (X - C(2)) * (X**2 + X + Poly.one()), (X - C(2), Poly.one(), Poly.zero())),
+        (C(F(3, 2)) * (X**2 - C(2)), X**2 - C(2), (X**2 - C(2), Poly.zero(), Poly.one())),
+        (C(4), C(6), (Poly.one(), Poly.zero(), C(F(1, 6)))),
+        (C(5), X**2 + Poly.one(), (Poly.one(), C(F(1, 5)), Poly.zero())),
+        (2 * X**3 - X, C(F(-1, 7)), (Poly.one(), Poly.zero(), C(-7))),
+        ((X - Poly.one()) * (X**2 + C(2)), (X - Poly.one()) * (3 * X + Poly.one()),
+         (X - Poly.one(), C(F(9, 19)), Poly([F(1, 19), F(-3, 19)]))),
+    ],
+    ids=["b-divides-a", "a-divides-b", "a-is-c-times-b", "two-constants",
+         "constant-and-poly", "poly-and-constant", "common-factor"],
+)
+def test_extended_gcd_divisibility_edges(a, b, expected):
+    # the unique cofactors within the degree bounds, pinned
+    g, s, t = extended_gcd(a, b)
+    assert (g, s, t) == expected
+    assert s * a + t * b == g
+    if b.degree > g.degree:
+        assert s.degree < b.degree - g.degree
+    if a.degree > g.degree:
+        assert t.degree < a.degree - g.degree
 
 
 def test_squarefree_examples():
