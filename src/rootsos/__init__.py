@@ -26,7 +26,7 @@ from .lifting import (
     hensel_lift_sos,
     reduce_nonneg_to_strict,
 )
-from .numeric import NotStrictlyPositive, build_interior_gram, find_roots, lagrange_basis
+from .numeric import build_interior_gram, find_roots, lagrange_basis
 from .ratpoly import (
     NEG_INF,
     Poly,
@@ -49,7 +49,6 @@ __all__ = [
     "NEG_INF",
     "NotNonnegative",
     "NotPD",
-    "NotStrictlyPositive",
     "ParseError",
     "Poly",
     "PrecisionExhausted",

@@ -5,8 +5,8 @@ Polynomial expressions are parsed exactly (integer and decimal literals;
 so 3/2^2 is 3/4; parentheses with implicit adjacency), certificates are
 written in the JSON format of the certificate module (as text with
 --pretty), and exit codes are stable: 0 success, 1 parse/IO error, 2
-hypothesis violated, 3 not non-negative / invalid certificate, 4 precision
-exhausted.
+hypothesis violated, 3 not non-negative (g < 0 at a real root of f,
+decided exactly) / invalid certificate, 4 precision exhausted.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .certificate import Certificate, ParseError as CertificateParseError
 from .exactify import DEFAULT_MAX_RETRIES, PrecisionExhausted
 from .factorq import factor_over_Q
 from .lifting import HypothesisViolated, NotNonnegative, certify_nonnegative
-from .numeric import DEFAULT_PRECISION_BITS, show_value
+from .numeric import DEFAULT_PRECISION_BITS
 from .ratpoly import Poly, format_rational, gcd, squarefree_decompose, sturm_real_root_count
 
 EXIT_OK = 0
@@ -232,11 +232,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except NotNonnegative as exc:
-        print(
-            f"not non-negative: g({show_value(exc.root)}) = {show_value(exc.value)} < 0 "
-            f"at a real root of the factor {exc.factor}",
-            file=sys.stderr,
-        )
+        print(f"not non-negative: {exc}", file=sys.stderr)
         return EXIT_NOT_NONNEGATIVE
     except PrecisionExhausted as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)

@@ -6,7 +6,9 @@ g - q*f (Frobenius-orthogonal), certifies positive definiteness by an exact
 LDL^T decomposition over Q, and extracts the weighted sum-of-squares
 decomposition.  Every certificate identity is re-verified exactly before it
 is returned, so floating-point behaviour can never produce a wrong result.
-``certify_strict_squarefree`` owns the one precision loop: each numeric call
+``certify_strict_squarefree`` decides the sign of g at the real roots of f
+exactly, by a Tarski query, before any numeric work, so a refusal never
+rests on a float; it then owns the one precision loop: each numeric call
 makes one attempt, and every reason to retry doubles the precision there.
 """
 
@@ -18,7 +20,8 @@ from typing import Optional, Sequence
 
 from . import numeric
 from .numeric import DEFAULT_PRECISION_BITS, IllConditioned, antidiagonal_sums, exact_fraction
-from .ratpoly import Poly, gcd, norm2_squared, sqrt_upper_bound, weighted_square_sum
+from .ratpoly import Poly, gcd, norm2_squared, sqrt_upper_bound, sturm_real_root_count
+from .ratpoly import tarski_query, weighted_square_sum
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -43,6 +46,17 @@ class SharedFactor(ValueError):
     def __init__(self, common: Poly):
         super().__init__(f"f and g share the factor {common}")
         self.common = common
+
+
+class NotNonnegative(ArithmeticError):
+    """g < 0 at ``negative`` of the ``real`` distinct real roots of ``factor``,
+    counted exactly."""
+
+    def __init__(self, factor: Poly, negative: int, real: int):
+        super().__init__(f"g < 0 at {negative} of the {real} real roots of {factor}")
+        self.factor = factor
+        self.negative = negative
+        self.real = real
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -262,19 +276,20 @@ def certify_strict_squarefree(
     """Exact rational Gram certificate for g strictly positive at the real
     roots of a squarefree f.
 
-    Pipeline per attempt: approximate roots, build the interior pair
+    First, with no numeric work: SharedFactor when gcd(f, g) is not
+    constant, and NotNonnegative when g < 0 at some real root of f.  For a
+    linear f, g mod f is the constant v = g(root), certified by the 1x1 Gram
+    matrix (v) (what any projected 1x1 rounding gives) when v > 0.  For a
+    higher degree, with g_red = g mod f coprime to f, the number of real
+    roots where g < 0 is (real - TaQ(g_red, f))/2, real being the Sturm count.
+
+    Then, pipeline per attempt: approximate roots, build the interior pair
     (Q*, q*), derive the safe rounding precision from the eigenvalue margin,
     round, project, and check positive definiteness exactly.  Whatever fails
     (IllConditioned from the numeric stage, a margin that is not positive, or
     the exact check even after two extra digits), the working precision
     doubles, up to PRECISION_CAP_BITS; after ``max_retries`` doublings the
-    attempt is abandoned with diagnostics naming the last reason.  Raises
-    NotStrictlyPositive when g is clearly negative at a real root, and
-    SharedFactor, before any numeric work, when gcd(f, g) is not constant.
-
-    A linear f is decided exactly, without numerics: g mod f is v = g(root),
-    certified by the 1x1 Gram matrix (v) (what any projected 1x1 rounding
-    gives) when v > 0, and refused with the exact root and value when v < 0.
+    attempt is abandoned with diagnostics naming the last reason.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("f must have degree >= 1")
@@ -289,9 +304,13 @@ def certify_strict_squarefree(
     if f.degree == 1:  # g_red is the constant g(root), non-zero after the gcd
         value = g_red.leading_coefficient
         if value < 0:
-            raise numeric.NotStrictlyPositive(-f.coeffs[0] / f.coeffs[1], value)
+            raise NotNonnegative(f, 1, 1)
         lift = GramLift(((value,),), q_reduction, f, g)
         return lift, SOSDecomposition((value,), (Poly.one(),), f)
+    real = sturm_real_root_count(f)
+    negative = (real - tarski_query(f, g_red)) // 2
+    if negative:
+        raise NotNonnegative(f, negative, real)
 
     bits = min(precision_bits, PRECISION_CAP_BITS)
     last_sigma = last_rho = last_delta = None

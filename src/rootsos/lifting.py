@@ -5,6 +5,9 @@ Newton square-root iteration applied to a single well-chosen square,
 recombines decompositions across pairwise-coprime moduli through Chinese
 remainder idempotents, and reduces the non-negative problem to the strictly
 positive one via the Bezout identity 1 = s*(f/d) + t*d^2 with d = gcd(f, g).
+For a factor p of f/d and a real root xi of p, d(xi) != 0 and
+g(xi) = b(xi)*d(xi)^2, so the exact NotNonnegative count that
+``certify_strict_squarefree`` gives for b modulo p holds for g.
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ from fractions import Fraction
 
 from . import exactify
 from .certificate import Certificate, verify
-from .exactify import SOSDecomposition, certify_strict_squarefree
+from .exactify import NotNonnegative, SOSDecomposition, certify_strict_squarefree
 from .factorq import factor_over_Q
-from .numeric import NotStrictlyPositive, show_value
 from .ratpoly import Poly, extended_gcd, gcd, weighted_square_sum
 
 
@@ -45,16 +47,6 @@ class HypothesisViolated(ValueError):
 
 class ZeroG(ValueError):
     """g = 0 must be handled by the caller (empty certificate)."""
-
-
-class NotNonnegative(ArithmeticError):
-    """g is negative at a real root of a factor of f, exact or located numerically."""
-
-    def __init__(self, factor: Poly, root, value):
-        super().__init__(f"g is negative near the real root {show_value(root)} of {factor}")
-        self.factor = factor
-        self.root = root
-        self.value = value
 
 
 @dataclass(frozen=True)
@@ -229,7 +221,9 @@ def certify_nonnegative(
     of f/d separately, Hensel-lifts to the factor multiplicities, recombines
     by CRT, restores the gcd part, and recovers the exact quotient q with
     g = sum w_i h_i^2 + q*f.  The certificate is verified exactly before it
-    is returned.
+    is returned.  Raises HypothesisViolated when gcd(f, g) and f/gcd(f, g)
+    share a factor, and NotNonnegative for the first irreducible factor of
+    f/d with a real root where g < 0.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("f must have degree >= 1")
@@ -248,13 +242,9 @@ def certify_nonnegative(
         factorization = factor_over_Q(cofactor)
         parts: list[tuple[Poly, SOSDecomposition]] = []
         for p, e in factorization.factors:
-            b_p = b % p
-            try:
-                _lift, sos = certify_strict_squarefree(
-                    p, b_p, precision_bits=precision_bits, max_retries=max_retries
-                )
-            except NotStrictlyPositive as exc:
-                raise NotNonnegative(p, exc.root, g(exc.root)) from exc
+            _lift, sos = certify_strict_squarefree(
+                p, b % p, precision_bits=precision_bits, max_retries=max_retries
+            )
             if e > 1:
                 sos = hensel_lift_sos(sos, p, e, b)
             parts.append((p**e, sos))

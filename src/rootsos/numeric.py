@@ -10,8 +10,10 @@ proves positive definiteness.  Deflation by a root and q* are ratpoly's
 ``long_division`` in mp arithmetic.  Every function here makes one attempt at
 the precision it is given (software floats with a configurable mantissa,
 mpmath) and raises IllConditioned when that precision does not suffice; the
-caller owns the retry at a higher precision.  A linear f is decided exactly
-upstream and never reaches this stage.
+caller owns the retry at a higher precision.  The sign of g at the real
+roots is decided exactly upstream (``exactify``), so this stage never
+refuses an input: a linear f never reaches it, and a value of g that does
+not clear the threshold at a real root is only a reason to retry.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from math import prod
 import mpmath
 from mpmath import mp
 
-from .ratpoly import Poly, format_rational, horner, long_division, norm2_squared, sqrt_upper_bound
+from .ratpoly import Poly, horner, long_division, norm2_squared, sqrt_upper_bound
 from .ratpoly import sturm_real_root_count
 
 DEFAULT_PRECISION_BITS = 106
@@ -39,21 +41,6 @@ _SEED_TOL = 1e-13
 
 class IllConditioned(ArithmeticError):
     """Root cluster or degenerate data at the working precision; retry higher."""
-
-
-def show_value(x) -> str:
-    """An exact rational in full (``format_rational``), a float to 12 digits."""
-    return format_rational(x) if isinstance(x, Fraction) else mpmath.nstr(x, 12)
-
-
-class NotStrictlyPositive(ArithmeticError):
-    """g is negative at a real root: exactly (Fractions, for a linear f) or
-    below minus the numeric threshold (mpf)."""
-
-    def __init__(self, root, value):
-        super().__init__(f"g({show_value(root)}) = {show_value(value)} < 0")
-        self.root = root
-        self.value = value
 
 
 @dataclass(frozen=True)
@@ -258,9 +245,10 @@ def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
     Columns of the square-sum matrix come from the Lagrange basis: one column
     per real root weighted by g there, two real columns per conjugate pair
     with weight 2(lambda + Re g(xi)) and lambda = LAMBDA_FACTOR*|g(xi)|,
-    which keeps the matrix positive definite.  g is checked at every real
-    root first: a value at or below -thr raises NotStrictlyPositive, and only
-    when there is none does a value in (-thr, thr] raise IllConditioned.
+    which keeps the matrix positive definite.  g must be positive at every
+    real root (decided exactly upstream); a value there at or below the
+    threshold thr = 2^(-bits/4) raises IllConditioned before the basis is
+    built.
     """
     n = int(f.degree)
     if not g.degree < n:
@@ -273,9 +261,6 @@ def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
         gc = _mp_coeffs(g)
         thr = mp.ldexp(1, -(bits // 4))
         weights = [horner(gc, xi) for xi in roots.real_roots]
-        for xi, val in zip(roots.real_roots, weights):  # refuse before the basis
-            if val <= -thr:
-                raise NotStrictlyPositive(xi, val)
         for xi, val in zip(roots.real_roots, weights):
             if val <= thr:
                 raise IllConditioned(f"g({mpmath.nstr(xi, 12)}) is too close to zero to call")

@@ -288,14 +288,14 @@ class Poly:
 
 def format_rational(x: Fraction) -> str:
     """``str(x)``, except that an integer past the interpreter's int<->str
-    digit limit is shown by its bit length, so messages that render a value
-    never fail on it."""
+    digit limit is shown by its sign and bit length, so messages that render
+    a value never fail on it."""
 
     def digits(n: int) -> str:
         try:
             return str(n)
         except ValueError:
-            return f"<{n.bit_length()}-bit integer, too large to print>"
+            return f"{'-' if n < 0 else ''}<{n.bit_length()}-bit integer, too large to print>"
 
     if x.denominator == 1:
         return digits(x.numerator)
@@ -589,38 +589,40 @@ def is_squarefree(f: Poly) -> bool:
     return gcd(f, f.derivative()).degree == 0
 
 
-def sturm_sequence(f: Poly) -> list[Poly]:
-    """Sturm chain f, f', -rem(...), ... (zero tail dropped)."""
-    seq = [f, f.derivative()]
+def sturm_sequence(f: Poly, q: Poly | None = None) -> list[Poly]:
+    """Signed remainder sequence of f and f'*q mod f (zero tail dropped);
+    q = None gives Sturm's chain f, f', -rem(...), ..."""
+    seq = [f, f.derivative() if q is None else f.derivative() * q % f]
     while not seq[-1].is_zero:
         seq.append(-(seq[-2] % seq[-1]))
     seq.pop()
     return seq
 
 
+def tarski_query(f: Poly, q: Poly | None = None) -> int:
+    """Sum of sign q(xi) over the distinct real roots xi of a squarefree f
+    coprime to q (q = None counts the roots): the sign variations of
+    ``sturm_sequence(f, q)`` at -inf minus those at +inf, which is the
+    Cauchy index of f'q/f (Basu, Pollack and Roy, ch. 2).  The chain ends in
+    gcd(f, f'q) up to a unit, so NotSquarefree is raised when that has
+    positive degree."""
+    if f.is_zero:
+        raise ZeroPolynomial("root count of 0 is undefined")
+    chain = sturm_sequence(f, q)
+    if chain[-1].degree > 0:
+        raise NotSquarefree("the Sturm-Tarski count requires a squarefree f coprime to q")
+    at_pos = [1 if p.leading_coefficient > 0 else -1 for p in chain]
+    at_neg = [-s if int(p.degree) % 2 else s for s, p in zip(at_pos, chain)]
+    return _sign_variations(at_neg) - _sign_variations(at_pos)
+
+
 def _sign_variations(signs: list[int]) -> int:
-    nz = [s for s in signs if s]
-    return sum(1 for x, y in zip(nz, nz[1:]) if x != y)
+    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
 
 def sturm_real_root_count(f: Poly) -> int:
     """Number of distinct real roots of a squarefree polynomial."""
-    if f.is_zero:
-        raise ZeroPolynomial("root count of 0 is undefined")
-    chain = sturm_sequence(f)
-    if chain[-1].degree > 0:  # the chain ends in gcd(f, f') up to a unit
-        raise NotSquarefree("Sturm root count requires a squarefree input")
-
-    def sign_at_inf(p: Poly, positive: bool) -> int:
-        lc = p.leading_coefficient
-        s = 1 if lc > 0 else -1
-        if not positive and int(p.degree) % 2 == 1:
-            s = -s
-        return s
-
-    at_pos = [sign_at_inf(p, True) for p in chain]
-    at_neg = [sign_at_inf(p, False) for p in chain]
-    return _sign_variations(at_neg) - _sign_variations(at_pos)
+    return tarski_query(f)
 
 
 def norm2_squared(p: Poly) -> Fraction:

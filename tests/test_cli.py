@@ -281,7 +281,7 @@ def test_certify_root_finder_failure_exits_four(monkeypatch, capsys):
 
 def test_certify_clear_negative_beats_an_earlier_near_zero(monkeypatch, capsys):
     # g(-sqrt 2) ~ 1e-70 is too close to zero to call at 106 bits, but
-    # g(sqrt 2) ~ -2.83 is clearly negative: a refusal, not a retry
+    # g(sqrt 2) ~ -2.83 < 0: the exact count refuses before any root is found
     tried = []
     find_roots = numeric.find_roots
 
@@ -292,8 +292,8 @@ def test_certify_clear_negative_beats_an_earlier_near_zero(monkeypatch, capsys):
     monkeypatch.setattr(numeric, "find_roots", spy)
     g = "-x-1.4142135623730950488016887242096980785696718753769480731766797379907324"
     assert main(["certify", "--f", "x^2-2", "--g=" + g]) == 3
-    assert tried == [106]
-    assert "not non-negative" in capsys.readouterr().err
+    assert tried == []
+    assert "not non-negative: g < 0 at 1 of the 2 real roots" in capsys.readouterr().err
 
 
 TEN_TO_MINUS_80 = "0." + "0" * 79 + "1"
@@ -327,7 +327,32 @@ def test_certify_decides_a_rational_root_exactly(f, g, code, degrees, monkeypatc
 
 def test_certify_reports_the_exact_rational_root_and_value(capsys):
     assert main(["certify", "--f", "2*x-3", "--g=-x"]) == 3
-    assert "g(3/2) = -3/2 < 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "not non-negative: g < 0 at 1 of the 1 real roots of x - 3/2\n"
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        # g = -10^-200 at the real root 2^(1/3): at every precision up to the
+        # cap a float test could not call it
+        ("x^3-2", "x^3-2-1/10^200"),
+        # x^n - c, n even, has the root -c^(1/n) < -1, where g = x - 1 < 0
+        ("x^10-3", "x-1"),
+        ("x^12-5", "x-1"),
+        ("x^14-7", "x-1"),
+        # g = s^2 - s(-2/3)^2 - 3 is -3 at the rational root -2/3
+        ("(3*x+2)*(x^8-3)", "(x^2-x+1)^2 - (4/9+2/3+1)^2 - 3"),
+    ],
+    ids=["tiny-negative", "binomial-10", "binomial-12", "binomial-14", "rational-and-binomial"],
+)
+def test_certify_refuses_exactly_without_find_roots(f, g, monkeypatch, capsys):
+    def no_numerics(*_args, **_kwargs):
+        raise AssertionError("find_roots called on a refusal")
+
+    monkeypatch.setattr(numeric, "find_roots", no_numerics)
+    assert main(["certify", "--f", f, "--g", g]) == 3
+    assert "not non-negative: g < 0 at 1 of the" in capsys.readouterr().err
 
 
 def test_certify_refusal_with_a_huge_rational_root_prints(capsys):
@@ -413,6 +438,8 @@ def test_inspect_oversized_coefficient(capsys):
     out = capsys.readouterr().out
     assert "unit <16610-bit integer, too large to print>" in out
     assert "hypothesis gcd(d, f/d) = 1: OK" in out
+    assert main(["inspect", "--f", "1-10^5000*x"]) == 0  # the unit is -10^5000
+    assert "unit -<16610-bit integer, too large to print>" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from rootsos.certificate import serialize
 from rootsos.exactify import (
     DegreeTooHigh,
     GramLift,
+    NotNonnegative,
     NotPD,
     PrecisionExhausted,
     SharedFactor,
@@ -24,7 +25,6 @@ from rootsos.exactify import (
     round_to_digits,
 )
 from rootsos.lifting import certify_nonnegative
-from rootsos.numeric import NotStrictlyPositive
 from rootsos.ratpoly import Poly, norm2_squared
 from support import random_nonzero_poly
 
@@ -298,16 +298,23 @@ def test_certify_strict_linear_negative_is_exact(monkeypatch):
         raise AssertionError("find_roots called for a linear f")
 
     monkeypatch.setattr(numeric, "find_roots", no_numerics)
-    with pytest.raises(NotStrictlyPositive) as info:
-        certify_strict_squarefree(2 * X - Poly.constant(3), X - Poly.constant(2))
-    assert (info.value.root, info.value.value) == (F(3, 2), F(-1, 2))
-    assert "g(3/2) = -1/2 < 0" in str(info.value)
+    f = 2 * X - Poly.constant(3)
+    with pytest.raises(NotNonnegative) as info:  # g(3/2) = -1/2
+        certify_strict_squarefree(f, X - Poly.constant(2))
+    assert (info.value.factor, info.value.negative, info.value.real) == (f, 1, 1)
+    assert str(info.value) == "g < 0 at 1 of the 1 real roots of 2*x - 3"
 
 
-def test_certify_strict_negative_definitive():
+def test_certify_strict_negative_definitive(monkeypatch):
+    def no_numerics(*_args, **_kwargs):
+        raise AssertionError("find_roots called despite a negative root")
+
+    monkeypatch.setattr(numeric, "find_roots", no_numerics)
     f = (X - Poly.one()) * (X + Poly.one())
-    with pytest.raises(NotStrictlyPositive):
-        certify_strict_squarefree(f, X - Poly.constant(5))
+    for g, negative in [(X - Poly.constant(5), 2), (X, 1)]:
+        with pytest.raises(NotNonnegative) as info:
+            certify_strict_squarefree(f, g)
+        assert (info.value.factor, info.value.negative, info.value.real) == (f, negative, 2)
 
 
 @pytest.mark.parametrize(

@@ -285,7 +285,13 @@ def test_certify_nonnegative_detects_negative():
     g = X - Poly.constant(2)  # negative at the root 1
     with pytest.raises(NotNonnegative) as info:
         certify_nonnegative(f, g)
-    assert info.value.value < 0
+    assert (info.value.factor, info.value.negative, info.value.real) == (X - Poly.one(), 1, 1)
+    # with d = x^2, the count for b = g/d^2 modulo x^2 - 2 holds for g
+    sqrt2 = X**2 - Poly.constant(2)
+    f = X**2 * sqrt2 * (X - Poly.constant(3))
+    with pytest.raises(NotNonnegative) as info:
+        certify_nonnegative(f, X**2 * (X - Poly.constant(2)))
+    assert (info.value.factor, info.value.negative, info.value.real) == (sqrt2, 2, 2)
 
 
 def test_certify_negative_leading_coefficient():

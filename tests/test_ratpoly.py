@@ -19,6 +19,7 @@ from rootsos.ratpoly import (
     sqrt_upper_bound,
     squarefree_decompose,
     sturm_real_root_count,
+    tarski_query,
     weighted_square_sum,
 )
 from support import cap_packing, grid_real_root_count, random_nonzero_poly, random_poly
@@ -328,6 +329,38 @@ def test_sturm_examples():
 def test_sturm_requires_squarefree():
     with pytest.raises(NotSquarefree):
         sturm_real_root_count((X - Poly.one()) ** 2)
+
+
+def test_tarski_query_vs_exact_signs():
+    # f splits over Q, optionally times an irreducible quadratic with no real
+    # root, so sum sign q(r) over the rational roots r is the exact answer
+    rng = random.Random(7)
+    half_grid = [F(n, 2) for n in range(-12, 13)]
+    checked = 0
+    while checked < 80:
+        roots = rng.sample(half_grid, rng.randint(1, 5))
+        f = Poly.one()
+        for r in roots:
+            f = f * (X - Poly.constant(r))
+        if rng.random() < 0.5:
+            f = f * Poly([rng.randint(5, 9), rng.randint(-4, 4), 1])  # disc < 0
+        q = random_nonzero_poly(rng, 6, 9)
+        if gcd(f, q).degree > 0:
+            continue
+        signs = [(q(r) > 0) - (q(r) < 0) for r in roots]
+        assert tarski_query(f, q) == sum(signs)
+        assert tarski_query(f, -q) == -sum(signs)
+        assert tarski_query(f, q * q) == tarski_query(f) == len(roots)
+        checked += 1
+
+
+def test_tarski_query_rejects_a_shared_factor():
+    f = (X - Poly.one()) * (X - Poly.constant(2)) * (X**2 + Poly.one())
+    for q in [(X - Poly.constant(2)) * (X + Poly.constant(5)), X**2 + Poly.one(), f]:
+        with pytest.raises(NotSquarefree):
+            tarski_query(f, q)
+    with pytest.raises(NotSquarefree):
+        tarski_query((X - Poly.one()) ** 2 * X, X + Poly.one())
 
 
 def test_sturm_vs_grid_scan():
