@@ -320,7 +320,7 @@ def certify_strict_squarefree(
                 break
             bits = min(2 * bits, PRECISION_CAP_BITS)
         try:
-            roots = numeric.find_roots(f, bits)
+            roots = numeric.find_roots(f, bits, real=real)
             gram = numeric.build_interior_gram(f, g_red, roots)
         except IllConditioned as exc:
             reason = str(exc)

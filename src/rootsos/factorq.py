@@ -1,11 +1,15 @@
 """Irreducible factorization of rational polynomials.
 
 Zassenhaus scheme on one monic integer image G of each squarefree part:
-reduce G modulo the first odd prime that keeps it squarefree, factor it
-there (distinct-degree then equal-degree splitting), lift the modular
-factors past the Landau-Mignotte coefficient bound by quadratic Hensel
-steps, then recombine subsets by trial division over Z.  Only the factors
-found are mapped back to rational polynomials.
+reduce G modulo the first odd prime that keeps it squarefree and factor it
+there (distinct-degree then equal-degree splitting).  The rational roots
+come first (R. Loos, SIAM J. Comput. 12, 1983): each linear modular factor's
+root is lifted alone by p-adic Newton steps past twice Fujiwara's root
+bound, and a root that divides G exactly is split off.  Only the modular
+factors left over are lifted, with the cofactor, past its Landau-Mignotte
+coefficient bound by quadratic Hensel steps, then recombined by trial
+division over Z.  Only the factors found are mapped back to rational
+polynomials.
 """
 
 from __future__ import annotations
@@ -224,6 +228,21 @@ def _from_integer_factor(c: list[int], scale: int) -> Poly:
     return Poly(Fraction(c[k] * scale**k, scale**d) for k in range(d + 1))
 
 
+def _root_bound(g: list[int]) -> int:
+    """Fujiwara's bound 2*max_k ceil(|g[n-k]|**(1/k)) on the roots of the
+    monic g, by integer k-th roots."""
+    n = _deg(g)
+    return 2 * max(_ceil_root(abs(g[n - k]), k) for k in range(1, n + 1))
+
+
+def _ceil_root(a: int, k: int) -> int:
+    """The least r >= 1 with r**k >= a."""
+    r = 1 << -(-a.bit_length() // k)  # r**k >= a
+    while r > 1 and (s := ((k - 1) * r + a // r ** (k - 1)) // k) < r:
+        r = s  # integer Newton from above stops at max(1, floor(a**(1/k)))
+    return r if r**k >= a else r + 1
+
+
 def _mignotte_bound(g: list[int]) -> int:
     """Upper bound on coefficient magnitudes of any monic factor of g over Z."""
     norm = math.isqrt(sum(x * x for x in g)) + 1
@@ -396,12 +415,40 @@ def _factor_squarefree(part: Poly) -> list[Poly]:
             f"squarefree modulo any of the first {_PRIME_ATTEMPTS} odd primes"
         )
     modular = factor_mod_p(gbar, prime, random.Random(f"0:{prime}:{n}"))
-    if len(modular) == 1:
-        return [part.monic()]
+    # rational roots first: deflating g keeps it congruent to the product of
+    # the modular factors not yet used, each simple modulo the prime
+    root_bound = _root_bound(g)
+    found, rest = [], []
+    for c in modular:
+        if len(c) == 2:
+            root = _lift_root(g, -c[0] % prime, prime, root_bound)
+            quo, rem = _z_divmod_monic(g, [-root, 1])
+            if not rem:
+                found.append([-root, 1])
+                g = quo
+                continue
+        rest.append(c)
+    if len(rest) > 1:
+        bound = _mignotte_bound(g)
+        target = 1
+        while prime**target <= 2 * bound:
+            target += 1
+        lifted = _lift_tree(g, rest, prime, target)
+        found += recombine(g, lifted, prime**target, bound)
+    elif rest:
+        found.append(g)
+    return [_from_integer_factor(c, scale) for c in found]
 
-    bound = _mignotte_bound(g)
-    target = 1
-    while prime**target <= 2 * bound:
-        target += 1
-    lifted = _lift_tree(g, modular, prime, target)
-    return [_from_integer_factor(c, scale) for c in recombine(g, lifted, prime**target, bound)]
+
+def _lift_root(g: list[int], r: int, p: int, bound: int) -> int:
+    """Lift the simple root r of g modulo p by Newton steps to a root modulo
+    the first p**(2**j) above 2*bound, in the symmetric range."""
+    m = p
+    while m <= 2 * bound:
+        m *= m
+        value = slope = 0
+        for c in reversed(g):  # Horner for g(r) and g'(r)
+            slope = (slope * r + value) % m
+            value = (value * r + c) % m
+        r = (r - value * pow(slope, -1, m)) % m
+    return r - m if r > m // 2 else r

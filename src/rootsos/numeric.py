@@ -199,21 +199,25 @@ def _classify(z, f: Poly, expected_real: int, bits: int):
     return tuple(reals), tuple(reps)
 
 
-def find_roots(f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootProfile:
+def find_roots(
+    f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS, *, real: int | None = None
+) -> RootProfile:
     """All complex roots of a squarefree polynomial, classified real/pair, in
     one attempt at ``precision_bits``.
 
-    The real count is validated against the exact Sturm count.  A mismatch,
-    a failed residual screen or no convergence of ``polyroots`` (at either
-    extraprec) raises IllConditioned: retry at a higher precision.
+    The real count is validated against the exact Sturm count ``real``,
+    computed here when the caller has not.  A mismatch, a failed residual
+    screen or no convergence of ``polyroots`` (at either extraprec) raises
+    IllConditioned: retry at a higher precision.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("find_roots needs degree >= 1")
     if precision_bits < 1:
         raise ValueError(f"precision_bits must be >= 1, got {precision_bits}")
-    expected = sturm_real_root_count(f)  # raises NotSquarefree when repeated
+    if real is None:
+        real = sturm_real_root_count(f)  # raises NotSquarefree when repeated
     with mp.workprec(precision_bits):
-        reals, reps = _classify(_polyroots(_mp_coeffs(f)), f, expected, precision_bits)
+        reals, reps = _classify(_polyroots(_mp_coeffs(f)), f, real, precision_bits)
     return RootProfile(reals, reps, precision_bits)
 
 

@@ -250,9 +250,9 @@ def test_certify_pinned_bytes(f, g, precisions, digest, monkeypatch, capsys):
     tried = []
     find_roots = numeric.find_roots
 
-    def spy(poly, bits):
+    def spy(poly, bits, **kwargs):
         tried.append(bits)
-        return find_roots(poly, bits)
+        return find_roots(poly, bits, **kwargs)
 
     monkeypatch.setattr(numeric, "find_roots", spy)
     assert main(["certify", "--f", f, "--g", g]) == 0
@@ -285,9 +285,9 @@ def test_certify_clear_negative_beats_an_earlier_near_zero(monkeypatch, capsys):
     tried = []
     find_roots = numeric.find_roots
 
-    def spy(poly, bits):
+    def spy(poly, bits, **kwargs):
         tried.append(bits)
-        return find_roots(poly, bits)
+        return find_roots(poly, bits, **kwargs)
 
     monkeypatch.setattr(numeric, "find_roots", spy)
     g = "-x-1.4142135623730950488016887242096980785696718753769480731766797379907324"
@@ -315,9 +315,9 @@ def test_certify_decides_a_rational_root_exactly(f, g, code, degrees, monkeypatc
     seen = []
     find_roots = numeric.find_roots
 
-    def spy(poly, bits):
+    def spy(poly, bits, **kwargs):
         seen.append(poly.degree)
-        return find_roots(poly, bits)
+        return find_roots(poly, bits, **kwargs)
 
     monkeypatch.setattr(numeric, "find_roots", spy)
     assert main(["certify", "--f", f, "--g=" + g]) == code

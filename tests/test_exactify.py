@@ -427,9 +427,9 @@ def _spy_numeric_stages(monkeypatch):
     calls = []
     find_roots, build_gram = numeric.find_roots, numeric.build_interior_gram
 
-    def roots_spy(f, bits):
+    def roots_spy(f, bits, **kwargs):
         calls.append(("roots", bits))
-        return find_roots(f, bits)
+        return find_roots(f, bits, **kwargs)
 
     def gram_spy(f, g, roots):
         calls.append(("gram", roots.precision_bits))
@@ -447,6 +447,22 @@ def test_certify_strict_tries_each_precision_once(monkeypatch):
                      ("roots", 424), ("gram", 424)]
     digest = hashlib.sha256(serialize(cert).encode()).hexdigest()
     assert digest == "10f474c9ef2cd775a8e0f8a59b5725f88029bd8890bb7f6eb03d44fbabc5ef5b"
+
+
+def test_certify_strict_counts_real_roots_once_for_every_attempt(monkeypatch):
+    # the Sturm count of the Tarski decision is passed to each attempt, so
+    # find_roots never computes its own
+    monkeypatch.setattr(numeric, "sturm_real_root_count", None)
+    counts = []
+    find_roots = numeric.find_roots
+
+    def spy(f, bits, **kwargs):
+        counts.append(kwargs)
+        return find_roots(f, bits, **kwargs)
+
+    monkeypatch.setattr(numeric, "find_roots", spy)
+    certify_strict_squarefree(TINY_PAIR, X)
+    assert counts == [{"real": 0}] * 3
 
 
 @pytest.mark.parametrize(

@@ -266,3 +266,159 @@ def test_modular_kernels_match_stepwise_reduction(m):
         lead = rng.randint(-3 * m, 3 * m)
         if math.gcd(lead, m) == 1:
             assert _zp_divmod(a, b + [lead], m) == zp_divmod_stepwise(a, b + [lead], m)
+
+
+# -- rational roots split off before the tree lift ---------------------------
+
+
+def _integer_image(roots, tail=(1,)):
+    """Ascending coefficients of tail * prod(x - r)."""
+    out = list(tail)
+    for r in roots:
+        out = [b - r * a for a, b in zip(out + [0], [0] + out)]  # times x - r
+    return out
+
+
+def test_ceil_root_is_the_least_upper_integer_root():
+    for k in range(1, 7):
+        for a in range(300):
+            r = factorq._ceil_root(a, k)
+            assert r >= 1 and r**k >= a and (r == 1 or (r - 1) ** k < a)
+    for a in (2**200 - 1, 2**200, 2**200 + 1, 3**150):
+        for k in (1, 2, 3, 7, 64):
+            r = factorq._ceil_root(a, k)
+            assert r**k >= a > (r - 1) ** k
+
+
+@pytest.mark.parametrize(
+    "g, roots",
+    [
+        (_integer_image([1, -2, 3, 40, -500]), [1, -2, 3, 40, -500]),
+        (_integer_image([2**200 + 1, 5]), [2**200 + 1, 5]),
+        (_integer_image([-(2**200) + 3, 2**199, 7], [1, 0, 1]), [-(2**200) + 3, 2**199, 7]),
+        (_integer_image([2**200 - 1], [1, 1, 1]), [2**200 - 1]),
+        ([-(3**7)] + [0] * 6 + [1], [3]),  # x^7 - 3^7
+        ([2**70] + [0] * 6 + [1], [-(2**10)]),  # x^7 + 2^70
+        ([-(5**24)] + [0] * 23 + [1], [5, -5]),  # x^24 - 5^24
+        ([-(2**201), 0, 1], []),  # x^2 - 2^201, no integer root
+    ],
+    ids=["small", "near-2^200", "near-2^200-with-quadratic", "one-big-root", "x^7-3^7",
+         "x^7+2^70", "x^24-5^24", "x^2-2^201"],
+)
+def test_fujiwara_bound_covers_every_integer_root(g, roots):
+    bound = factorq._root_bound(g)
+    for r in roots:
+        assert sum(c * r**k for k, c in enumerate(g)) == 0
+        assert abs(r) <= bound
+
+
+def _splitting_prime(monkeypatch):
+    """Record the prime each _factor_squarefree call factors modulo."""
+    primes = []
+    real = factorq.factor_mod_p
+
+    def spy(gbar, p, rng):
+        primes.append(p)
+        return real(gbar, p, rng)
+
+    monkeypatch.setattr(factorq, "factor_mod_p", spy)
+    return primes
+
+
+def _spy_lift_tree(monkeypatch):
+    """Record (degree, number of modular factors) of every _lift_tree call."""
+    calls = []
+    real = factorq._lift_tree
+
+    def spy(f, facs, p, target):
+        calls.append((len(f) - 1, len(facs)))
+        return real(f, facs, p, target)
+
+    monkeypatch.setattr(factorq, "_lift_tree", spy)
+    return calls
+
+
+def _by_degree(polys):
+    return sorted(polys, key=lambda p: (p.degree, p.coeffs))
+
+
+def _whole_image_factors(part, prime):
+    """The factors of the squarefree part by lifting every modular factor of
+    its image to the image's own Mignotte bound, with no root split."""
+    g, scale = factorq._monic_integral(part)
+    modular = factor_mod_p([c % prime for c in g], prime, random.Random(0))
+    bound = factorq._mignotte_bound(g)
+    target = 1
+    while prime**target <= 2 * bound:
+        target += 1
+    lifted = _lift_tree(g, modular, prime, target)
+    found = recombine(g, lifted, prime**target, bound)
+    return _by_degree(factorq._from_integer_factor(c, scale) for c in found)
+
+
+def test_root_split_matches_the_whole_image_lift(monkeypatch):
+    rng = random.Random(2026)
+    primes = _splitting_prime(monkeypatch)
+    checked = 0
+    while checked < 100:
+        factors = {}
+        for _ in range(rng.randint(0, 14)):
+            root = F(rng.randint(-(10**6), 10**6), rng.randint(1, 12))
+            factors[(-root, F(1))] = X - Poly.constant(root)
+        for _ in range(rng.randint(0, 6)):
+            p = random_irreducible(rng)
+            factors[p.coeffs] = p
+        part = Poly.constant(F(rng.randint(1, 9), rng.randint(1, 9)))
+        for p in factors.values():
+            part = part * p
+        if not 2 <= part.degree <= 24:
+            continue
+        primes.clear()
+        got = _by_degree(_factor_squarefree(part))
+        assert got == _by_degree(factors.values())
+        assert got == _whole_image_factors(part, primes[0])
+        checked += 1
+
+
+def test_false_root_lifts_stay_in_the_cofactor(monkeypatch):
+    # x^2 - 2 has the roots 6 and 11 modulo 17; their lifts are 17-adic
+    # square roots of 2, which fail the exact check
+    lifted = []
+    real_lift = factorq._lift_root
+
+    def spy(g, r, p, bound):
+        lifted.append(real_lift(g, r, p, bound))
+        return lifted[-1]
+
+    monkeypatch.setattr(factorq, "_lift_root", spy)
+    monkeypatch.setattr(factorq, "_odd_primes", lambda: iter([17]))
+    calls = _spy_lift_tree(monkeypatch)
+    quad, lin = X**2 - Poly.constant(2), X - Poly.constant(3)
+    assert _by_degree(_factor_squarefree(quad * lin)) == [lin, quad]
+    assert 3 in lifted and len(lifted) == 3
+    assert all(r * r != 2 for r in lifted if r != 3)
+    assert calls[0] == (2, 2)  # only the cofactor x^2 - 2 is Hensel-lifted
+
+
+def test_non_monic_rational_roots_are_split_off(monkeypatch):
+    calls = _spy_lift_tree(monkeypatch)
+    f = (3 * X - Poly.one()) * (2 * X + Poly.constant(5)) * (X**2 + X + Poly.one())
+    fact = factor_over_Q(f)
+    assert fact.unit == 6
+    assert [p for p, _ in fact.factors] == [
+        X - Poly.constant(F(1, 3)), X + Poly.constant(F(5, 2)), X**2 + X + Poly.one()]
+    assert all(degree <= 2 for degree, _ in calls)
+
+
+def test_tree_lift_runs_only_on_the_cofactor(monkeypatch):
+    calls = _spy_lift_tree(monkeypatch)
+    linear = Poly.one()
+    for k in range(1, 17):
+        linear = linear * (X - Poly.constant(k))
+    assert len(factor_over_Q(linear).factors) == 16
+    assert calls == []
+    # x^2 + 1 has the roots 23 and 30 modulo 53, apart from 1..16
+    monkeypatch.setattr(factorq, "_odd_primes", lambda: iter([53]))
+    fact = factor_over_Q(linear * (X**2 + Poly.one()))
+    assert fact.factors[-1] == (X**2 + Poly.one(), 1) and len(fact.factors) == 17
+    assert calls == [(2, 2), (1, 1), (1, 1)]

@@ -93,6 +93,19 @@ def test_find_roots_misclassification_is_ill_conditioned():
     assert find_roots(f, 212).complex_pairs
 
 
+def test_find_roots_takes_the_callers_real_count(monkeypatch):
+    counted = []
+    real_count = numeric.sturm_real_root_count
+    monkeypatch.setattr(numeric, "sturm_real_root_count",
+                        lambda f: counted.append(f) or real_count(f))
+    assert find_roots(F_CUBE) == find_roots(F_CUBE, real=1)
+    assert counted == [F_CUBE]
+    # the given count is the one the roots are checked against
+    with pytest.raises(IllConditioned, match="Sturm counts 3"):
+        find_roots(F_CUBE, real=3)
+    assert counted == [F_CUBE]
+
+
 def _spy_polyroots(monkeypatch):
     calls = []
     polyroots = numeric.mp.polyroots
