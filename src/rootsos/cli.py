@@ -19,10 +19,9 @@ from fractions import Fraction
 
 from . import certificate as certmod
 from .certificate import Certificate, ParseError as CertificateParseError
-from .exactify import DEFAULT_MAX_RETRIES, PrecisionExhausted
+from .exactify import PrecisionExhausted
 from .factorq import factor_over_Q
 from .lifting import HypothesisViolated, NotNonnegative, certify_nonnegative
-from .numeric import DEFAULT_PRECISION_BITS
 from .ratpoly import Poly, format_rational, gcd, squarefree_decompose, sturm_real_root_count
 
 EXIT_OK = 0
@@ -225,9 +224,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
     started = time.perf_counter()
     try:
-        cert = certify_nonnegative(
-            f, g, precision_bits=args.precision_bits, max_retries=args.max_retries
-        )
+        cert = certify_nonnegative(f, g)
     except HypothesisViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
@@ -300,15 +297,14 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
     lines = [f"f = {f}", f"deg f = {int(f.degree) if f else '-inf'}"]
     if f.degree >= 1:
-        sqf = squarefree_decompose(f)
-        lines.append("squarefree decomposition:")
-        for factor, mult in sqf.parts:
-            lines.append(f"  ({factor})^{mult}")
-        try:
+        try:  # first, so that a degree over the cap is refused before any work
             fact = factor_over_Q(f)
         except ValueError as exc:  # over the degree cap, or no usable prime
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
+        lines.append("squarefree decomposition:")
+        for factor, mult in squarefree_decompose(f).parts:
+            lines.append(f"  ({factor})^{mult}")
         lines.append(f"irreducible factorization (unit {format_rational(fact.unit)}):")
         for p, e in fact.factors:
             lines.append(
@@ -343,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--f", required=True, metavar="EXPR", help="modulus polynomial")
     cert.add_argument("--g", required=True, metavar="EXPR", help="polynomial to certify")
     cert.add_argument("--out", metavar="PATH", help="write the certificate here")
-    cert.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS)
-    cert.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES)
     cert.add_argument("--pretty", action="store_true", help="human-readable output")
     cert.set_defaults(func=cmd_certify)
 

@@ -9,7 +9,7 @@ is returned, so floating-point behaviour can never produce a wrong result.
 ``certify_strict_squarefree`` decides the sign of g at the real roots of f
 exactly, by a Tarski query, before any numeric work, so a refusal never
 rests on a float; it then owns the one precision loop: each numeric call
-makes one attempt, and every reason to retry doubles the precision there.
+makes one attempt, at each rung of PRECISION_LADDER in turn.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 #: Most decimal digits a rounding may use, whatever the margin delta asks for.
 DIGITS_CAP = 64
-DEFAULT_MAX_RETRIES = 3
-PRECISION_CAP_BITS = 848
+#: Working precisions of the numeric stage, one attempt each: every reason to
+#: retry doubles the mantissa, from DEFAULT_PRECISION_BITS up to 848 bits.
+PRECISION_LADDER = tuple(DEFAULT_PRECISION_BITS << k for k in range(4))
 
 
 class DegreeTooHigh(ValueError):
@@ -60,14 +61,21 @@ class NotNonnegative(ArithmeticError):
 
 
 class PrecisionExhausted(ArithmeticError):
-    """Certification failed at the precision cap; diagnostics attached."""
+    """Every rung of the precision ladder failed.  ``attempts`` lists each
+    rung as (bits, reason); sigma/rho/delta are the last Gram stage's, None
+    when no attempt reached it."""
 
-    def __init__(self, message: str, sigma=None, rho=None, delta=None, precision_bits=None):
-        super().__init__(message)
+    def __init__(self, attempts, sigma=None, rho=None, delta=None):
+        self.attempts = tuple(attempts)
+        self.precision_bits = self.attempts[-1][0]
+        tried = "; ".join(f"{bits} bits: {reason}" for bits, reason in self.attempts)
+        super().__init__(
+            f"no positive-definite rounding found up to {self.precision_bits} bits; "
+            f"{tried} (sigma={sigma}, rho={rho}, delta={delta})"
+        )
         self.sigma = sigma
         self.rho = rho
         self.delta = delta
-        self.precision_bits = precision_bits
 
 
 @dataclass(frozen=True)
@@ -266,13 +274,7 @@ def _digits_for(delta: Fraction) -> int:
     return t
 
 
-def certify_strict_squarefree(
-    f: Poly,
-    g: Poly,
-    *,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-) -> tuple[GramLift, SOSDecomposition]:
+def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposition]:
     """Exact rational Gram certificate for g strictly positive at the real
     roots of a squarefree f.
 
@@ -287,16 +289,12 @@ def certify_strict_squarefree(
     (Q*, q*), derive the safe rounding precision from the eigenvalue margin,
     round, project, and check positive definiteness exactly.  Whatever fails
     (IllConditioned from the numeric stage, a margin that is not positive, or
-    the exact check even after two extra digits), the working precision
-    doubles, up to PRECISION_CAP_BITS; after ``max_retries`` doublings the
-    attempt is abandoned with diagnostics naming the last reason.
+    the exact check even after two extra digits), the next rung of
+    PRECISION_LADDER is tried; after the last one, PrecisionExhausted names
+    every rung's reason.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("f must have degree >= 1")
-    if precision_bits < 1:
-        raise ValueError(f"precision_bits must be >= 1, got {precision_bits}")
-    if max_retries < 0:
-        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     common = gcd(f, g)
     if common.degree > 0:
         raise SharedFactor(common)
@@ -312,23 +310,19 @@ def certify_strict_squarefree(
     if negative:
         raise NotNonnegative(f, negative, real)
 
-    bits = min(precision_bits, PRECISION_CAP_BITS)
+    attempts = []
     last_sigma = last_rho = last_delta = None
-    for attempt in range(max_retries + 1):
-        if attempt:
-            if bits == PRECISION_CAP_BITS:
-                break
-            bits = min(2 * bits, PRECISION_CAP_BITS)
+    for bits in PRECISION_LADDER:
         try:
             roots = numeric.find_roots(f, bits, real=real)
             gram = numeric.build_interior_gram(f, g_red, roots)
         except IllConditioned as exc:
-            reason = str(exc)
+            attempts.append((bits, str(exc)))
             continue
         delta = delta_bound(f, gram.sigma, gram.rho)
         last_sigma, last_rho, last_delta = gram.sigma, gram.rho, delta
         if delta <= 0:
-            reason = "no rounding margin (delta <= 0)"
+            attempts.append((bits, "no rounding margin (delta <= 0)"))
             continue
         digits = _digits_for(delta)
         tried = sorted({digits, min(digits + 2, DIGITS_CAP)})
@@ -345,13 +339,6 @@ def certify_strict_squarefree(
             if sos.square_sum() != gram_poly(q_exact):
                 raise AssertionError("LDL reconstruction mismatch")
             return lift, sos
-        reason = f"no positive exact LDL^T at {' or '.join(map(str, tried))} digits"
+        attempts.append((bits, f"no positive exact LDL^T at {' or '.join(map(str, tried))} digits"))
 
-    raise PrecisionExhausted(
-        f"no positive-definite rounding found up to {bits} bits; last attempt: {reason} "
-        f"(sigma={last_sigma}, rho={last_rho}, delta={last_delta})",
-        sigma=last_sigma,
-        rho=last_rho,
-        delta=last_delta,
-        precision_bits=bits,
-    )
+    raise PrecisionExhausted(attempts, sigma=last_sigma, rho=last_rho, delta=last_delta)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import exactify
 from .certificate import Certificate, verify
 from .exactify import NotNonnegative, SOSDecomposition, certify_strict_squarefree
 from .factorq import factor_over_Q
@@ -51,7 +50,8 @@ class ZeroG(ValueError):
 
 @dataclass(frozen=True)
 class StrictReduction:
-    """d = gcd(f, g), cofactor = f/d, and b with b*d^2 = g mod f.
+    """d = gcd(f, g), cofactor = f/d with its monic irreducible factors
+    (p, e), and b with b*d^2 = g mod f.
 
     b is reduced modulo the cofactor; it is coprime to the cofactor and
     strictly positive at its real roots whenever g is non-negative at the
@@ -60,6 +60,7 @@ class StrictReduction:
 
     d: Poly
     cofactor: Poly
+    factors: tuple[tuple[Poly, int], ...]
     b: Poly
 
 
@@ -179,6 +180,8 @@ def reduce_nonneg_to_strict(f: Poly, g: Poly) -> StrictReduction:
     With d = gcd(f, g) and the hypothesis gcd(d, f/d) = 1, the Bezout
     identity 1 = s*(f/d) + t*d^2 yields b = t*g (reduced modulo f/d) with
     b*d^2 = g mod f; b is then strictly positive at the real roots of f/d.
+    f/d is factored over Q before the Bezout step, whose cost grows with
+    deg(f/d), so a degree over the factorization cap is refused first.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("f must have degree >= 1")
@@ -195,8 +198,9 @@ def reduce_nonneg_to_strict(f: Poly, g: Poly) -> StrictReduction:
             raise HypothesisViolated(d, cofactor, common)
 
     if cofactor.degree == 0:
-        return StrictReduction(d, cofactor, Poly.zero())
+        return StrictReduction(d, cofactor, (), Poly.zero())
 
+    factors = factor_over_Q(cofactor).factors
     unit, _s, t = extended_gcd(cofactor, d * d)
     if unit != Poly.one():
         raise AssertionError("cofactor and d^2 are not coprime despite hypothesis")
@@ -205,16 +209,10 @@ def reduce_nonneg_to_strict(f: Poly, g: Poly) -> StrictReduction:
         raise AssertionError("b*d^2 = g mod f failed")
     if gcd(b, cofactor).degree != 0:
         raise AssertionError("b is not coprime to f/d")
-    return StrictReduction(d, cofactor, b)
+    return StrictReduction(d, cofactor, factors, b)
 
 
-def certify_nonnegative(
-    f: Poly,
-    g: Poly,
-    *,
-    precision_bits: int = exactify.DEFAULT_PRECISION_BITS,
-    max_retries: int = exactify.DEFAULT_MAX_RETRIES,
-) -> Certificate:
+def certify_nonnegative(f: Poly, g: Poly) -> Certificate:
     """Certificate that g is non-negative at all real roots of f.
 
     Reduces to the strictly positive case, certifies each irreducible factor
@@ -231,20 +229,17 @@ def certify_nonnegative(
         return Certificate(f, g, (), (), Poly.zero())
 
     reduction = reduce_nonneg_to_strict(f, g)
-    d, cofactor, b = reduction.d, reduction.cofactor, reduction.b
+    d, b = reduction.d, reduction.b
 
-    if cofactor.degree == 0:
+    if reduction.cofactor.degree == 0:
         quotient, rem = divmod(g, f)
         if not rem.is_zero:
             raise AssertionError("f should divide g when f/gcd(f,g) is constant")
         cert = Certificate(f, g, (), (), quotient)
     else:
-        factorization = factor_over_Q(cofactor)
         parts: list[tuple[Poly, SOSDecomposition]] = []
-        for p, e in factorization.factors:
-            _lift, sos = certify_strict_squarefree(
-                p, b % p, precision_bits=precision_bits, max_retries=max_retries
-            )
+        for p, e in reduction.factors:
+            _lift, sos = certify_strict_squarefree(p, b % p)
             if e > 1:
                 sos = hensel_lift_sos(sos, p, e, b)
             parts.append((p**e, sos))

@@ -8,12 +8,13 @@ downstream.  The margin sigma is the smallest eigenvalue of Q* from mpmath's
 ``eigsy``; it only picks the rounding digits, and the exact LDL^T downstream
 proves positive definiteness.  Deflation by a root and q* are ratpoly's
 ``long_division`` in mp arithmetic.  Every function here makes one attempt at
-the precision it is given (software floats with a configurable mantissa,
-mpmath) and raises IllConditioned when that precision does not suffice; the
-caller owns the retry at a higher precision.  The sign of g at the real
-roots is decided exactly upstream (``exactify``), so this stage never
-refuses an input: a linear f never reaches it, and a value of g that does
-not clear the threshold at a real root is only a reason to retry.
+the precision it is given (mpmath software floats with a mantissa of that
+many bits) and raises IllConditioned when that precision does not suffice;
+the caller (``exactify``) retries at the next rung of its fixed precision
+ladder.  The sign of g at the real roots is decided exactly upstream, so
+this stage never refuses an input: a linear f never reaches it, and a value
+of g that does not clear the threshold at a real root is only a reason to
+retry.
 """
 
 from __future__ import annotations

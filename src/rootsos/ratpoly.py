@@ -54,6 +54,8 @@ CoeffLike = Union[int, str, Fraction]
 
 #: Degree of the zero polynomial; below all integers.
 NEG_INF = float("-inf")
+#: Decimal digits of sqrt_upper_bound: its relative error is about 10**-24.
+SQRT_DIGITS = 24
 
 
 class DivisionByZeroPoly(ZeroDivisionError):
@@ -630,13 +632,13 @@ def norm2_squared(p: Poly) -> Fraction:
     return sum((c * c for c in p.coeffs), Fraction(0))
 
 
-def sqrt_upper_bound(r: Fraction, digits: int = 24) -> Fraction:
+def sqrt_upper_bound(r: Fraction) -> Fraction:
     """Conservative rational upper bound on sqrt(r) for r >= 0.
 
     The value is lifted into [1, 100) by powers of 100, bounded by
-    (isqrt(ceil(. * M^2)) + 1)/M with M = 10**digits, and scaled back, so
-    bound**2 > r always holds and the relative error stays around
-    10**-digits regardless of the magnitude of r.
+    (isqrt(ceil(. * M^2)) + 1)/M with M = 10**SQRT_DIGITS, and scaled back,
+    so bound**2 > r always holds and the relative error stays around
+    10**-SQRT_DIGITS regardless of the magnitude of r.
     """
     if r < 0:
         raise ValueError("sqrt of a negative rational")
@@ -647,6 +649,6 @@ def sqrt_upper_bound(r: Fraction, digits: int = 24) -> Fraction:
     while lifted < 1:
         lifted *= 10000
         shift += 2
-    scale = 10**digits
+    scale = 10**SQRT_DIGITS
     num = -((-lifted.numerator * scale * scale) // lifted.denominator)  # ceil
     return Fraction(math.isqrt(num) + 1, scale * 10**shift)

@@ -169,6 +169,25 @@ def test_refused_factorization_exits_1(f, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["inspect", "--f", "(x^2-2)^2*(x^10000+x+1)"], 1, "degree 10004 exceeds cap 64"),
+        (["certify", "--f", "(x^2-2)^2*(x^3000+x+1)", "--g", "(x^2-2)^2*(x+3)"], 1,
+         "degree 3000 exceeds cap 64"),
+        # the gcd hypothesis is still checked before the cap
+        (["certify", "--f", "(x^2-2)^2*(x^3000+x+1)", "--g", "x^2-2"], 2,
+         "hypothesis violated"),
+    ],
+    ids=["inspect-before-squarefree", "certify-before-bezout", "hypothesis-first"],
+)
+def test_over_cap_degree_is_refused_before_work_that_grows_with_it(argv, code, message, capsys):
+    started = time.perf_counter()
+    assert main(argv) == code
+    assert time.perf_counter() - started < 1.0
+    assert message in capsys.readouterr().err
+
+
 def test_deterministic_output(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -181,10 +200,11 @@ def test_deterministic_output(tmp_path):
 @pytest.mark.parametrize(
     "option, message",
     [
-        (["--precision-bits", "0"], "must be >="),
-        (["--precision-bits", "-5"], "must be >="),
-        (["--max-retries", "-1"], "must be >="),
-        # the digits cap and the lambda factor are constants, not options
+        # the precision ladder, the digits cap and the lambda factor are
+        # constants, not options
+        (["--precision-bits", "0"], "unrecognized arguments: --precision-bits 0"),
+        (["--precision-bits", "-5"], "unrecognized arguments: --precision-bits -5"),
+        (["--max-retries", "-1"], "unrecognized arguments: --max-retries -1"),
         (["--digits-cap", "0"], "unrecognized arguments: --digits-cap 0"),
         (["--digits-cap", "-5"], "unrecognized arguments: --digits-cap -5"),
         (["--lambda-factor", "1/0"], "unrecognized arguments: --lambda-factor 1/0"),

@@ -25,6 +25,7 @@ from rootsos.exactify import (
     round_to_digits,
 )
 from rootsos.lifting import certify_nonnegative
+from rootsos.numeric import IllConditioned
 from rootsos.ratpoly import Poly, norm2_squared
 from support import random_nonzero_poly
 
@@ -345,7 +346,8 @@ def test_certify_strict_rejects_shared_factor(f, g, common, monkeypatch):
         (F_CUBE, X, 64, 1),
         # with DIGITS_CAP = 1 both tried t are 1; every entry of this Gram
         # matrix is below 0.05, so its projected 1-digit rounding is singular
-        (X**2 - Poly.constant(2), Poly.constant(F(1, 1000)), 1, 3),
+        # on each of the four rungs of the precision ladder
+        (X**2 - Poly.constant(2), Poly.constant(F(1, 1000)), 1, 4),
     ],
     ids=["first-t", "repeated-t"],
 )
@@ -367,7 +369,7 @@ def test_certify_strict_one_projection_and_ldl_per_tried_t(
     monkeypatch.setattr(exactify, "DIGITS_CAP", digits_cap)
     exhausts = pytest.raises(PrecisionExhausted) if attempts > 1 else contextlib.nullcontext()
     with exhausts:
-        certify_strict_squarefree(f, g, max_retries=attempts - 1)
+        certify_strict_squarefree(f, g)
     assert calls == ["project", "check_positive_definite"] * attempts
 
 
@@ -380,25 +382,11 @@ def test_certify_strict_eigensolver_failure_exhausts_precision(monkeypatch):
 
     monkeypatch.setattr(numeric.mp, "eigsy", no_convergence)
     with pytest.raises(PrecisionExhausted) as info:
-        certify_strict_squarefree(F_CUBE, X, max_retries=2)
-    assert tried == [106, 212, 424]  # each failure retries at double precision
+        certify_strict_squarefree(F_CUBE, X)
+    assert tried == [106, 212, 424, 848]  # each failure retries at double precision
     assert info.value.sigma is None
-    assert info.value.precision_bits == 424
-    assert "up to 424 bits" in str(info.value)
-
-
-def test_certify_strict_above_the_cap_tries_the_cap_once(monkeypatch):
-    tried = []
-
-    def no_convergence(*_args, **_kwargs):
-        tried.append(mp.prec)
-        raise RuntimeError("tridiag_eigen: no convergence to an eigenvalue")
-
-    monkeypatch.setattr(numeric.mp, "eigsy", no_convergence)
-    with pytest.raises(PrecisionExhausted) as info:
-        certify_strict_squarefree(F_CUBE, X, precision_bits=2000)
-    assert tried == [848]
     assert info.value.precision_bits == 848
+    assert "up to 848 bits" in str(info.value)
 
 
 def test_certify_strict_root_finder_failure_exhausts_precision(monkeypatch):
@@ -466,21 +454,57 @@ def test_certify_strict_counts_real_roots_once_for_every_attempt(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "max_retries, calls_made, bits, reason",
+    "ladder, calls_made, reason",
     [
-        (0, [("roots", 106)], 106, "Sturm counts 0"),  # no Gram: the roots failed
-        (1, [("roots", 106), ("roots", 212), ("gram", 212)], 212, "degenerate pair weight"),
+        ((106,), [("roots", 106)], "Sturm counts 0"),  # no Gram: the roots failed
+        ((106, 212), [("roots", 106), ("roots", 212), ("gram", 212)], "degenerate pair weight"),
     ],
     ids=["roots-fail", "gram-fails"],
 )
 def test_certify_strict_max_retries_bounds_every_doubling(
-    max_retries, calls_made, bits, reason, monkeypatch
+    ladder, calls_made, reason, monkeypatch
 ):
+    # the number of doublings is the length of PRECISION_LADDER: a shorter
+    # ladder stops after its last rung and reports that rung's failure
+    monkeypatch.setattr(exactify, "PRECISION_LADDER", ladder)
     calls = _spy_numeric_stages(monkeypatch)
     with pytest.raises(PrecisionExhausted) as info:
-        certify_strict_squarefree(TINY_PAIR, X, max_retries=max_retries)
+        certify_strict_squarefree(TINY_PAIR, X)
+    bits = ladder[-1]
     assert calls == calls_made
+    assert [b for b, _reason in info.value.attempts] == list(ladder)
     assert info.value.precision_bits == bits
     assert info.value.sigma is None
     assert f"up to {bits} bits" in str(info.value)
-    assert reason in str(info.value)  # the reason of the last attempt
+    assert reason in info.value.attempts[-1][1]  # the reason of the last attempt
+
+
+def test_certify_strict_exhaustion_names_every_rung(monkeypatch):
+    # TINY_PAIR fails in the roots at 106 bits and in the Gram at 212; the
+    # numeric stage is forced to fail at 424 and 848, where it would certify
+    calls = _spy_numeric_stages(monkeypatch)
+    roots_spy = numeric.find_roots
+
+    def fail_from_424(f, bits, **kwargs):
+        roots = roots_spy(f, bits, **kwargs)
+        if bits >= 424:
+            raise IllConditioned(f"forced failure at {bits} bits")
+        return roots
+
+    monkeypatch.setattr(numeric, "find_roots", fail_from_424)
+    with pytest.raises(PrecisionExhausted) as info:
+        certify_strict_squarefree(TINY_PAIR, X)
+    assert calls == [("roots", 106), ("roots", 212), ("gram", 212),
+                     ("roots", 424), ("roots", 848)]
+    attempts = info.value.attempts
+    assert [bits for bits, _reason in attempts] == [106, 212, 424, 848]
+    assert "Sturm counts 0" in attempts[0][1]  # no Gram: the roots failed
+    assert "degenerate pair weight" in attempts[1][1]
+    assert [reason for _bits, reason in attempts[2:]] == [
+        "forced failure at 424 bits", "forced failure at 848 bits"]
+    assert info.value.precision_bits == 848
+    assert info.value.sigma is None
+    message = str(info.value)
+    assert "up to 848 bits" in message
+    for bits, reason in attempts:
+        assert f"{bits} bits: {reason}" in message

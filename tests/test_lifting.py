@@ -193,6 +193,7 @@ def test_reduce_example_with_gcd():
     red = reduce_nonneg_to_strict(f, X**3)
     assert red.d == X
     assert red.cofactor == F_CUBE**2
+    assert red.factors == ((F_CUBE, 2),)
     assert red.b == X
     assert ((red.b * red.d * red.d - X**3) % f).is_zero
 
