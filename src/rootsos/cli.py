@@ -22,7 +22,7 @@ from .certificate import Certificate, ParseError as CertificateParseError
 from .exactify import PrecisionExhausted
 from .factorq import factor_over_Q
 from .lifting import HypothesisViolated, NotNonnegative, certify_nonnegative
-from .ratpoly import Poly, format_rational, gcd, squarefree_decompose, sturm_real_root_count
+from .ratpoly import Poly, format_rational, gcd, sturm_real_root_count
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -302,14 +302,13 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         except ValueError as exc:  # over the degree cap, or no usable prime
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
-        lines.append("squarefree decomposition:")
-        for factor, mult in squarefree_decompose(f).parts:
-            lines.append(f"  ({factor})^{mult}")
+        lines.append("squarefree decomposition:")  # Yun's monic parts
+        for mult in sorted({e for _p, e in fact.factors}):
+            part = math.prod((p for p, e in fact.factors if e == mult), start=Poly.one())
+            lines.append(f"  ({part})^{mult}")
         lines.append(f"irreducible factorization (unit {format_rational(fact.unit)}):")
         for p, e in fact.factors:
-            lines.append(
-                f"  ({p})^{e}  [distinct real roots: {sturm_real_root_count(p)}]"
-            )
+            lines.append(f"  ({p})^{e}  [distinct real roots: {sturm_real_root_count(p)}]")
     if g is not None:
         lines.append(f"g = {g}")
         if g.is_zero:

@@ -38,7 +38,8 @@ class NoUsablePrime(ValueError):
 
 
 class LiftFailure(ValueError):
-    """Modular factors are not pairwise coprime; retry with another prime."""
+    """Modular factors are not pairwise coprime: a broken invariant, since the
+    factors of a squarefree image mod p always are; nothing retries it."""
 
 
 class DegreeTooLarge(ValueError):

@@ -28,12 +28,9 @@ step multiplies the divisor's window by lead / gcd(top, lead) instead of
 dividing by the leading coefficient, and each quotient and remainder
 coefficient becomes a Fraction once, at the end.  That trades
 steps * (db + 1) Fraction operations for steps + db conversions, each
-carrying the common denominator.  When the common denominator outgrows the
-largest denominator by more than the saved operations pay for
-(``_LIFT_BITS_PER_OP`` bits each), as for a short quotient of operands with
-many different large denominators, the division runs in Fraction
-arithmetic instead, through ``long_division``: the package's one other
-division loop, which also divides in mp floats, Z/mZ and Z.
+carrying the common denominator.  Every division in Q[x] runs this loop;
+``long_division``, the package's one other division loop, divides in mp
+floats, Z/mZ and Z.
 
 ``gcd`` first maps both operands to one fixed prime, 2**61 - 1.  If the
 prime divides neither leading coefficient nor any denominator and the images
@@ -206,16 +203,9 @@ class Poly:
         if other.is_zero:
             raise DivisionByZeroPoly("division by the zero polynomial")
         db = len(other.coeffs) - 1
-        steps = len(self.coeffs) - db
-        if steps <= 0:
+        if len(self.coeffs) <= db:
             return Poly(), self
-        # bits each conversion may carry (module docstring)
-        excess = _LIFT_BITS_PER_OP * steps * (db + 1) // (steps + db)
-        a = _integer_vector_within(self.coeffs, excess)
-        b = None if a is None else _integer_vector_within(other.coeffs, excess)
-        if b is None:
-            return _divmod_fractions(self.coeffs, other.coeffs)
-        (rem, den_a), (div, den_b) = a, b
+        (rem, den_a), (div, den_b) = _integer_vector(self.coeffs), _integer_vector(other.coeffs)
         # Where the window top-db..top has reached, the remainder's
         # coefficient is rem[i] / (scale * den_a); below it rem[i] is still
         # over den_a alone and is brought to the running scale when the
@@ -326,29 +316,7 @@ def horner(coeffs, point):
 
 def _integer_vector(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
     """Integer numerators over the least common denominator of ``coeffs``."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-#: Bits by which ``__divmod__`` lets the common denominator outgrow the
-#: largest denominator, per Fraction operation that the integer loop saves
-#: for each conversion.  Measured against the Fraction loop on divisions with
-#: up to 40 different denominators of 16 to 256 bits: at one elimination
-#: step the integer loop was slower from about 150 to 200 bits.
-_LIFT_BITS_PER_OP = 128
-
-
-def _integer_vector_within(coeffs: tuple[Fraction, ...], excess: int) -> Union[tuple[list[int], int], None]:
-    """``_integer_vector(coeffs)``, or None when the least common denominator
-    has more than ``excess`` bits beyond the largest denominator, so that
-    lifting would add more than that to every coefficient."""
-    dens = {c.denominator for c in coeffs}
-    limit = max(dens).bit_length() + excess
-    den = 1
-    for d in dens:
-        den = math.lcm(den, d)
-        if den.bit_length() > limit:
-            return None
+    den = math.lcm(*{c.denominator for c in coeffs})  # most coefficients share one
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
@@ -366,14 +334,6 @@ def long_division(rem: list, div, lead) -> list:
         for i in range(db):  # rem[top] itself cancels
             rem[top - db + i] -= c * div[i]
     return quo
-
-
-def _divmod_fractions(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Poly, Poly]:
-    """Long division of coefficient vectors in ``Fraction`` arithmetic."""
-    rem = list(a)
-    inv_lc = 1 / b[-1]
-    quo = long_division(rem, b, lambda c: c * inv_lc)
-    return Poly(quo), Poly(rem[: len(b) - 1])
 
 
 def _bias(n: int, width: int) -> int:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import time
 from fractions import Fraction as F
 
@@ -152,6 +153,22 @@ def test_inspect_factor_table(capsys):
     out = capsys.readouterr().out
     assert "distinct real roots: 1" in out
     assert "distinct real roots: 0" in out
+
+
+def test_inspect_prints_yuns_parts_from_one_decomposition(monkeypatch, capsys):
+    calls = []
+
+    def spy(real):
+        return lambda f: calls.append(f) or real(f)
+
+    for name, module in list(sys.modules.items()):  # every binding of the name
+        if name.startswith("rootsos") and hasattr(module, "squarefree_decompose"):
+            monkeypatch.setattr(module, "squarefree_decompose", spy(module.squarefree_decompose))
+    assert main(["inspect", "--f", "x*(x^3-2)^2*(x^2+1)^2*(x-1)^3"]) == 0
+    out = capsys.readouterr().out
+    block = out.split("squarefree decomposition:\n")[1].split("irreducible")[0]
+    assert block == "  (x)^1\n  (x^5 + x^3 - 2*x^2 - 2)^2\n  (x - 1)^3\n"
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

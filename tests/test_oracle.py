@@ -3,6 +3,7 @@ exact oracle: sympy's real-root isolation, its root counts of g on each
 isolating interval, and its gcds decide what the outcome must be."""
 
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -59,32 +60,59 @@ def _instance(rng):
     return f, g
 
 
+def _outcome(f, g):
+    """Certify g on the roots of f, check the outcome against sympy, and
+    return its name."""
+    sf, sg = _sympy(f), _sympy(g)
+    d = sf.gcd(sg)
+    violated = d.degree() > 0 and sf.quo(d).gcd(d).degree() > 0
+    counts = {} if violated else _negative_counts(sf, sg)
+    negative = any(k for _real, k in counts.values())
+    try:
+        cert = certify_nonnegative(f, g)
+    except HypothesisViolated:
+        assert violated, (f, g)
+        return "hypothesis"
+    except NotNonnegative as exc:
+        assert not violated and negative, (f, g)
+        assert (exc.real, exc.negative) == counts[_sympy(exc.factor).monic()], (f, g)
+        return "negative"
+    except PrecisionExhausted as exc:
+        pytest.fail(f"precision exhausted on f = {f}, g = {g}: {exc}")
+    assert not violated and not negative, (f, g)
+    assert verify(cert), (f, g)
+    return "certified"
+
+
 def test_certify_agrees_with_the_sympy_oracle():
     rng = random.Random(2027)
     seen = {"certified": 0, "hypothesis": 0, "negative": 0}
     while sum(seen.values()) < 300:
         instance = _instance(rng)
-        if instance is None:
-            continue
-        f, g = instance
-        sf, sg = _sympy(f), _sympy(g)
-        d = sf.gcd(sg)
-        violated = d.degree() > 0 and sf.quo(d).gcd(d).degree() > 0
-        counts = {} if violated else _negative_counts(sf, sg)
-        negative = any(k for _real, k in counts.values())
-        try:
-            cert = certify_nonnegative(f, g)
-        except HypothesisViolated:
-            assert violated, (f, g)
-            seen["hypothesis"] += 1
-        except NotNonnegative as exc:
-            assert not violated and negative, (f, g)
-            assert (exc.real, exc.negative) == counts[_sympy(exc.factor).monic()], (f, g)
-            seen["negative"] += 1
-        except PrecisionExhausted as exc:
-            pytest.fail(f"precision exhausted on f = {f}, g = {g}: {exc}")
-        else:
-            assert not violated and not negative, (f, g)
-            assert verify(cert), (f, g)
-            seen["certified"] += 1
+        if instance is not None:
+            seen[_outcome(*instance)] += 1
     assert min(seen.values()) >= 30, seen
+
+
+def test_certify_agrees_with_the_sympy_oracle_on_distinct_64_bit_denominators():
+    # every coefficient over its own 64-bit denominator, so that each
+    # division's common denominator is hundreds of bits past the largest
+    rng = random.Random(2028)
+
+    def spread(n):
+        return F(n, rng.randrange(2**63, 2**64))
+
+    def poly(degree):
+        lead = rng.choice([n for n in range(-9, 10) if n])
+        return Poly([spread(rng.randint(-9, 9)) for _ in range(degree)] + [spread(lead)])
+
+    seen = {"certified": 0, "hypothesis": 0, "negative": 0}
+    for _ in range(60):
+        f = poly(rng.randint(2, 6))
+        if rng.random() < 0.3:
+            s = poly(rng.randint(0, 2))
+            g = s * s + Poly.constant(spread(1))
+        else:
+            g = poly(rng.randint(0, 4))
+        seen[_outcome(f, g)] += 1
+    assert seen["certified"] >= 30 and seen["negative"] >= 10, seen
