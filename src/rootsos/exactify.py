@@ -25,7 +25,8 @@ from .ratpoly import tarski_query, weighted_square_sum
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
-#: Most decimal digits a rounding may use, whatever the margin delta asks for.
+#: Most decimal digits a rounding may use, whatever the margin delta asks for,
+#: when ||g mod f||_inf >= 1; each power of ten below 1 adds one digit.
 DIGITS_CAP = 64
 #: Working precisions of the numeric stage, one attempt each: every reason to
 #: retry doubles the mantissa, from DEFAULT_PRECISION_BITS up to 848 bits.
@@ -266,14 +267,6 @@ def _sos_from_ldl(report: LDLReport, modulus: Poly) -> SOSDecomposition:
     return SOSDecomposition(report.diag, polys, modulus)
 
 
-def _digits_for(delta: Fraction) -> int:
-    """ceil(log10(1/delta)) clamped to [1, DIGITS_CAP]."""
-    t = 1
-    while Fraction(1, 10**t) > delta and t < DIGITS_CAP:
-        t += 1
-    return t
-
-
 def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposition]:
     """Exact rational Gram certificate for g strictly positive at the real
     roots of a squarefree f.
@@ -310,6 +303,10 @@ def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposit
     if negative:
         raise NotNonnegative(f, negative, real)
 
+    # a g_red scaled below 1 needs floor(log10(1/||g_red||_inf)) more digits
+    height, cap = max(map(abs, g_red.coeffs)), DIGITS_CAP
+    while height * 10 <= 1:
+        height, cap = height * 10, cap + 1
     attempts = []
     last_sigma = last_rho = last_delta = None
     for bits in PRECISION_LADDER:
@@ -324,8 +321,10 @@ def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposit
         if delta <= 0:
             attempts.append((bits, "no rounding margin (delta <= 0)"))
             continue
-        digits = _digits_for(delta)
-        tried = sorted({digits, min(digits + 2, DIGITS_CAP)})
+        digits = 1  # ceil(log10(1/delta)), clamped to [1, cap]
+        while Fraction(1, 10**digits) > delta and digits < cap:
+            digits += 1
+        tried = sorted({digits, min(digits + 2, cap)})
         for t in tried:
             qbar = round_to_digits(gram.Qstar, t)
             q_round = round_to_digits(gram.qstar, t)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certificate import Certificate, verify
+from .certificate import Certificate
 from .exactify import NotNonnegative, SOSDecomposition, certify_strict_squarefree
 from .factorq import factor_over_Q
 from .ratpoly import Poly, extended_gcd, gcd, weighted_square_sum
@@ -42,10 +42,6 @@ class HypothesisViolated(ValueError):
         )
         self.d = d
         self.cofactor = cofactor
-
-
-class ZeroG(ValueError):
-    """g = 0 must be handled by the caller (empty certificate)."""
 
 
 @dataclass(frozen=True)
@@ -149,10 +145,9 @@ def crt_combine_sos(parts: list[tuple[Poly, SOSDecomposition]]) -> SOSDecomposit
     C_i * ((s_i * h) mod f_i): it has degree below deg F and is congruent to
     s_i * C_i * h modulo F, so it is that same reduction, found modulo the
     small f_i.  C_i is invertible modulo f_i exactly when f_i is coprime to
-    every other modulus, which is how coprimality is checked.
+    every other modulus, which is how coprimality is checked.  No parts give
+    the empty sum modulo 1.
     """
-    if not parts:
-        raise ValueError("need at least one decomposition")
     for fi, sos in parts:
         if sos.modulus != fi:
             raise ValueError("decomposition modulus does not match its entry")
@@ -180,13 +175,14 @@ def reduce_nonneg_to_strict(f: Poly, g: Poly) -> StrictReduction:
     With d = gcd(f, g) and the hypothesis gcd(d, f/d) = 1, the Bezout
     identity 1 = s*(f/d) + t*d^2 yields b = t*g (reduced modulo f/d) with
     b*d^2 = g mod f; b is then strictly positive at the real roots of f/d.
-    f/d is factored over Q before the Bezout step, whose cost grows with
-    deg(f/d), so a degree over the factorization cap is refused first.
+    That b is coprime to each factor of f/d is left to
+    ``certify_strict_squarefree`` (SharedFactor).  g = 0 gives d = monic f
+    and no factors.  f/d is factored over Q before the Bezout step, whose
+    cost grows with deg(f/d), so a degree over the factorization cap is
+    refused first.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("f must have degree >= 1")
-    if g.is_zero:
-        raise ZeroG("g = 0 has the empty certificate")
 
     d = gcd(f, g)
     cofactor, rem = divmod(f, d)
@@ -207,8 +203,6 @@ def reduce_nonneg_to_strict(f: Poly, g: Poly) -> StrictReduction:
     b = (t * g) % cofactor
     if not ((b * d * d - g) % f).is_zero:
         raise AssertionError("b*d^2 = g mod f failed")
-    if gcd(b, cofactor).degree != 0:
-        raise AssertionError("b is not coprime to f/d")
     return StrictReduction(d, cofactor, factors, b)
 
 
@@ -217,42 +211,27 @@ def certify_nonnegative(f: Poly, g: Poly) -> Certificate:
 
     Reduces to the strictly positive case, certifies each irreducible factor
     of f/d separately, Hensel-lifts to the factor multiplicities, recombines
-    by CRT, restores the gcd part, and recovers the exact quotient q with
-    g = sum w_i h_i^2 + q*f.  The certificate is verified exactly before it
-    is returned.  Raises HypothesisViolated when gcd(f, g) and f/gcd(f, g)
-    share a factor, and NotNonnegative for the first irreducible factor of
-    f/d with a real root where g < 0.
+    by CRT and restores the gcd part.  The emitted squares are summed once,
+    S = sum w_i h_i^2, which gives q = (g - S) // f; the one exact identity
+    S + q*f = g is checked before the certificate is returned.  Positive
+    weights and deg h_i < deg f hold by construction.  g = 0 and a constant
+    f/d take the same path with no factors, so S = 0.  Raises
+    HypothesisViolated when gcd(f, g) and f/gcd(f, g) share a factor, and
+    NotNonnegative for the first irreducible factor of f/d with a real root
+    where g < 0.
     """
-    if f.is_zero or f.degree < 1:
-        raise ValueError("f must have degree >= 1")
-    if g.is_zero:
-        return Certificate(f, g, (), (), Poly.zero())
-
     reduction = reduce_nonneg_to_strict(f, g)
-    d, b = reduction.d, reduction.b
+    parts: list[tuple[Poly, SOSDecomposition]] = []
+    for p, e in reduction.factors:
+        _lift, sos = certify_strict_squarefree(p, reduction.b % p)
+        if e > 1:
+            sos = hensel_lift_sos(sos, p, e, reduction.b)
+        parts.append((p**e, sos))
+    combined = crt_combine_sos(parts)
 
-    if reduction.cofactor.degree == 0:
-        quotient, rem = divmod(g, f)
-        if not rem.is_zero:
-            raise AssertionError("f should divide g when f/gcd(f,g) is constant")
-        cert = Certificate(f, g, (), (), quotient)
-    else:
-        parts: list[tuple[Poly, SOSDecomposition]] = []
-        for p, e in reduction.factors:
-            _lift, sos = certify_strict_squarefree(p, b % p)
-            if e > 1:
-                sos = hensel_lift_sos(sos, p, e, b)
-            parts.append((p**e, sos))
-        combined = crt_combine_sos(parts)
-
-        weights = combined.weights
-        polys = tuple(d * h for h in combined.polys)
-        quotient, rem = divmod(g - weighted_square_sum(weights, polys), f)
-        if not rem.is_zero:
-            raise AssertionError("certificate identity has a non-zero remainder")
-        cert = Certificate(f, g, weights, polys, quotient)
-
-    verdict = verify(cert)
-    if not verdict:
-        raise AssertionError(f"emitted certificate failed verification: {verdict.reason}")
-    return cert
+    polys = tuple(reduction.d * h for h in combined.polys)
+    square_sum = weighted_square_sum(combined.weights, polys)
+    quotient = (g - square_sum) // f
+    if square_sum + quotient * f != g:
+        raise AssertionError("certificate identity g = sum w_i h_i^2 + q*f fails")
+    return Certificate(f, g, combined.weights, polys, quotient)

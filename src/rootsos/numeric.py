@@ -252,8 +252,9 @@ def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
     with weight 2(lambda + Re g(xi)) and lambda = LAMBDA_FACTOR*|g(xi)|,
     which keeps the matrix positive definite.  g must be positive at every
     real root (decided exactly upstream); a value there at or below the
-    threshold thr = 2^(-bits/4) raises IllConditioned before the basis is
-    built.
+    threshold thr = 2^(-bits/4)*min(1, ||g||_inf) raises IllConditioned
+    before the basis is built.  The same thr bounds each pair weight, so a
+    g scaled by a positive constant below 1 meets thresholds scaled with it.
     """
     n = int(f.degree)
     if not g.degree < n:
@@ -264,7 +265,7 @@ def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
     bits = roots.precision_bits
     with mp.workprec(bits):
         gc = _mp_coeffs(g)
-        thr = mp.ldexp(1, -(bits // 4))
+        thr = mp.ldexp(1, -(bits // 4)) * min(1, max(map(abs, gc), default=0))
         weights = [horner(gc, xi) for xi in roots.real_roots]
         for xi, val in zip(roots.real_roots, weights):
             if val <= thr:

@@ -279,9 +279,16 @@ NEAR_BOUNDARY_G3 = "x^2 - 131607401295249246081/100000000000000000000"
          "47bbd2776a191d952ac0c2d1f791e6aabc6898e6bb1d0d7c4f597656d8c2a8c3"),
         ("x^32-2", "x+3", [106],
          "c2af913141988144828acaab8bda5ffb5fa303a4e7a55444025cbfdd4abc72e6"),
+        # g = 0 and a g that f divides: no factors, so the empty square sum
+        ("x^3-2", "0", [],
+         "e41dbba7227c183a56ec58e4c0e3c81ddc95fe139fe03a3a834c82f831623676"),
+        ("x^3-2", "(x^3-2)*(x+5)", [],
+         "f835372580ca27b4486118d9d03d9c04b6a975a63a24b5c32010daa7a84c5c34"),
+        ("(x-1)*(x+2)*(2*x-3)*(x^2+x+1)", "x^2+2*x+3", [106],
+         "83e61f331794683293007cfa541617652d73083d89180bdc1decb0bacc968df4"),
     ],
     ids=["dense-gram-16", "near-boundary", "large-roots", "huge-constant",
-         "near-boundary-3", "dense-gram-32"],
+         "near-boundary-3", "dense-gram-32", "zero-g", "f-divides-g", "split-crt"],
 )
 def test_certify_pinned_bytes(f, g, precisions, digest, monkeypatch, capsys):
     tried = []

@@ -344,10 +344,10 @@ def test_certify_strict_rejects_shared_factor(f, g, common, monkeypatch):
     [
         # certifies at its first t: one projection and one LDL^T in all
         (F_CUBE, X, 64, 1),
-        # with DIGITS_CAP = 1 both tried t are 1; every entry of this Gram
-        # matrix is below 0.05, so its projected 1-digit rounding is singular
-        # on each of the four rungs of the precision ladder
-        (X**2 - Poly.constant(2), Poly.constant(F(1, 1000)), 1, 4),
+        # with DIGITS_CAP = 1 and ||g|| = 1 both tried t are 1; the (1,1)
+        # entry of this Gram matrix is about 0.0025, so its projected 1-digit
+        # rounding is singular on each of the four rungs of the precision ladder
+        (X**2 - Poly.constant(200), Poly.one(), 1, 4),
     ],
     ids=["first-t", "repeated-t"],
 )
@@ -371,6 +371,34 @@ def test_certify_strict_one_projection_and_ldl_per_tried_t(
     with exhausts:
         certify_strict_squarefree(f, g)
     assert calls == ["project", "check_positive_definite"] * attempts
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        (X**4 + X + Poly.one(), Poly.one()),
+        (X**4 + X + Poly.one(), Poly.constant(F(1, 10**20))),
+        (X**4 + X + Poly.one(), Poly.constant(F(1, 10**70))),
+        (X**4 + X + Poly.one(), Poly.constant(F(1, 10**300))),
+        (F_CUBE, Poly.constant(F(1, 10**300))),
+        (F_CUBE, Poly([F(1, 10**301), F(1, 10**300)])),
+    ],
+    ids=["one", "1e-20", "1e-70", "1e-300", "cube-1e-300", "cube-linear-1e-300"],
+)
+def test_certify_strict_limits_scale_with_g(f, g, monkeypatch):
+    # a positive constant factor on g only scales the certificate: the
+    # threshold and the digit cap follow ||g||, so one rung suffices
+    tried = []
+    find_roots = numeric.find_roots
+
+    def spy(poly, bits, **kwargs):
+        tried.append(bits)
+        return find_roots(poly, bits, **kwargs)
+
+    monkeypatch.setattr(numeric, "find_roots", spy)
+    _lift, sos = certify_strict_squarefree(f, g)
+    assert tried == [106]
+    assert ((sos.square_sum() - g) % f).is_zero
 
 
 def test_certify_strict_eigensolver_failure_exhausts_precision(monkeypatch):

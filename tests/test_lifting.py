@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from rootsos import certificate, exactify, lifting
 from rootsos.certificate import verify
 from rootsos.exactify import SOSDecomposition
 from rootsos.lifting import (
@@ -10,7 +11,6 @@ from rootsos.lifting import (
     NoInvertibleSquare,
     NotCoprime,
     NotNonnegative,
-    ZeroG,
     certify_nonnegative,
     crt_combine_sos,
     hensel_lift_sos,
@@ -211,8 +211,12 @@ def test_reduce_coprime_case():
 
 
 def test_reduce_zero_g():
-    with pytest.raises(ZeroG):
-        reduce_nonneg_to_strict(F_CUBE, Poly.zero())
+    # gcd(f, 0) is monic f, so the cofactor is constant and has no factors
+    red = reduce_nonneg_to_strict(F_CUBE, Poly.zero())
+    assert red.d == F_CUBE
+    assert red.cofactor.degree == 0
+    assert red.factors == ()
+    assert red.b == Poly.zero()
 
 
 def test_reduce_repeated_root_shared():
@@ -250,6 +254,54 @@ def test_certify_nonnegative_zero_g():
     cert = certify_nonnegative(F_CUBE, Poly.zero())
     assert cert.weights == ()
     assert cert.q == Poly.zero()
+    assert verify(cert)
+
+
+# squarefree with four factors, two of them linear: d = 1, and no Hensel lift
+F_SPLIT = (X - Poly.one()) * (X + Poly.constant(2)) * (X**2 - Poly.constant(2)) * (
+    X**2 + X + Poly.one()
+)
+G_SPLIT = X**2 + Poly.constant(3)
+
+
+def test_certify_nonnegative_refuses_a_wrong_square_sum(monkeypatch):
+    # the true decomposition with its first weight doubled: S + q*f != g for
+    # q = (g - S) // f, since f is squarefree and deg h < deg f
+    combine = lifting.crt_combine_sos
+
+    def doubled(parts):
+        sos = combine(parts)
+        weights = (2 * sos.weights[0],) + sos.weights[1:]
+        return SOSDecomposition(weights, sos.polys, sos.modulus)
+
+    monkeypatch.setattr(lifting, "crt_combine_sos", doubled)
+    cert = None
+    with pytest.raises(AssertionError, match="identity"):
+        cert = certify_nonnegative(F_SPLIT, G_SPLIT)
+    assert cert is None
+
+
+def test_certify_nonnegative_sums_the_emitted_squares_once(monkeypatch):
+    summed = []
+
+    def spy(module):
+        original = module.weighted_square_sum
+
+        def wrapper(weights, polys):
+            polys = tuple(polys)
+            summed.append(polys)
+            return original(weights, polys)
+
+        monkeypatch.setattr(module, "weighted_square_sum", wrapper)
+
+    for module in (lifting, exactify, certificate):
+        spy(module)
+    verified = []
+    monkeypatch.setattr(certificate, "verify", verified.append)
+    cert = certify_nonnegative(F_SPLIT, G_SPLIT)
+    assert len(cert.weights) > 1
+    assert summed.count(cert.polys) == 1
+    assert verified == []
     assert verify(cert)
 
 
