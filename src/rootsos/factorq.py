@@ -154,6 +154,14 @@ def _gf_gcdex(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int],
     return scale(r0), scale(s0), scale(t0)
 
 
+def _gf_eval(a: list[int], x: int, p: int) -> int:
+    """a(x) modulo p, by Horner."""
+    value = 0
+    for c in reversed(a):
+        value = (value * x + c) % p
+    return value
+
+
 def _gf_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
     result = [1]
     base = _zp_divmod(a, f, p)[1]
@@ -259,8 +267,10 @@ def factor_mod_p(gbar: list[int], p: int, rng: random.Random) -> list[list[int]]
     """Monic irreducible factors of ``gbar``, monic and squarefree modulo the
     odd prime p, sorted by (degree, coefficients).
 
-    Distinct-degree splitting followed by Cantor-Zassenhaus equal-degree
-    splitting, drawing its random polynomials from ``rng``.
+    Distinct-degree splitting, then equal-degree splitting of each part.  The
+    linear part is split into x - a by evaluating it at every residue a; the
+    parts of higher degree are split by Cantor-Zassenhaus, drawing its random
+    polynomials from ``rng``.
     """
     irreducibles: list[list[int]] = []
     for part, d in _gf_distinct_degree(gbar, p):
@@ -289,10 +299,23 @@ def _gf_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
 
 
 def _gf_equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
-    """Split a product of degree-d irreducibles (Cantor-Zassenhaus, p odd)."""
+    """Split a product of degree-d irreducibles (Cantor-Zassenhaus, p odd).
+
+    For d = 1 the monic squarefree f is the product of x - a over its roots
+    a in GF(p), which an evaluation at every residue finds with no random
+    draw; p is at most 1229, the 200th odd prime.
+    """
     n = _deg(f)
     if n == d:
         return [_gf_monic(f, p)]
+    if d == 1:
+        roots = []
+        for a in range(p):
+            if not _gf_eval(f, a, p):
+                roots.append(a)
+                if len(roots) == n:
+                    return [[-a % p, 1] for a in roots]
+        raise AssertionError(f"{len(roots)} roots modulo {p} for a split part of degree {n}")
     exponent = (p**d - 1) // 2
     while True:
         a = _trim([rng.randrange(p) for _ in range(n)])

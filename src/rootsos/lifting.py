@@ -145,8 +145,10 @@ def crt_combine_sos(parts: list[tuple[Poly, SOSDecomposition]]) -> SOSDecomposit
     C_i * ((s_i * h) mod f_i): it has degree below deg F and is congruent to
     s_i * C_i * h modulo F, so it is that same reduction, found modulo the
     small f_i.  C_i is invertible modulo f_i exactly when f_i is coprime to
-    every other modulus, which is how coprimality is checked.  No parts give
-    the empty sum modulo 1.
+    every other modulus, which is how coprimality is checked.  A linear f_i
+    with root r reduces everything to its value at r: s_i * h mod f_i is the
+    constant h(r) / C_i(r), and C_i(r) = 0 means a shared factor.  No parts
+    give the empty sum modulo 1.
     """
     for fi, sos in parts:
         if sos.modulus != fi:
@@ -160,12 +162,18 @@ def crt_combine_sos(parts: list[tuple[Poly, SOSDecomposition]]) -> SOSDecomposit
     polys: list[Poly] = []
     for fi, sos in parts:
         complement = total // fi
-        unit, s, _ = extended_gcd(complement % fi, fi)
-        if unit != Poly.one():
-            raise NotCoprime(f"{fi} shares a factor with another modulus")
-        for w, h in zip(sos.weights, sos.polys):
-            weights.append(w)
-            polys.append(complement * ((s * h) % fi))
+        weights.extend(sos.weights)
+        if fi.degree == 1:
+            root = -fi.coeffs[0] / fi.coeffs[1]
+            value = complement(root)
+            if not value:
+                raise NotCoprime(f"{fi} shares a factor with another modulus")
+            polys.extend(complement * (h(root) / value) for h in sos.polys)
+        else:
+            unit, s, _ = extended_gcd(complement % fi, fi)
+            if unit != Poly.one():
+                raise NotCoprime(f"{fi} shares a factor with another modulus")
+            polys.extend(complement * ((s * h) % fi) for h in sos.polys)
     return SOSDecomposition(tuple(weights), tuple(polys), total)
 
 
@@ -229,7 +237,9 @@ def certify_nonnegative(f: Poly, g: Poly) -> Certificate:
         parts.append((p**e, sos))
     combined = crt_combine_sos(parts)
 
-    polys = tuple(reduction.d * h for h in combined.polys)
+    polys = combined.polys
+    if reduction.d != Poly.one():
+        polys = tuple(reduction.d * h for h in polys)
     square_sum = weighted_square_sum(combined.weights, polys)
     quotient = (g - square_sum) // f
     if square_sum + quotient * f != g:

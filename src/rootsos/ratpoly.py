@@ -248,8 +248,21 @@ class Poly:
         return self * (1 / self.leading_coefficient)
 
     def __call__(self, point):
-        """Horner evaluation; exact for Fraction/int points, generic otherwise."""
-        return horner(self.coeffs, point)
+        """Horner evaluation; exact for Fraction/int points, generic otherwise.
+
+        At a rational point n/d the sum of c_k n^k d^(deg-k) runs in the
+        integers, over the common denominator of the coefficients, and
+        becomes a Fraction once.
+        """
+        if not isinstance(point, (int, Fraction)) or not self.coeffs:
+            return horner(self.coeffs, point)
+        nums, den = _integer_vector(self.coeffs)
+        n, d = point.numerator, point.denominator
+        value, scale = 0, 1
+        for c in reversed(nums):
+            value = value * n + c * scale
+            scale *= d
+        return Fraction(value, den * (scale // d))
 
     # -- display -----------------------------------------------------------
 

@@ -77,6 +77,70 @@ def test_factor_mod_p_split_quadratic():
     assert factors == [[1, 1], [6, 1]]  # x+1 and x-1 = x+6
 
 
+def _split_image(rng, p, n_linear, n_quadratic):
+    """A monic squarefree image mod p: n_linear distinct x - a times
+    n_quadratic distinct irreducible quadratics (non-residue discriminant)."""
+    image = [1]
+    for a in rng.sample(range(p), n_linear):
+        image = _zp_mul(image, [-a % p, 1], p)
+    quadratics = set()
+    while len(quadratics) < n_quadratic:
+        c, b = rng.randrange(p), rng.randrange(p)
+        if pow((b * b - 4 * c) % p, (p - 1) // 2, p) == p - 1:
+            quadratics.add((c, b, 1))
+    for q in quadratics:
+        image = _zp_mul(image, list(q), p)
+    return image
+
+
+@pytest.mark.parametrize("p", [41, 101, 127, 1229])
+def test_factor_mod_p_matches_sympy_on_split_images(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(f"split:{p}")
+    for _ in range(4):
+        image = _split_image(rng, p, rng.randint(10, min(40, p)), rng.randint(0, 3))
+        _, expected = sympy.Poly(image[::-1], x, modulus=p).factor_list()
+        assert all(mult == 1 for _, mult in expected)
+        expected = sorted(([int(c) % p for c in q.all_coeffs()[::-1]] for q, _ in expected),
+                          key=lambda c: (len(c), c))
+        assert factor_mod_p(image, p, random.Random(0)) == expected
+
+
+class _NoDraws(random.Random):
+    def randrange(self, *args, **kwargs):
+        raise AssertionError("random draw")
+
+
+def test_linear_factors_mod_p_take_no_random_draw():
+    p = 1229
+    rng = random.Random(5)
+    roots = rng.sample(range(p), 40)
+    image = _split_image(random.Random(5), p, 40, 0)  # x - a for the same 40 roots
+    assert factor_mod_p(image, p, _NoDraws()) == sorted([-a % p, 1] for a in roots)
+    # two quadratics still split by Cantor-Zassenhaus, which draws
+    with pytest.raises(AssertionError, match="random draw"):
+        factor_mod_p(_split_image(rng, p, 0, 2), p, _NoDraws())
+
+
+def test_residue_sweep_stops_at_the_last_root(monkeypatch):
+    evaluated = []
+    real = factorq._gf_eval
+
+    def spy(a, x, p):
+        evaluated.append(x)
+        return real(a, x, p)
+
+    monkeypatch.setattr(factorq, "_gf_eval", spy)
+    # x(x - 1)(x - 5) modulo 1229: residues 0..5 and no further
+    image = _zp_mul(_zp_mul([0, 1], [-1, 1], 1229), [-5, 1], 1229)
+    assert factor_mod_p(image, 1229, _NoDraws()) == [[0, 1], [1224, 1], [1228, 1]]
+    assert evaluated == list(range(6))
+    # x^2 + 1 has no root modulo 7, so it is no product of linear factors
+    with pytest.raises(AssertionError, match="0 roots modulo 7"):
+        factorq._gf_equal_degree([1, 0, 1], 1, 7, _NoDraws())
+
+
 def test_prime_search_skips_bad_primes(monkeypatch):
     primes = []
     real = factorq.factor_mod_p

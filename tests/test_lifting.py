@@ -148,11 +148,47 @@ def test_crt_rejects_common_factor():
     part = SOSDecomposition((F(1),), (Poly.one(),), X)
     with pytest.raises(NotCoprime):
         crt_combine_sos([(X, part), (X, part)])
+    # 2x - 1 and x - 1/2 are one linear modulus up to a unit
+    halves = (2 * X - Poly.one(), X - Poly.constant(F(1, 2)))
+    with pytest.raises(NotCoprime):
+        crt_combine_sos([(m, SOSDecomposition((F(1),), (Poly.one(),), m)) for m in halves])
     # the first two moduli are coprime; the third shares x with the first
     moduli = (X, X + Poly.one(), X * (X + Poly.constant(2)))
     parts = [(m, SOSDecomposition((F(1),), (Poly.one(),), m)) for m in moduli]
     with pytest.raises(NotCoprime):
         crt_combine_sos(parts)
+
+
+def test_crt_linear_moduli_match_the_extended_gcd_formula(monkeypatch):
+    calls = []
+    real = lifting.extended_gcd
+    monkeypatch.setattr(lifting, "extended_gcd", lambda a, b: calls.append(a) or real(a, b))
+    rng = random.Random(2017)
+    for _ in range(20):
+        roots, size = {F(1, 2)}, rng.randint(2, 12)  # with the non-monic modulus 2x - 1
+        while len(roots) < size:
+            roots.add(F(rng.randint(-40, 40), rng.randint(1, 6)))
+        parts = []
+        for r in sorted(roots):
+            lead = 2 if r == F(1, 2) else F(rng.choice((1, -1, 3, 7)), rng.randint(1, 4))
+            modulus = Poly([-lead * r, lead])
+            n_terms = rng.randint(1, 2)
+            ws = tuple(F(rng.randint(1, 6), rng.randint(1, 5)) for _ in range(n_terms))
+            hs = tuple(Poly.constant(F(rng.randint(-9, 9), rng.randint(1, 4))) for _ in range(n_terms))
+            parts.append((modulus, SOSDecomposition(ws, hs, modulus)))
+        total = Poly.one()
+        for modulus, _ in parts:
+            total = total * modulus
+        expected = []
+        for modulus, sos in parts:
+            complement = total // modulus
+            _, s, _ = extended_gcd(complement % modulus, modulus)
+            expected += [complement * ((s * h) % modulus) for h in sos.polys]
+        combined = crt_combine_sos(parts)
+        assert combined.polys == tuple(expected)
+        assert combined.weights == tuple(w for _, sos in parts for w in sos.weights)
+        assert combined.modulus == total
+    assert calls == []
 
 
 def test_crt_random_congruences():
@@ -302,6 +338,23 @@ def test_certify_nonnegative_sums_the_emitted_squares_once(monkeypatch):
     assert len(cert.weights) > 1
     assert summed.count(cert.polys) == 1
     assert verified == []
+    assert verify(cert)
+
+
+def test_certify_nonnegative_multiplies_by_d_only_when_d_is_not_one(monkeypatch):
+    combined = []
+    combine = lifting.crt_combine_sos
+
+    def spy(parts):
+        combined.append(combine(parts))
+        return combined[-1]
+
+    monkeypatch.setattr(lifting, "crt_combine_sos", spy)
+    cert = certify_nonnegative(F_SPLIT, G_SPLIT)  # d = 1
+    assert cert.polys is combined[-1].polys
+    d = X - Poly.constant(3)
+    cert = certify_nonnegative(F_SPLIT * d, G_SPLIT * d * d)
+    assert cert.polys == tuple(d * h for h in combined[-1].polys)
     assert verify(cert)
 
 

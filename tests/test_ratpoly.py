@@ -409,6 +409,12 @@ def test_poly_pow_and_eval():
     assert p == Poly([1, 3, 3, 1])
     assert p(F(1, 2)) == F(27, 8)
     assert Poly([F(1, 3), 1])(F(-1, 3)) == 0
+    # the integer evaluation at rational points against Fraction Horner
+    rng = random.Random(31)
+    for _ in range(200):
+        p = Poly(F(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(rng.randint(0, 12)))
+        point = F(rng.randint(-30, 30), rng.randint(1, 9)) if rng.random() < 0.8 else rng.randint(-5, 5)
+        assert p(point) == ratpoly.horner(p.coeffs, F(point))
 
 
 def convolve(a, b):
