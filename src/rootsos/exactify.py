@@ -9,7 +9,9 @@ is returned, so floating-point behaviour can never produce a wrong result.
 ``certify_strict_squarefree`` decides the sign of g at the real roots of f
 exactly, by a Tarski query, before any numeric work, so a refusal never
 rests on a float; it then owns the one precision loop: each numeric call
-makes one attempt, at each rung of PRECISION_LADDER in turn.
+makes one attempt, at each rung of PRECISION_LADDER in turn.  A rung starts
+its root finding from the last rung's roots, and a rung whose threshold a
+measured value of g cannot pass is skipped.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ DIGITS_CAP = 64
 #: Working precisions of the numeric stage, one attempt each: every reason to
 #: retry doubles the mantissa, from DEFAULT_PRECISION_BITS up to 848 bits.
 PRECISION_LADDER = tuple(DEFAULT_PRECISION_BITS << k for k in range(4))
+#: A value that failed the threshold test predicts later rungs only when it
+#: exceeds the bound on its evaluation error by this factor.
+TRUST_FACTOR = 2**16
 
 
 class DegreeTooHigh(ValueError):
@@ -267,6 +272,19 @@ def _sos_from_ldl(report: LDLReport, modulus: Poly) -> SOSDecomposition:
     return SOSDecomposition(report.diag, polys, modulus)
 
 
+def _sci(x: Fraction) -> str:
+    """A positive rational in scientific notation, three significant digits,
+    at any exponent."""
+    exp = (x.numerator.bit_length() - x.denominator.bit_length()) * 30103 // 100000
+    mantissa = x / Fraction(10) ** exp
+    while mantissa >= 10:
+        mantissa, exp = mantissa / 10, exp + 1
+    while mantissa < 1:
+        mantissa, exp = mantissa * 10, exp - 1
+    text = f"{float(mantissa):.2f}"
+    return f"1.00e{exp + 1}" if text == "10.00" else f"{text}e{exp}"
+
+
 def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposition]:
     """Exact rational Gram certificate for g strictly positive at the real
     roots of a squarefree f.
@@ -284,7 +302,13 @@ def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposit
     (IllConditioned from the numeric stage, a margin that is not positive, or
     the exact check even after two extra digits), the next rung of
     PRECISION_LADDER is tried; after the last one, PrecisionExhausted names
-    every rung's reason.
+    every rung's reason.  Each rung's root finding starts from the roots of
+    the last rung that found them.  When the Gram stage fails because a
+    value v of g (or a pair weight) is at or below thr = 2^(-bits/4)*min(1,
+    ||g_red||_inf), and v exceeds its evaluation error bound TRUST_FACTOR
+    times, every later rung with v < thr/2 is skipped: its own evaluation of
+    v would fail the same test.  So every rung that could pass is still
+    tried, and the certificate is the one the full ladder finds.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("f must have degree >= 1")
@@ -309,12 +333,25 @@ def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposit
         height, cap = height * 10, cap + 1
     attempts = []
     last_sigma = last_rho = last_delta = None
+    roots = measured = None  # the last rung's roots; a trusted v, as a Fraction
     for bits in PRECISION_LADDER:
+        half_thr = numeric.threshold(g_red, bits) / 2
+        if measured is not None and measured < half_thr:
+            attempts.append((bits, f"skipped: measured v = {_sci(measured)} < thr/2 = "
+                                   f"{_sci(half_thr)}"))
+            continue
         try:
-            roots = numeric.find_roots(f, bits, real=real)
+            roots = numeric.find_roots(f, bits, real=real, previous=roots)
+        except IllConditioned as exc:
+            roots = None  # a rung whose roots failed leaves no seeds
+            attempts.append((bits, str(exc)))
+            continue
+        try:
             gram = numeric.build_interior_gram(f, g_red, roots)
         except IllConditioned as exc:
             attempts.append((bits, str(exc)))
+            if exc.value is not None and exc.value > TRUST_FACTOR * exc.error:
+                measured = exact_fraction(exc.value)
             continue
         delta = delta_bound(f, gram.sigma, gram.rho)
         last_sigma, last_rho, last_delta = gram.sigma, gram.rho, delta

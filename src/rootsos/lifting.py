@@ -231,7 +231,11 @@ def certify_nonnegative(f: Poly, g: Poly) -> Certificate:
     reduction = reduce_nonneg_to_strict(f, g)
     parts: list[tuple[Poly, SOSDecomposition]] = []
     for p, e in reduction.factors:
-        _lift, sos = certify_strict_squarefree(p, reduction.b % p)
+        if p.degree == 1:  # b mod (x - r) is the constant b(r)
+            residue = Poly.constant(reduction.b(-p.coeffs[0] / p.coeffs[1]))
+        else:
+            residue = reduction.b % p
+        _lift, sos = certify_strict_squarefree(p, residue)
         if e > 1:
             sos = hensel_lift_sos(sos, p, e, reduction.b)
         parts.append((p**e, sos))

@@ -1,7 +1,8 @@
 """Floating-point stage of the certification pipeline.
 
 Simultaneous root approximation (mpmath's ``polyroots``, started from a
-Durand-Kerner pass in builtin complex floats), conjugate-pair classification
+Durand-Kerner pass in builtin complex floats or from the roots of a lower
+precision), conjugate-pair classification
 cross-checked against the exact Sturm count, Lagrange basis construction, and
 assembly of the interior Gram pair (Q*, q*) whose exact rounding is performed
 downstream.  The margin sigma is the smallest eigenvalue of Q* from mpmath's
@@ -11,10 +12,14 @@ proves positive definiteness.  Deflation by a root and q* are ratpoly's
 the precision it is given (mpmath software floats with a mantissa of that
 many bits) and raises IllConditioned when that precision does not suffice;
 the caller (``exactify``) retries at the next rung of its fixed precision
-ladder.  The sign of g at the real roots is decided exactly upstream, so
-this stage never refuses an input: a linear f never reaches it, and a value
-of g that does not clear the threshold at a real root is only a reason to
-retry.
+ladder.  A rung continues from the one before it: ``find_roots`` starts
+``polyroots`` from the previous rung's roots when it is given them, and a
+value that fails the threshold of ``build_interior_gram`` travels in the
+IllConditioned with a bound on its evaluation error, so the caller can skip
+the rungs whose threshold it cannot pass.  The sign of g at the real roots
+is decided exactly upstream, so this stage never refuses an input: a linear
+f never reaches it, and a value of g that does not clear the threshold at a
+real root is only a reason to retry.
 """
 
 from __future__ import annotations
@@ -36,12 +41,26 @@ DEFAULT_PRECISION_BITS = 106
 LAMBDA_FACTOR = 2
 
 _POLYROOTS_MAX_STEPS = 500
+#: Step cap of the first polyroots call (extraprec=10).  From float seeds or
+#: a previous rung's roots it converges within 4 steps, and from mpmath's own
+#: start in 8-28 steps on degrees 3-32; a root it cannot resolve would run
+#: all _POLYROOTS_MAX_STEPS before the retry with more extra bits.
+_FIRST_MAX_STEPS = 50
 _SEED_MAX_STEPS = 200
 _SEED_TOL = 1e-13
 
 
 class IllConditioned(ArithmeticError):
-    """Root cluster or degenerate data at the working precision; retry higher."""
+    """Root cluster or degenerate data at the working precision; retry higher.
+
+    ``value``, when set, is the quantity that failed build_interior_gram's
+    threshold test (g at a real root, or a pair weight) and ``error`` a
+    first-order bound on its evaluation error at that precision."""
+
+    def __init__(self, message, value=None, error=None):
+        super().__init__(message)
+        self.value = value
+        self.error = error
 
 
 @dataclass(frozen=True)
@@ -64,9 +83,10 @@ class RootProfile:
 
     def ordered_roots(self) -> list:
         out = list(self.real_roots)
-        for rep in self.complex_pairs:
-            out.append(mpmath.conj(rep))
-            out.append(rep)
+        with mp.workprec(self.precision_bits):  # conj rounds to the context's precision
+            for rep in self.complex_pairs:
+                out.append(mpmath.conj(rep))
+                out.append(rep)
         return out
 
 
@@ -133,23 +153,28 @@ def _float_seeds(monic):
     return zs if all(cmath.isfinite(z) for z in zs) else None
 
 
-def _polyroots(coeffs):
+def _polyroots(coeffs, start=None):
     """Roots by mpmath's Durand-Kerner ``polyroots``; IllConditioned if it
     converges at neither extraprec.  Its stopping test is absolute, so the
     monic polynomial is scaled by 2^k, k = max_i floor(e_i / i) =
     floor(max_i log2|a_{n-i}|^(1/i)) with e_i = floor(log2|a_{n-i}|): by
-    Fujiwara's bound every scaled root has |y| <= 4.  The float seeds only
-    pick where it starts; a cluster may need extraprec."""
+    Fujiwara's bound every scaled root has |y| <= 4.  The seeds only pick
+    where it starts: the roots ``start`` of a lower precision, scaled by the
+    same 2^-k, or else the float seeds; a cluster may need extraprec."""
     n = len(coeffs) - 1
     monic = [c / coeffs[-1] for c in coeffs]
     if n == 1:
         return [mp.mpc(-monic[0])]
     k = max((mp.frexp(c)[1] - 1) // (n - j) for j, c in enumerate(monic[:-1]) if c)
     scaled = [mp.ldexp(c, k * (j - n)) for j, c in enumerate(monic)]
-    seeds = _float_seeds(scaled)
-    for extra in (10, mp.prec):  # mpmath's default, then the working precision
+    if start is None:
+        seeds = _float_seeds(scaled)
+    else:
+        seeds = [mp.mpc(x) * mp.ldexp(1, -k) for x in start]
+    # mpmath's default extraprec, then the working precision
+    for extra, steps in ((10, _FIRST_MAX_STEPS), (mp.prec, _POLYROOTS_MAX_STEPS)):
         try:
-            ys = mp.polyroots(scaled[::-1], maxsteps=_POLYROOTS_MAX_STEPS, cleanup=False,
+            ys = mp.polyroots(scaled[::-1], maxsteps=steps, cleanup=False,
                               extraprec=extra, roots_init=seeds)
         except mp.NoConvergence:
             continue
@@ -201,15 +226,21 @@ def _classify(z, f: Poly, expected_real: int, bits: int):
 
 
 def find_roots(
-    f: Poly, precision_bits: int = DEFAULT_PRECISION_BITS, *, real: int | None = None
+    f: Poly,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
+    *,
+    real: int | None = None,
+    previous: RootProfile | None = None,
 ) -> RootProfile:
     """All complex roots of a squarefree polynomial, classified real/pair, in
     one attempt at ``precision_bits``.
 
-    The real count is validated against the exact Sturm count ``real``,
-    computed here when the caller has not.  A mismatch, a failed residual
-    screen or no convergence of ``polyroots`` (at either extraprec) raises
-    IllConditioned: retry at a higher precision.
+    ``previous``, the profile of an attempt at a lower precision, seeds
+    ``polyroots`` in place of the float seeds.  The real count is validated
+    against the exact Sturm count ``real``, computed here when the caller has
+    not.  A mismatch, a failed residual screen or no convergence of
+    ``polyroots`` (at either extraprec) raises IllConditioned: retry at a
+    higher precision.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("find_roots needs degree >= 1")
@@ -218,7 +249,8 @@ def find_roots(
     if real is None:
         real = sturm_real_root_count(f)  # raises NotSquarefree when repeated
     with mp.workprec(precision_bits):
-        reals, reps = _classify(_polyroots(_mp_coeffs(f)), f, real, precision_bits)
+        start = None if previous is None else previous.ordered_roots()
+        reals, reps = _classify(_polyroots(_mp_coeffs(f), start), f, real, precision_bits)
     return RootProfile(reals, reps, precision_bits)
 
 
@@ -244,6 +276,31 @@ def lagrange_basis(f: Poly, roots: RootProfile) -> list:
         return [tuple(u) for u in basis]
 
 
+def threshold(g: Poly, bits: int) -> Fraction:
+    """thr = 2^(-bits/4)*min(1, ||g||_inf): at ``bits``, build_interior_gram
+    calls a value of g at a real root, or a pair weight, only above thr."""
+    return min(Fraction(1), max(map(abs, g.coeffs), default=Fraction(0))) / 2 ** (bits // 4)
+
+
+def _value_error(fc, gc, x):
+    """First-order bound on the error of horner(gc, x) at an approximate root
+    x of f (coefficients fc): |g'(x)| times the Newton step |f(x)/f'(x)|,
+    with f(x) widened by Horner's rounding error, plus the rounding error of
+    g(x) itself.  Infinite when f'(x) evaluates to 0."""
+    unit = 4 * len(fc) * mp.eps  # Horner's rounding, per unit of sum |c_i||x|^i
+
+    def rounding(cs):
+        return unit * horner([abs(c) for c in cs], abs(x))
+
+    def slope(cs):
+        return abs(horner([i * c for i, c in enumerate(cs)][1:], x))
+
+    if not slope(fc):
+        return mp.inf
+    step = (abs(horner(fc, x)) + rounding(fc)) / slope(fc)
+    return slope(gc) * step + rounding(gc)
+
+
 def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
     """Interior Gram pair (Q*, q*) for g modulo squarefree f.
 
@@ -255,6 +312,8 @@ def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
     threshold thr = 2^(-bits/4)*min(1, ||g||_inf) raises IllConditioned
     before the basis is built.  The same thr bounds each pair weight, so a
     g scaled by a positive constant below 1 meets thresholds scaled with it.
+    Either IllConditioned carries the value it compared and a bound on that
+    value's evaluation error.
     """
     n = int(f.degree)
     if not g.degree < n:
@@ -265,11 +324,16 @@ def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
     bits = roots.precision_bits
     with mp.workprec(bits):
         gc = _mp_coeffs(g)
-        thr = mp.ldexp(1, -(bits // 4)) * min(1, max(map(abs, gc), default=0))
+        thr = threshold(g, bits)
+        thr = mp.mpf(thr.numerator) / thr.denominator  # rounds only min(1, ||g||_inf)
+        fc = _mp_coeffs(f)
         weights = [horner(gc, xi) for xi in roots.real_roots]
         for xi, val in zip(roots.real_roots, weights):
             if val <= thr:
-                raise IllConditioned(f"g({mpmath.nstr(xi, 12)}) is too close to zero to call")
+                raise IllConditioned(
+                    f"g({mpmath.nstr(xi, 12)}) = {mpmath.nstr(val, 6)} is too close to zero "
+                    f"to call (thr = {mpmath.nstr(thr, 6)})",
+                    val, _value_error(fc, gc, xi))
 
         basis = lagrange_basis(f, roots)
         columns = [[mp.re(c) for c in u] for u in basis[: len(weights)]]
@@ -281,8 +345,9 @@ def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
             mag = abs(gamma)
             lam = LAMBDA_FACTOR * mag if mag > 0 else mp.mpf(LAMBDA_FACTOR)
             den = lam + mp.re(gamma)
-            if den <= thr:
-                raise IllConditioned("degenerate pair weight")
+            if den <= thr:  # den moves at most LAMBDA_FACTOR + 1 times as far as gamma
+                raise IllConditioned("degenerate pair weight", den,
+                                     (LAMBDA_FACTOR + 1) * _value_error(fc, gc, rep))
             disc = max(lam**2 - mag**2, mp.mpf(0))
             ratio = mp.im(gamma) / den
             root_disc = mp.sqrt(disc) / den
@@ -302,7 +367,6 @@ def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
         # q* by long division of (g - x^T Q* x) by f
         quad = antidiagonal_sums(rows, mp.mpf(0))
         num = [(gc[i] if i < len(gc) else mp.mpf(0)) - quad[i] for i in range(2 * n - 1)]
-        fc = _mp_coeffs(f)
         qstar = long_division(num, fc, lambda c: c / fc[-1])
 
         try:

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
@@ -268,14 +270,14 @@ NEAR_BOUNDARY_G3 = "x^2 - 131607401295249246081/100000000000000000000"
     [
         ("x^16-2", "x^2+2*x+3", [106],
          "dec117ff8ded16f922f173b794bc1496e51713c2d27d2668c8ee961f29265181"),
-        ("x^8-2", NEAR_BOUNDARY_G, [106, 212, 424],
+        ("x^8-2", NEAR_BOUNDARY_G, [106, 424],
          "d76fdd0c9431ab95ccb676d5121a51609771984c5bcb2eb300a90ea6476c39c4"),
         # two of its four factors are linear and are decided exactly
         ("x^8-10^40", "x+10^6", [106, 106],
          "eaed94af1669d67d493551326eefbf6df3b196e3a928655db4c0aa85dd0c9079"),
         ("x^4+x+10^50", "x-1", [106, 212, 424],
          "f8204c6a9088959c26cd295b8afdc6e2f0d28bcb6d73b14aa1599f303cb303eb"),
-        ("x^8-3", NEAR_BOUNDARY_G3, [106, 212, 424],
+        ("x^8-3", NEAR_BOUNDARY_G3, [106, 424],
          "47bbd2776a191d952ac0c2d1f791e6aabc6898e6bb1d0d7c4f597656d8c2a8c3"),
         ("x^32-2", "x+3", [106],
          "c2af913141988144828acaab8bda5ffb5fa303a4e7a55444025cbfdd4abc72e6"),
@@ -338,6 +340,42 @@ def test_certify_clear_negative_beats_an_earlier_near_zero(monkeypatch, capsys):
     assert main(["certify", "--f", "x^2-2", "--g=" + g]) == 3
     assert tried == []
     assert "not non-negative: g < 0 at 1 of the 2 real roots" in capsys.readouterr().err
+
+
+def test_certify_skips_a_rung_the_measured_value_cannot_pass(monkeypatch, capsys):
+    # r = floor(2^(1/3)*10^70)/10^70: g(2^(1/3)) is about 2^-233, lost in
+    # rounding at 106 and 212 bits, measured at 424 bits, and below half the
+    # 848-bit threshold 2^-212, so the last rung is skipped
+    tried = []
+    find_roots = numeric.find_roots
+
+    def spy(poly, bits, **kwargs):
+        tried.append(bits)
+        return find_roots(poly, bits, **kwargs)
+
+    monkeypatch.setattr(numeric, "find_roots", spy)
+    r = "12599210498948731647672106072782283505702514647015079800819751121552996"
+    assert main(["certify", "--f", "x^3-2", "--g", f"x-{r}/10^70"]) == 4
+    assert tried == [106, 212, 424]
+    err = capsys.readouterr().err
+    assert "precision exhausted" in err
+    assert "424 bits: g(1.25992104989) = 7.6514e-71 is too close to zero to call" in err
+    assert "848 bits: skipped: measured v = 7.65e-71 < thr/2 = 7.60e-65" in err
+
+
+def test_import_loads_no_third_party_package_but_mpmath():
+    # what the package imports is paid on every run's start-up and memory
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import rootsos, rootsos.cli\n"
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(*sorted(added - set(sys.stdlib_module_names)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["mpmath", "rootsos"]
 
 
 TEN_TO_MINUS_80 = "0." + "0" * 79 + "1"

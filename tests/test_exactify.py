@@ -469,16 +469,20 @@ def test_certify_strict_counts_real_roots_once_for_every_attempt(monkeypatch):
     # the Sturm count of the Tarski decision is passed to each attempt, so
     # find_roots never computes its own
     monkeypatch.setattr(numeric, "sturm_real_root_count", None)
-    counts = []
+    counts, found = [], []
     find_roots = numeric.find_roots
 
     def spy(f, bits, **kwargs):
         counts.append(kwargs)
-        return find_roots(f, bits, **kwargs)
+        found.append(find_roots(f, bits, **kwargs))
+        return found[-1]
 
     monkeypatch.setattr(numeric, "find_roots", spy)
     certify_strict_squarefree(TINY_PAIR, X)
-    assert counts == [{"real": 0}] * 3
+    # the roots fail at 106 bits, so 212 has no previous roots; 424 has 212's
+    assert counts == [{"real": 0, "previous": None}, {"real": 0, "previous": None},
+                      {"real": 0, "previous": found[0]}]
+    assert found[0].precision_bits == 212
 
 
 @pytest.mark.parametrize(
@@ -536,3 +540,79 @@ def test_certify_strict_exhaustion_names_every_rung(monkeypatch):
     assert "up to 848 bits" in message
     for bits, reason in attempts:
         assert f"{bits} bits: {reason}" in message
+
+
+def _spy_polyroots_starts(monkeypatch):
+    starts = []
+    polyroots = numeric.mp.polyroots
+
+    def spy(coeffs, **kwargs):
+        starts.append((mp.prec, kwargs["roots_init"]))
+        return polyroots(coeffs, **kwargs)
+
+    monkeypatch.setattr(numeric.mp, "polyroots", spy)
+    return starts
+
+
+# x^8 - 2 with g = x^2 - r, r = floor(2^(1/4)*10^20)/10^20: g(+-2^(1/8)) is
+# about 7.5e-21, too close to zero at 106 bits and below half the 212-bit
+# threshold 2^-53, but above half the 424-bit one
+NEAR_F = X**8 - Poly.constant(2)
+NEAR_G = X**2 - Poly.constant(F(118920711500272106671, 10**20))
+
+
+def test_certify_strict_skips_a_rung_and_seeds_the_next_from_the_last_roots(monkeypatch):
+    calls = _spy_numeric_stages(monkeypatch)
+    found = []
+    roots_spy = numeric.find_roots
+
+    def keep(f, bits, **kwargs):
+        found.append(roots_spy(f, bits, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(numeric, "find_roots", keep)
+    starts = _spy_polyroots_starts(monkeypatch)
+    certify_strict_squarefree(NEAR_F, NEAR_G)
+    assert calls == [("roots", 106), ("gram", 106), ("roots", 424), ("gram", 424)]
+    assert [bits for bits, _seeds in starts] == [106, 424]
+    assert all(type(z) is complex for z in starts[0][1])  # float seeds
+    # the 424-bit polyroots starts from the 106-bit roots (scaled by 2^-k,
+    # and k = 0 for x^8 - 2)
+    with mp.workprec(424):
+        assert starts[1][1] == [mp.mpc(z) for z in found[0].ordered_roots()]
+
+
+def test_certify_strict_rung_after_failed_roots_starts_from_float_seeds(monkeypatch):
+    # TINY_PAIR's roots fail at 106 bits, and at 424 they are made to fail
+    # after polyroots ran: neither rung leaves seeds for the next
+    find_roots = numeric.find_roots
+
+    def fail_at_424(f, bits, **kwargs):
+        roots = find_roots(f, bits, **kwargs)
+        if bits == 424:
+            raise IllConditioned("forced failure at 424 bits")
+        return roots
+
+    monkeypatch.setattr(numeric, "find_roots", fail_at_424)
+    starts = _spy_polyroots_starts(monkeypatch)
+    certify_strict_squarefree(TINY_PAIR, X)
+    assert [bits for bits, _seeds in starts] == [106, 212, 424, 848]
+    from_floats = [all(type(z) is complex for z in seeds) for _bits, seeds in starts]
+    assert from_floats == [True, True, False, True]
+
+
+def test_certify_strict_untrusted_values_skip_nothing(monkeypatch):
+    # the same test value, but reported with an error bound as large as
+    # itself: no rung can be predicted, so every rung up to 424 is tried
+    build_gram = numeric.build_interior_gram
+
+    def noisy(f, g, roots):
+        try:
+            return build_gram(f, g, roots)
+        except IllConditioned as exc:
+            raise IllConditioned(str(exc), exc.value, exc.value) from exc
+
+    monkeypatch.setattr(numeric, "build_interior_gram", noisy)
+    calls = _spy_numeric_stages(monkeypatch)
+    certify_strict_squarefree(NEAR_F, NEAR_G)
+    assert [bits for stage, bits in calls if stage == "roots"] == [106, 212, 424]

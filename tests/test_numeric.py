@@ -85,6 +85,43 @@ def test_find_roots_without_convergence_makes_one_attempt(monkeypatch):
     assert tried == [(106, 10), (106, 106)]
 
 
+def test_ordered_roots_are_exact_conjugates_at_any_context_precision():
+    prof = find_roots(X**2 + X + Poly.one(), 212)
+    conj, rep = prof.ordered_roots()  # at mpmath's default 53 bits
+    assert conj.real == rep.real and exact_fraction(conj.imag) == -exact_fraction(rep.imag)
+
+
+def test_first_polyroots_call_stops_at_its_step_cap(monkeypatch):
+    # the roots of prod(x - k) + 1/7 are too ill-conditioned for 10 extra
+    # bits: the first call gives up after its cap, the retry converges
+    tried = []
+    polyroots = numeric.mp.polyroots
+
+    def spy(coeffs, **kwargs):
+        tried.append((kwargs["extraprec"], kwargs["maxsteps"]))
+        return polyroots(coeffs, **kwargs)
+
+    monkeypatch.setattr(numeric.mp, "polyroots", spy)
+    f = Poly.one()
+    for k in range(1, 11):
+        f = f * (X - Poly.constant(k))
+    prof = find_roots(f + Poly.constant(F(1, 7)), 106)
+    assert len(prof.real_roots) + 2 * len(prof.complex_pairs) == 10
+    assert tried == [(10, 50), (106, 500)]
+
+
+def test_find_roots_starts_from_the_previous_roots(monkeypatch):
+    calls = _spy_polyroots(monkeypatch)
+    f = X**3 - Poly.constant(F(1, 10**9))  # k = -10: the roots are scaled by 2^10
+    low = find_roots(f, 106)
+    high = find_roots(f, 212, previous=low)
+    with mp.workprec(212):
+        assert calls[1]["roots_init"] == [mp.mpc(z) * 2**10 for z in low.ordered_roots()]
+        for a, b in zip(low.ordered_roots(), high.ordered_roots()):
+            assert abs(a - b) < mp.ldexp(1, -90)
+    assert find_roots(f, 212) == high
+
+
 def test_find_roots_misclassification_is_ill_conditioned():
     # at 106 bits the pair +-1e-20 i reads as two real roots; Sturm counts none
     f = X**2 + Poly.constant(F(1, 10**40))
@@ -278,6 +315,50 @@ def test_value_too_close_to_zero_is_ill_conditioned(sign, monkeypatch):
     g = X - Poly.one() + Poly.constant(F(sign, 10**40))
     with pytest.raises(IllConditioned, match="too close to zero"):
         build_interior_gram(f, g, find_roots(f, 106))
+
+
+# r = floor(2^(1/3)*10^70)/10^70: g = x - r is about 7.65e-71 at 2^(1/3)
+CUBE_ROOT_R = F(12599210498948731647672106072782283505702514647015079800819751121552996,
+                10**70)
+
+
+def test_failed_value_carries_a_bound_on_its_error():
+    f, g = F_CUBE, X - Poly.constant(CUBE_ROOT_R)
+    with mp.workprec(1000):
+        true = mp.cbrt(2) - mp.mpf(CUBE_ROOT_R.numerator) / CUBE_ROOT_R.denominator
+    for bits in (106, 212, 424):
+        with pytest.raises(IllConditioned, match="too close to zero") as info:
+            build_interior_gram(f, g, find_roots(f, bits))
+        value, error = info.value.value, info.value.error
+        with mp.workprec(1000):
+            assert abs(value - true) <= error
+        # rounding noise below 424 bits, a measurement from 424 bits on
+        assert (value > 2**16 * error) == (bits == 424)
+
+
+def test_failed_value_error_bound_covers_an_inexact_root():
+    # a real root 2^-60 off moves g = x - r by 2^-60, far above the rounding
+    # of g at 106 bits: the bound must cover it, so v is not trusted
+    prof = find_roots(F_CUBE, 106)
+    with mp.workprec(106):
+        off = numeric.RootProfile((mp.cbrt(2) + mp.ldexp(1, -60),), prof.complex_pairs, 106)
+    with pytest.raises(IllConditioned, match="too close to zero") as info:
+        build_interior_gram(F_CUBE, X - Poly.constant(CUBE_ROOT_R), off)
+    with mp.workprec(1000):
+        true = mp.cbrt(2) - mp.mpf(CUBE_ROOT_R.numerator) / CUBE_ROOT_R.denominator
+        assert abs(info.value.value - true) <= info.value.error
+    assert info.value.value < 2 * info.value.error
+
+
+def test_degenerate_pair_weight_carries_a_bound_on_its_error():
+    # the pair of x^2 + 1e-40 is +-1e-20 i, where g = x has |g| = 1e-20:
+    # the pair weight 2|g| + Re g = 2e-20 is below the 212-bit threshold 2^-53
+    f = X**2 + Poly.constant(F(1, 10**40))
+    with pytest.raises(IllConditioned, match="degenerate pair weight") as info:
+        build_interior_gram(f, X, find_roots(f, 212))
+    with mp.workprec(212):
+        assert abs(info.value.value - mp.mpf(2) / 10**20) <= info.value.error
+        assert info.value.error < mp.ldexp(1, -200)
 
 
 def test_unreduced_g_rejected():
