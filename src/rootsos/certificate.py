@@ -77,15 +77,13 @@ def verify(cert: Certificate) -> Verdict:
     return Verdict(True)
 
 
-def _rational_str(x: Fraction) -> str:
-    return str(x)  # Fraction renders canonically as "n" or "n/d"
-
-
 def _poly_obj(p: Poly) -> list[str]:
-    return [_rational_str(c) for c in p.coeffs]
+    # each coefficient as str(Fraction) renders it: "n" or "n/d"
+    return [f"{n}" if d == 1 else f"{n}/{d}" for n, d in p.pairs()]
 
 
-def _parse_rational(text: object, where: str) -> Fraction:
+def _parse_pair(text: object, where: str) -> tuple[int, int]:
+    """(numerator, denominator) of a rational string, not reduced."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ParseError(f"{where}: expected a rational string, got {text!r}")
     num, _, den = text.partition("/")
@@ -95,13 +93,13 @@ def _parse_rational(text: object, where: str) -> Fraction:
         raise ParseError(f"{where}: {exc}") from exc
     if denominator == 0:
         raise ParseError(f"{where}: zero denominator")
-    return Fraction(numerator, denominator)
+    return numerator, denominator
 
 
 def _parse_poly(obj: object, where: str) -> Poly:
     if not isinstance(obj, list):
         raise ParseError(f"{where}: expected a coefficient array")
-    return Poly(_parse_rational(c, f"{where}[{i}]") for i, c in enumerate(obj))
+    return Poly.from_pairs(_parse_pair(c, f"{where}[{i}]") for i, c in enumerate(obj))
 
 
 def serialize(cert: Certificate) -> str:
@@ -112,7 +110,7 @@ def serialize(cert: Certificate) -> str:
         "g": _poly_obj(cert.g),
         "q": _poly_obj(cert.q),
         "terms": [
-            {"omega": _rational_str(w), "h": _poly_obj(h)}
+            {"omega": str(w), "h": _poly_obj(h)}
             for w, h in zip(cert.weights, cert.polys)
         ],
     }
@@ -143,7 +141,7 @@ def deserialize(text: str) -> Certificate:
     for i, term in enumerate(terms):
         if not isinstance(term, dict) or "omega" not in term or "h" not in term:
             raise ParseError(f"terms[{i}] must be an object with 'omega' and 'h'")
-        weights.append(_parse_rational(term["omega"], f"terms[{i}].omega"))
+        weights.append(Fraction(*_parse_pair(term["omega"], f"terms[{i}].omega")))
         polys.append(_parse_poly(term["h"], f"terms[{i}].h"))
     return Certificate(
         f=_parse_poly(doc["f"], "f"),

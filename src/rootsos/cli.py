@@ -129,9 +129,9 @@ def _parse_term(toks: _Tokens) -> Poly:
         if ch == "/":
             if factor.degree != 0:
                 raise ParseError(toks.pos, "a non-zero constant divisor")
-            factor = Poly.constant(1 / factor.coeffs[0])
+            factor = Poly.constant(1 / factor.leading_coefficient)
         bits = math.floor(_log_height(acc) + _log_height(factor)) + 1
-        size = (len(acc.coeffs) + len(factor.coeffs) - 1) * bits
+        size = (len(acc.nums) + len(factor.nums) - 1) * bits
         if size > MAX_SIZE_BITS:
             raise ParseError(toks.pos, f"a product of size <= {MAX_SIZE_BITS} bits")
         acc = acc * factor
@@ -161,9 +161,7 @@ def _log_height(p: Poly) -> float:
     of a product of numerator vectors exceeds the product of their sums(|N|):
     floor(h(a) + h(b)) + 1 bounds the bits of every numerator and denominator
     of a*b, and floor(e*h(a)) + 1 those of a**e."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    norm = sum(abs(c.numerator) * (den // c.denominator) for c in p.coeffs)
-    return math.log2(max(norm, den))
+    return math.log2(max(sum(map(abs, p.nums)), p.den))
 
 
 def _parse_base(toks: _Tokens) -> Poly:
@@ -186,20 +184,11 @@ def _parse_base(toks: _Tokens) -> Poly:
     raise ParseError(toks.pos, "a number, 'x', '(' or '-'")
 
 
-def _coeff_bits(x: Fraction) -> int:
-    return max(abs(x.numerator).bit_length(), x.denominator.bit_length())
-
-
 def _max_bits(cert: Certificate) -> int:
-    bits = 0
-    for w in cert.weights:
-        bits = max(bits, _coeff_bits(w))
-    for h in cert.polys:
-        for c in h.coeffs:
-            bits = max(bits, _coeff_bits(c))
-    for c in cert.q.coeffs:
-        bits = max(bits, _coeff_bits(c))
-    return bits
+    pairs = [(w.numerator, w.denominator) for w in cert.weights]
+    for p in (*cert.polys, cert.q):
+        pairs.extend(p.pairs())
+    return max((max(abs(n).bit_length(), d.bit_length()) for n, d in pairs), default=0)
 
 
 def _pretty_certificate(cert: Certificate) -> str:
@@ -354,9 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
+    try:  # the parser is cyclic garbage once parsed; keep it out of the command's lifetime
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; fold that into the IO/parse code
         return EXIT_OK if exc.code == 0 else EXIT_ERROR

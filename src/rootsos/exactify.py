@@ -158,13 +158,8 @@ def gram_of_poly(p: Poly, n: int) -> Matrix:
         raise ValueError("matrix size must be at least 1")
     if p.degree > 2 * n - 2:
         raise DegreeTooHigh(f"degree {p.degree} exceeds 2n-2 = {2 * n - 2}")
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            k = i + j
-            s = min(k, 2 * n - 2 - k) + 1
-            rows[i][j] = p.coefficient(k) / s
-    return tuple(tuple(row) for row in rows)
+    entries = [p.coefficient(k) / (min(k, 2 * n - 2 - k) + 1) for k in range(2 * n - 1)]
+    return tuple(tuple(entries[i + j] for j in range(n)) for i in range(n))
 
 
 def project(qbar, target: Poly) -> Matrix:
@@ -328,7 +323,7 @@ def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposit
         raise NotNonnegative(f, negative, real)
 
     # a g_red scaled below 1 needs floor(log10(1/||g_red||_inf)) more digits
-    height, cap = max(map(abs, g_red.coeffs)), DIGITS_CAP
+    height, cap = Fraction(max(map(abs, g_red.nums)), g_red.den), DIGITS_CAP
     while height * 10 <= 1:
         height, cap = height * 10, cap + 1
     attempts = []

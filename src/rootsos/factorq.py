@@ -218,23 +218,19 @@ def _monic_integral(f: Poly) -> tuple[list[int], int]:
     its coefficients; roots of G are L times the roots of f.
     """
     m = f.monic()
-    n = int(m.degree)
-    scale = 1
-    for c in m.coeffs:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    out = []
-    for k, c in enumerate(m.coeffs):
-        v = c * scale ** (n - k)
-        if v.denominator != 1:
-            raise AssertionError("monic-integral transform failed")
-        out.append(int(v))
+    scale = m.den  # m = nums/L with nums[n] = L, so G_k = nums[k] * L^(n-k-1)
+    out, power = [1], 1
+    for v in reversed(m.nums[:-1]):
+        out.append(v * power)
+        power *= scale
+    out.reverse()
     return out, scale
 
 
 def _from_integer_factor(c: list[int], scale: int) -> Poly:
     """Inverse transform: monic integer factor C -> monic rational C(Lx)/L^deg."""
     d = _deg(c)
-    return Poly(Fraction(c[k] * scale**k, scale**d) for k in range(d + 1))
+    return Poly.from_integers([c[k] * scale**k for k in range(d + 1)], scale**d)
 
 
 def _root_bound(g: list[int]) -> int:

@@ -164,7 +164,7 @@ def crt_combine_sos(parts: list[tuple[Poly, SOSDecomposition]]) -> SOSDecomposit
         complement = total // fi
         weights.extend(sos.weights)
         if fi.degree == 1:
-            root = -fi.coeffs[0] / fi.coeffs[1]
+            root = Fraction(-fi.nums[0], fi.nums[1])
             value = complement(root)
             if not value:
                 raise NotCoprime(f"{fi} shares a factor with another modulus")
@@ -232,7 +232,7 @@ def certify_nonnegative(f: Poly, g: Poly) -> Certificate:
     parts: list[tuple[Poly, SOSDecomposition]] = []
     for p, e in reduction.factors:
         if p.degree == 1:  # b mod (x - r) is the constant b(r)
-            residue = Poly.constant(reduction.b(-p.coeffs[0] / p.coeffs[1]))
+            residue = Poly.constant(reduction.b(Fraction(-p.nums[0], p.nums[1])))
         else:
             residue = reduction.b % p
         _lift, sos = certify_strict_squarefree(p, residue)

@@ -279,7 +279,7 @@ def lagrange_basis(f: Poly, roots: RootProfile) -> list:
 def threshold(g: Poly, bits: int) -> Fraction:
     """thr = 2^(-bits/4)*min(1, ||g||_inf): at ``bits``, build_interior_gram
     calls a value of g at a real root, or a pair weight, only above thr."""
-    return min(Fraction(1), max(map(abs, g.coeffs), default=Fraction(0))) / 2 ** (bits // 4)
+    return min(Fraction(1), Fraction(max(map(abs, g.nums), default=0), g.den)) / 2 ** (bits // 4)
 
 
 def _value_error(fc, gc, x):

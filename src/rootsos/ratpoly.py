@@ -1,39 +1,36 @@
 """Exact arithmetic over Q and Q[x].
 
-Polynomials are dense coefficient vectors of ``fractions.Fraction``, index i
-holding the coefficient of x**i.  The zero polynomial is the empty vector and
-its degree is the sentinel ``NEG_INF``, which compares below every integer.
-All values are immutable and all operations are pure functions.
+A polynomial is a dense vector of integer numerators over one common
+denominator (the layout of FLINT's ``fmpq_poly``): ``nums[i] / den`` is the
+coefficient of x**i.  The form is canonical, den > 0, gcd(den, *nums) = 1
+and no trailing zero, so equality and hashing compare (nums, den).  The zero
+polynomial is the empty vector over 1 and its degree is the sentinel
+``NEG_INF``, which compares below every integer.  ``Poly.coeffs``, the
+coefficients as ``fractions.Fraction``, is a view built on first read.  All
+values are immutable and all operations are pure functions; each works on
+the numerators and brings its result to canonical form by one gcd.
 
-Products run through the integers by Kronecker substitution: each operand is
-brought to integer numerators over one common denominator, the numerators are
-packed as the digits of one big integer at a byte width wide enough for every
-digit of the product, one big-integer multiplication does the convolution,
-and the product digits are unpacked and divided by the product of the two
+Products run through the integers by Kronecker substitution: the numerators
+are packed as the digits of one big integer at a byte width wide enough for
+every digit of the product, one big-integer multiplication does the
+convolution, and the product digits are unpacked over the product of the two
 denominators.  ``weighted_square_sum`` squares each h_i the same way and sums
 the integer squares over one common denominator.
 
-Packing gives every coefficient the width of the largest one, and a common
-denominator is carried by every coefficient.  Both choices pay for
-themselves on dense operands of similar sizes, but would inflate sparse or
+Packing gives every coefficient the width of the largest one.  That pays
+for itself on dense operands of similar sizes, but would inflate sparse or
 size-skewed ones far beyond their own size.  So a product is packed only
 when the packed size is at most the total size of its schoolbook partial
-products, and squares are summed over one denominator only when that costs
-no more than their own coefficients; otherwise the work runs term by term
-over the non-zero coefficients.
+products; otherwise it runs term by term over the non-zero coefficients.
 
-Division runs in the integers too.  The dividend and the divisor are brought
-to integer numerators over their own common denominators; each elimination
-step multiplies the divisor's window by lead / gcd(top, lead) instead of
-dividing by the leading coefficient, and each quotient and remainder
-coefficient becomes a Fraction once, at the end.  That trades
-steps * (db + 1) Fraction operations for steps + db conversions, each
-carrying the common denominator.  Every division in Q[x] runs this loop;
-``long_division``, the package's one other division loop, divides in mp
-floats, Z/mZ and Z.
+Division runs in the integers too: each elimination step multiplies the
+divisor's window by lead / gcd(top, lead) instead of dividing by the leading
+coefficient, and each quotient coefficient is brought to the final scale at
+the end.  Every division in Q[x] runs this loop; ``long_division``, the
+package's one other division loop, divides in mp floats, Z/mZ and Z.
 
 ``gcd`` first maps both operands to one fixed prime, 2**61 - 1.  If the
-prime divides neither leading coefficient nor any denominator and the images
+prime divides neither leading numerator nor the denominator and the images
 are coprime there (``factorq``'s GF(p) gcd), the operands are coprime over Q
 and the answer is 1; this is exact and needs no retries.  Every other pair
 runs the Euclidean algorithm over Q.
@@ -72,17 +69,28 @@ class NotSquarefree(ValueError):
 
 
 class Poly:
-    """Immutable dense univariate polynomial over Q."""
+    """Immutable dense univariate polynomial over Q, stored as integer
+    numerators over one common denominator.
 
-    __slots__ = ("coeffs",)
+    ``nums[i] / den`` is the coefficient of x**i.  The form is canonical:
+    den > 0, gcd(den, *nums) = 1 and nums has no trailing zero, so equal
+    polynomials have equal (nums, den).
+    """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("nums", "den", "_coeffs")
+
+    nums: tuple[int, ...]
+    den: int
 
     def __init__(self, coeffs: Iterable[CoeffLike] = ()) -> None:
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # the lcm of reduced denominators is coprime to the numerators it gives
+        den = math.lcm(*{c.denominator for c in cs})  # most coefficients share one
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        while nums and not nums[-1]:
+            nums.pop()
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poly is immutable")
@@ -90,16 +98,34 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_integers(cls, nums: Iterable[int], den: int = 1) -> "Poly":
+        """The polynomial with coefficients nums[i] / den, in canonical form."""
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        nums = list(nums)
+        if den < 0:
+            nums, den = [-v for v in nums], -den
+        return _canonical(nums, den)
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Poly":
+        """The polynomial with coefficients n_i / d_i (d_i > 0, not
+        necessarily in lowest terms), over the lcm of the d_i."""
+        pairs = list(pairs)
+        den = math.lcm(*{d for _, d in pairs})
+        return _canonical([n * (den // d) for n, d in pairs], den)
+
+    @classmethod
     def zero(cls) -> "Poly":
         return cls()
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls((1,))
+        return _canonical([1], 1)
 
     @classmethod
     def x(cls) -> "Poly":
-        return cls((0, 1))
+        return _canonical([0, 1], 1)
 
     @classmethod
     def constant(cls, c: CoeffLike) -> "Poly":
@@ -114,68 +140,82 @@ class Poly:
     # -- basic queries -----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, built on first use."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            den = self.den
+            cs = tuple(Fraction(v, den) for v in self.nums)
+            object.__setattr__(self, "_coeffs", cs)
+            return cs
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """(numerator, denominator) of each coefficient in lowest terms."""
+        den = self.den
+        if den == 1:
+            return [(v, 1) for v in self.nums]
+        gcds = [math.gcd(v, den) for v in self.nums]
+        return [(v // g, den // g) for v, g in zip(self.nums, gcds)]
+
+    @property
     def degree(self) -> Union[int, float]:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.nums) - 1 if self.nums else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of x**k (zero when k exceeds the degree)."""
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
             return self == Poly.constant(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     # -- ring operations ---------------------------------------------------
+    #
+    # Each operation works on the numerators and brings its result to the
+    # canonical form by one gcd over the denominator and the numerators.
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
+        return _canonical([-v for v in self.nums], self.den)
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return _combine(self, other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __mul__(self, other: Union["Poly", int, Fraction]) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return Poly(c * other for c in self.coeffs)
+            n = other.numerator
+            return _canonical([v * n for v in self.nums], self.den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Poly()
-        a, den_a = _integer_vector(self.coeffs)
-        b, den_b = _integer_vector(other.coeffs)
-        den = den_a * den_b
-        return Poly(Fraction(c, den) if c else 0 for c in _convolve(a, b))
+        return _canonical(_convolve(self.nums, other.nums), self.den * other.den)
 
     def __rmul__(self, other: Union[int, Fraction]) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -202,19 +242,24 @@ class Poly:
             return NotImplemented
         if other.is_zero:
             raise DivisionByZeroPoly("division by the zero polynomial")
-        db = len(other.coeffs) - 1
-        if len(self.coeffs) <= db:
+        div, up = other.nums, other.den
+        db = len(div) - 1
+        if len(self.nums) <= db:
             return Poly(), self
-        (rem, den_a), (div, den_b) = _integer_vector(self.coeffs), _integer_vector(other.coeffs)
+        if div[-1] < 0:  # dividing by -b keeps every m, and so the scale, positive
+            div, up = [-v for v in div], -up
         # Where the window top-db..top has reached, the remainder's
-        # coefficient is rem[i] / (scale * den_a); below it rem[i] is still
-        # over den_a alone and is brought to the running scale when the
-        # window reaches it.  Eliminating rem[top] multiplies the window by
-        # m = lead / gcd(rem[top], lead) instead of dividing by lead, and
-        # the quotient coefficient is k * den_b / (scale * den_a).
+        # coefficient is rem[i] / (scale * self.den); below it rem[i] is
+        # still over self.den alone and is brought to the running scale when
+        # the window reaches it.  Eliminating rem[top] multiplies the window
+        # by m = lead / gcd(rem[top], lead) instead of dividing by lead, and
+        # the quotient coefficient is k * up / (scale * self.den).  It is
+        # kept as k, with m, and brought to the final scale at the end.
+        rem = list(self.nums)
         lead = div[-1]
         scale = 1
         quo = [0] * (len(rem) - db)
+        steps = [1] * len(quo)
         for top in range(len(rem) - 1, db - 1, -1):
             low = top - db
             if scale != 1:
@@ -227,9 +272,14 @@ class Poly:
             scale *= m
             for i in range(low, top):
                 rem[i] = m * rem[i] - k * div[i - low]
-            quo[low] = Fraction(k * den_b, scale * den_a)
-        den_r = scale * den_a
-        return Poly(quo), Poly(Fraction(v, den_r) if v else 0 for v in rem[:db])
+            quo[low], steps[low] = k, m
+        # quo[low] is over the scale after its own step; the final scale is
+        # that times the m of every later step, i.e. of every lower index
+        for low, m in enumerate(steps):
+            quo[low] *= up
+            up *= m
+        den = scale * self.den
+        return _canonical(quo, den), _canonical(rem[:db], den)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -240,29 +290,27 @@ class Poly:
     # -- calculus / normal forms -------------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return _canonical([i * v for i, v in enumerate(self.nums) if i], self.den)
 
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ZeroPolynomial("cannot normalize the zero polynomial")
-        return self * (1 / self.leading_coefficient)
+        return Poly.from_integers(self.nums, self.nums[-1])
 
     def __call__(self, point):
         """Horner evaluation; exact for Fraction/int points, generic otherwise.
 
         At a rational point n/d the sum of c_k n^k d^(deg-k) runs in the
-        integers, over the common denominator of the coefficients, and
-        becomes a Fraction once.
+        integers, over the common denominator, and becomes a Fraction once.
         """
-        if not isinstance(point, (int, Fraction)) or not self.coeffs:
+        if not isinstance(point, (int, Fraction)) or not self.nums:
             return horner(self.coeffs, point)
-        nums, den = _integer_vector(self.coeffs)
         n, d = point.numerator, point.denominator
         value, scale = 0, 1
-        for c in reversed(nums):
+        for c in reversed(self.nums):
             value = value * n + c * scale
             scale *= d
-        return Fraction(value, den * (scale // d))
+        return Fraction(value, self.den * (scale // d))
 
     # -- display -----------------------------------------------------------
 
@@ -327,10 +375,31 @@ def horner(coeffs, point):
 # shift per digit would be quadratic.
 
 
-def _integer_vector(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Integer numerators over the least common denominator of ``coeffs``."""
-    den = math.lcm(*{c.denominator for c in coeffs})  # most coefficients share one
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _canonical(nums: list[int], den: int) -> Poly:
+    """The Poly nums / den for den > 0: trailing zeros dropped and one gcd
+    divided out.  ``nums`` is consumed."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums = [v // g for v in nums]
+        den //= g
+    poly = object.__new__(Poly)
+    object.__setattr__(poly, "nums", tuple(nums))
+    object.__setattr__(poly, "den", den)
+    return poly
+
+
+def _combine(a: Poly, b: Poly, sign: int) -> Poly:
+    """a + sign * b over the least common denominator."""
+    den = math.lcm(a.den, b.den)
+    ma, mb = den // a.den, sign * (den // b.den)
+    out = [v * ma for v in a.nums] if ma != 1 else list(a.nums)
+    if len(out) < len(b.nums):
+        out.extend([0] * (len(b.nums) - len(out)))
+    for i, v in enumerate(b.nums):
+        out[i] += v * mb
+    return _canonical(out, den)
 
 
 def long_division(rem: list, div, lead) -> list:
@@ -360,9 +429,9 @@ def _pack(digits: list[int], width: int) -> int:
     return int.from_bytes(raw, "little") - _bias(len(digits), width)
 
 
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    """Product coefficients of two non-empty integer vectors; ``a is b``
-    squares a single packing.
+def _convolve(a: tuple[int, ...], b: tuple[int, ...] | None = None) -> list[int]:
+    """Product coefficients of two non-empty integer vectors; ``b`` None
+    squares ``a`` from a single packing.
 
     Packing gives every digit the width of the largest product digit, so it
     costs len x width bits however sparse or size-skewed the operands are.
@@ -371,8 +440,11 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     sparse operand, or one large coefficient among small ones, is never
     inflated to the packed size.
     """
+    square = b is None
+    if square:
+        b = a
     sizes_a = [d.bit_length() for d in a]
-    sizes_b = sizes_a if b is a else [d.bit_length() for d in b]
+    sizes_b = sizes_a if square else [d.bit_length() for d in b]
     nonzero_a = len(a) - sizes_a.count(0)
     nonzero_b = len(b) - sizes_b.count(0)
     partial_bits = nonzero_b * sum(sizes_a) + nonzero_a * sum(sizes_b)
@@ -388,7 +460,7 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
                     out[i + j] += c * d
         return out
     packed_a = _pack(a, width)
-    packed_b = packed_a if b is a else _pack(b, width)
+    packed_b = packed_a if square else _pack(b, width)
     half = 1 << (8 * width - 1)
     raw = (packed_a * packed_b + _bias(n, width)).to_bytes(n * width, "little")
     return [
@@ -399,40 +471,24 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
 def weighted_square_sum(weights: Iterable[CoeffLike], polys: Iterable[Poly]) -> Poly:
     """sum w_i * h_i**2, exact.
 
-    Each h_i is squared as an integer vector over its own denominator; the
+    The numerators of each h_i are squared as one integer vector, the
     squares are summed as integers over the least common denominator of the
-    terms, and each coefficient becomes a Fraction once, at the end.  When
-    lifting every non-zero coefficient to that denominator would cost more
-    than the terms' own coefficients (sparse terms with different large
-    denominators), the non-zero coefficients are summed as Fractions instead.
+    scales w_i / den_i**2, and the sum is brought to canonical form once.
     """
     terms = []
     for w, h in zip(weights, polys):
         if w and h:
-            nums, den = _integer_vector(h.coeffs)
-            terms.append((Fraction(w) / (den * den), _convolve(nums, nums)))
+            terms.append((Fraction(w) / (h.den * h.den), _convolve(h.nums)))
     if not terms:
         return Poly()
     den = math.lcm(*(scale.denominator for scale, _ in terms))
-    support: set[int] = set()
-    term_bits = 0
-    for scale, square in terms:
-        nonzero = [k for k, v in enumerate(square) if v]
-        support.update(nonzero)
-        scale_bits = scale.numerator.bit_length() + scale.denominator.bit_length()
-        term_bits += len(nonzero) * scale_bits + sum(v.bit_length() for v in square)
     acc = [0] * max(len(square) for _, square in terms)
-    if den.bit_length() * len(support) > term_bits:
-        for scale, square in terms:
-            for k, v in enumerate(square):
-                if v:
-                    acc[k] += scale * v
-        return Poly(acc)
     for scale, square in terms:
         c = scale.numerator * (den // scale.denominator)
         for k, v in enumerate(square):
-            acc[k] += c * v
-    return Poly(Fraction(v, den) if v else 0 for v in acc)
+            if v:
+                acc[k] += c * v
+    return _canonical(acc, den)
 
 
 #: Prime of the coprimality test in ``gcd``.
@@ -446,20 +502,18 @@ def _coprime_modulo_prime(a: Poly, b: Poly) -> bool:
     divides both integer polynomials (Gauss), and its leading coefficient
     divides theirs, so modulo a prime that divides neither leading
     coefficient it keeps its degree and divides both images.  The image of
-    each coefficient is numerator / denominator mod p: the cleared vector's
-    image times the unit 1/L, L the common denominator, so no vector is
-    lifted to L.  A prime dividing a denominator or a leading coefficient
-    is not used.  False means only that this one image does not decide.
+    the polynomial nums / den is the image of nums times the unit 1/den,
+    which does not change the degree of the gcd, so the image of nums is
+    used.  A prime dividing den or the leading numerator is not used.
+    False means only that this one image does not decide.
     """
     p = _GCD_PRIME
     images = []
     for poly in (a, b):
-        if any(c.denominator % p == 0 for c in poly.coeffs):
+        if poly.den % p == 0 or poly.nums[-1] % p == 0:
             return False
-        images.append([c.numerator * pow(c.denominator, -1, p) % p for c in poly.coeffs])
+        images.append([v % p for v in poly.nums])
     image_a, image_b = images
-    if not image_a[-1] or not image_b[-1]:
-        return False
     from .factorq import _gf_gcd  # factorq imports this module
 
     return len(_gf_gcd(image_a, image_b, p)) == 1
@@ -602,7 +656,7 @@ def sturm_real_root_count(f: Poly) -> int:
 
 def norm2_squared(p: Poly) -> Fraction:
     """Squared coefficient 2-norm, exact."""
-    return sum((c * c for c in p.coeffs), Fraction(0))
+    return Fraction(sum(v * v for v in p.nums), p.den * p.den)
 
 
 def sqrt_upper_bound(r: Fraction) -> Fraction:

@@ -135,6 +135,30 @@ def test_oversized_integer_is_a_parse_error(f_entry, field):
         assert str(info.value).startswith(field)
 
 
+def _with_f(entries: str) -> str:
+    return f'{{"version": "sos-cert/1", "f": [{entries}], "g": [], "q": [], "terms": []}}'
+
+
+def test_unreduced_rationals_parse_to_the_canonical_poly():
+    canonical = deserialize(_with_f('"1/2", "0", "2"'))
+    assert canonical.f == Poly([F(1, 2), 0, 2])
+    for entries in ('"2/4", "-0", "6/3"', '"3/6", "0/7", "4/2", "0/9"', '"1/2", "-0/3", "2/1"'):
+        again = deserialize(_with_f(entries))
+        assert again.f == canonical.f and hash(again.f) == hash(canonical.f)
+        assert serialize(again) == serialize(canonical)
+    with pytest.raises(ParseError, match="zero denominator"):
+        deserialize(_with_f('"1/0"'))
+
+
+def test_serialize_deserialize_serialize_is_byte_identical():
+    rng = random.Random(20)
+    f = random_squarefree_poly(rng, 5) * Poly([F(1, 3), 0, 1])
+    cert = certify_nonnegative(f, random_strictly_positive_poly(rng, 3))
+    text = serialize(cert)
+    assert serialize(deserialize(text)) == text
+    assert deserialize(text) == cert
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(

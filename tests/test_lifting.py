@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -465,3 +467,36 @@ def test_b_positivity_transfer_random():
                 assert abs(bd2 - g(xi)) < 1e-12 * (1 + abs(g(xi)))
                 assert red.b(xi) > 0
         done += 1
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        # the shape of split_linear's lin16+quad1: 16 rational roots and a
+        # quadratic without real roots
+        (math.prod((X - Poly.constant(F(k, 1 + k % 3)) for k in range(1, 17)),
+                   start=X * X + Poly.one()),
+         X * X + X + Poly.constant(3)),
+        (X**2 * (X**2 - Poly.constant(2)) ** 8, X**2 * (X**2 + X + Poly.one())),
+    ],
+    ids=["lin16+quad1", "x^2(x^2-2)^8"],
+)
+def test_the_exact_kernel_never_builds_the_fraction_view(f, g, monkeypatch):
+    # the exact stages work on numerators over one denominator; only the
+    # factor sort key (it fixes the term order) and numeric's mp conversion
+    # read Poly.coeffs
+    readers = []
+    view = Poly.coeffs
+
+    def spy(self):
+        code = sys._getframe(1).f_code
+        readers.append((code.co_filename.rsplit("/", 1)[-1], code.co_name))
+        return view.fget(self)
+
+    monkeypatch.setattr(Poly, "coeffs", property(spy))
+    cert = certify_nonnegative(f, g)
+    assert set(readers) <= {("factorq.py", "<lambda>"), ("numeric.py", "_mp_coeffs")}
+    assert ("factorq.py", "<lambda>") in readers  # the spy sees the reads it allows
+    readers.clear()
+    assert verify(certificate.deserialize(certificate.serialize(cert)))
+    assert readers == []

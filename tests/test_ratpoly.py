@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -507,11 +508,94 @@ def test_sparse_products_are_not_packed(monkeypatch):
 
 
 def test_weighted_square_sum_sparse_terms_with_different_denominators():
-    # the common denominator of the 40 terms has 79,465 bits, and each of the
-    # 61 non-zero coefficients would carry it; these are summed term by term
+    # the common denominator of the 40 terms has 79,465 bits, which the sum
+    # carries as its one denominator
     hs = [Poly.monomial(i + 1) + Poly.constant(F(1, 10**300 + i)) for i in range(40)]
     weights = [F(i + 1, 7) for i in range(40)]
     expected = Poly()
     for w, h in zip(weights, hs):
         expected = expected + Poly(convolve(h.coeffs, h.coeffs)) * w
     assert weighted_square_sum(weights, hs) == expected
+
+
+# -- the integer form: numerators over one denominator ----------------------
+
+reference_coeffs = st.lists(
+    st.one_of(
+        st.just(F(0)),
+        st.fractions(min_value=-50, max_value=50, max_denominator=30),
+        st.builds(F, st.integers(-(2**70), 2**70), st.integers(1, 2**40)),
+    ),
+    max_size=8,
+)
+
+
+def trimmed(cs):
+    """A Fraction coefficient list without trailing zeros."""
+    cs = [F(c) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def assert_canonical(p):
+    assert p.den > 0
+    assert math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1]
+    assert len(p.coeffs) == len(p.nums)
+    for i, v in enumerate(p.nums):
+        assert p.coeffs[i] == F(v, p.den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    reference_coeffs,
+    reference_coeffs,
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+)
+def test_integer_form_matches_a_fraction_list_reference(ac, bc, c, point):
+    a, b = Poly(ac), Poly(bc)
+    ra, rb = trimmed(ac), trimmed(bc)
+    size = max(len(ra), len(rb))
+    pa, pb = ra + [F(0)] * (size - len(ra)), rb + [F(0)] * (size - len(rb))
+    w = abs(c) + 1
+    cases = [
+        (a, ra),
+        (a + b, [x + y for x, y in zip(pa, pb)]),
+        (a - b, [x - y for x, y in zip(pa, pb)]),
+        (-a, [-x for x in ra]),
+        (a * c, [x * c for x in ra]),
+        (c * a, [x * c for x in ra]),
+        (a * b, convolve(ra, rb)),
+        (a.derivative(), [i * x for i, x in enumerate(ra)][1:]),
+        (weighted_square_sum([w, 3], [a, b]),
+         [w * x + 3 * y for x, y in zip(convolve(pa, pa), convolve(pb, pb))]),
+    ]
+    if ra:
+        cases.append((a.monic(), [x / ra[-1] for x in ra]))
+    if rb:
+        quo, rem = long_division(ra, rb)
+        q, r = divmod(a, b)
+        cases += [(q, quo), (r, rem[: len(rb) - 1])]
+    for got, want in cases:
+        assert_canonical(got)
+        assert got.coeffs == tuple(trimmed(want))
+    assert a(point) == sum((x * point**k for k, x in enumerate(ra)), F(0))
+    # equal values from other routes are equal and hash equal
+    scaled = Poly.from_integers([7 * v for v in a.nums], 7 * a.den)
+    for same in ((a + b) - b, a * 3 * F(1, 3), scaled):
+        assert_canonical(same)
+        assert same == a and hash(same) == hash(a)
+
+
+def test_from_integers_and_from_pairs_bring_any_form_to_the_canonical_one():
+    half = Poly([F(1, 2), 0, F(-3, 4)])
+    assert (half.nums, half.den) == ((2, 0, -3), 4)
+    assert Poly.from_integers([-4, 0, 6, 0], -8) == half
+    assert Poly.from_pairs([(2, 4), (0, 7), (-6, 8), (0, 3)]) == half
+    assert Poly.from_integers([0, 0], 5) == Poly.zero()
+    assert (Poly.zero().nums, Poly.zero().den) == ((), 1)
+    assert half.pairs() == [(1, 2), (0, 1), (-3, 4)]
+    with pytest.raises(ZeroDivisionError):
+        Poly.from_integers([1], 0)
