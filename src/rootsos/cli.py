@@ -12,10 +12,12 @@ decided exactly) / invalid certificate, 4 precision exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
 from fractions import Fraction
+from itertools import compress
 
 from . import certificate as certmod
 from .certificate import Certificate, ParseError as CertificateParseError
@@ -93,31 +95,64 @@ class _Tokens:
         return int(self.text[start : self.pos])
 
 
+#: A parsed value: non-zero integer numerators by exponent over one positive
+#: denominator, in lowest terms (Poly's layout, kept sparse).
+Sparse = tuple[dict[int, int], int]
+
+
 def parse_poly(text: str) -> Poly:
-    """Parse an exact univariate polynomial expression in x."""
+    """Parse an exact univariate polynomial expression in x.
+
+    The parser's values are sparse, so that a long sum of high powers never
+    copies a dense vector and x^k is one entry.  Products and powers of more
+    than one term run on dense Polys, and one dense Poly is built at the end."""
     toks = _Tokens(text)
-    poly = _parse_expr(toks)
+    value = _parse_expr(toks)
     toks.skip_ws()
     if toks.pos != len(text):
         raise ParseError(toks.pos, "end of input")
-    return poly
+    return _dense(value)
 
 
-def _parse_expr(toks: _Tokens) -> Poly:
-    acc = _parse_term(toks)
-    while True:
-        ch = toks.peek()
-        if ch == "+":
-            toks.take()
-            acc = acc + _parse_term(toks)
-        elif ch == "-":
-            toks.take()
-            acc = acc - _parse_term(toks)
-        else:
-            return acc
+def _dense(value: Sparse) -> Poly:
+    terms, den = value
+    nums = [0] * _length(value)
+    for i, v in terms.items():
+        nums[i] = v
+    return Poly.from_integers(nums, den)
 
 
-def _parse_term(toks: _Tokens) -> Poly:
+def _sparse(p: Poly) -> Sparse:
+    return {i: p.nums[i] for i in compress(range(len(p.nums)), p.nums)}, p.den
+
+
+def _lowest_terms(terms: dict[int, int], den: int) -> Sparse:
+    g = math.gcd(den, *terms.values())
+    if g == 1:
+        return terms, den
+    return {i: v // g for i, v in terms.items()}, den // g
+
+
+def _parse_expr(toks: _Tokens) -> Sparse:
+    terms, den = _parse_term(toks)
+    while (ch := toks.peek()) in ("+", "-"):
+        toks.take()
+        other, d = _parse_term(toks)
+        common = math.lcm(den, d)
+        if common != den:
+            terms = {i: v * (common // den) for i, v in terms.items()}
+            den = common
+        scale = common // d if ch == "+" else -(common // d)
+        for i, v in other.items():
+            total = terms.get(i, 0) + v * scale
+            if total:
+                terms[i] = total
+            else:
+                del terms[i]
+    return _lowest_terms(terms, den)
+
+
+def _parse_term(toks: _Tokens) -> Sparse:
     acc = _parse_factor(toks)
     while True:
         ch = toks.peek()
@@ -127,48 +162,64 @@ def _parse_term(toks: _Tokens) -> Poly:
             return acc
         factor = _parse_factor(toks)
         if ch == "/":
-            if factor.degree != 0:
+            terms, den = factor
+            if list(terms) != [0]:
                 raise ParseError(toks.pos, "a non-zero constant divisor")
-            factor = Poly.constant(1 / factor.leading_coefficient)
+            factor = {0: den if terms[0] > 0 else -den}, abs(terms[0])
         bits = math.floor(_log_height(acc) + _log_height(factor)) + 1
-        size = (len(acc.nums) + len(factor.nums) - 1) * bits
+        size = (_length(acc) + _length(factor) - 1) * bits
         if size > MAX_SIZE_BITS:
             raise ParseError(toks.pos, f"a product of size <= {MAX_SIZE_BITS} bits")
-        acc = acc * factor
+        (a, da), (b, db) = acc, factor
+        if len(a) > 1 and len(b) > 1:
+            acc = _sparse(_dense(acc) * _dense(factor))
+        else:  # a monomial times anything, term by term
+            acc = _lowest_terms({i + j: u * v for i, u in a.items() for j, v in b.items()},
+                                da * db)
 
 
-def _parse_factor(toks: _Tokens) -> Poly:
+def _parse_factor(toks: _Tokens) -> Sparse:
     base = _parse_base(toks)
     if toks.peek() == "^":
         toks.take()
         exponent = toks.uint()
         if exponent > MAX_EXPONENT:
             raise ParseError(toks.pos, f"an exponent <= {MAX_EXPONENT}")
-        if base.degree * exponent > MAX_EXPONENT:  # (x^a)^b
+        degree = _length(base) - 1
+        if degree * exponent > MAX_EXPONENT:  # (x^a)^b
             raise ParseError(toks.pos, f"a power of degree <= {MAX_EXPONENT}")
         bits = math.floor(exponent * _log_height(base)) + 1
         if bits > MAX_POWER_BITS:  # (10^a)^b
             raise ParseError(toks.pos, f"a power of coefficients <= {MAX_POWER_BITS} bits")
-        if (max(base.degree, 0) * exponent + 1) * bits > MAX_SIZE_BITS:  # (x+1)^b
+        if (max(degree, 0) * exponent + 1) * bits > MAX_SIZE_BITS:  # (x+1)^b
             raise ParseError(toks.pos, f"a power of size <= {MAX_SIZE_BITS} bits")
-        return base**exponent
+        if base == ({1: 1}, 1):  # x^k directly
+            return {exponent: 1}, 1
+        return _sparse(_dense(base) ** exponent)
     return base
 
 
-def _log_height(p: Poly) -> float:
-    """log2(max(sum(|N|), D)) for the integer numerators N of p over their
-    common denominator D.  It adds up over products, because no coefficient
-    of a product of numerator vectors exceeds the product of their sums(|N|):
-    floor(h(a) + h(b)) + 1 bounds the bits of every numerator and denominator
-    of a*b, and floor(e*h(a)) + 1 those of a**e."""
-    return math.log2(max(sum(map(abs, p.nums)), p.den))
+def _length(value: Sparse) -> int:
+    """Length of the dense numerator vector: degree + 1, 0 for zero."""
+    return max(value[0], default=-1) + 1
 
 
-def _parse_base(toks: _Tokens) -> Poly:
+def _log_height(value: Sparse) -> float:
+    """log2(max(sum(|N|), D)) for the integer numerators N of a polynomial
+    over their common denominator D.  It adds up over products, because no
+    coefficient of a product of numerator vectors exceeds the product of
+    their sums(|N|): floor(h(a) + h(b)) + 1 bounds the bits of every
+    numerator and denominator of a*b, and floor(e*h(a)) + 1 those of a**e."""
+    terms, den = value
+    return math.log2(max(sum(map(abs, terms.values())), den))
+
+
+def _parse_base(toks: _Tokens) -> Sparse:
     ch = toks.peek()
     if ch == "-":
         toks.take()
-        return -_parse_factor(toks)
+        terms, den = _parse_factor(toks)
+        return {i: -v for i, v in terms.items()}, den
     if ch == "(":
         toks.take()
         inner = _parse_expr(toks)
@@ -178,9 +229,10 @@ def _parse_base(toks: _Tokens) -> Poly:
         return inner
     if ch in ("x", "X"):
         toks.take()
-        return Poly.x()
+        return {1: 1}, 1
     if ch.isdigit() or ch == ".":
-        return Poly.constant(toks.number())
+        value = toks.number()
+        return ({0: value.numerator} if value else {}), value.denominator
     raise ParseError(toks.pos, "a number, 'x', '(' or '-'")
 
 
@@ -313,7 +365,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="rootsos",
         description=(
@@ -328,27 +382,26 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--g", required=True, metavar="EXPR", help="polynomial to certify")
     cert.add_argument("--out", metavar="PATH", help="write the certificate here")
     cert.add_argument("--pretty", action="store_true", help="human-readable output")
-    cert.set_defaults(func=cmd_certify)
 
     ver = sub.add_parser("verify", help="verify a certificate file exactly")
     ver.add_argument("--cert", required=True, metavar="PATH")
-    ver.set_defaults(func=cmd_verify)
 
     ins = sub.add_parser("inspect", help="factor f and check the gcd hypothesis")
     ins.add_argument("--f", required=True, metavar="EXPR")
     ins.add_argument("--g", metavar="EXPR")
-    ins.set_defaults(func=cmd_inspect)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:  # the parser is cyclic garbage once parsed; keep it out of the command's lifetime
+    try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; fold that into the IO/parse code
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
-    return args.func(args)
+    # looked up per call, not bound into the parser, so a replaced command is seen
+    command = {"certify": cmd_certify, "verify": cmd_verify, "inspect": cmd_inspect}
+    return command[args.command](args)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ measured value of g cannot pass is skipped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -225,27 +226,36 @@ def round_to_digits(value: Sequence, digits: int):
 
 
 def check_positive_definite(rows) -> Optional[LDLReport]:
-    """Exact square-root-free Cholesky (LDL^T) over Q.
+    """Exact square-root-free Cholesky (LDL^T) over Q, fraction-free.
 
+    Symmetric Bareiss elimination (Math. Comp. 22, 1968) on the integer
+    matrix A = den*Q, den the common denominator: its k-th pivot is the
+    leading principal minor Delta_k of A, each step divides exactly by the
+    pivot before it, and entry (i, k) before step k is the minor of A that
+    makes L[i][k] = minor/Delta_k.  So D_k = Delta_k/(Delta_{k-1}*den).
     Returns the decomposition when every pivot is strictly positive, which
     proves positive definiteness; returns None as soon as a pivot fails.
     """
     q = _as_matrix(rows)
     _check_symmetric(q)
-    n = len(q)
+    den = math.lcm(*(x.denominator for row in q for x in row))
+    a = [[x.numerator * (den // x.denominator) for x in row[: i + 1]] for i, row in enumerate(q)]
+    n = len(a)
     lower = [[Fraction(0)] * n for _ in range(n)]
     diag: list[Fraction] = []
-    for j in range(n):
-        lower[j][j] = Fraction(1)
-        pivot = q[j][j] - sum((lower[j][k] ** 2 * diag[k] for k in range(j)), Fraction(0))
+    previous = 1
+    for k in range(n):
+        pivot = a[k][k]
         if pivot <= 0:
             return None
-        diag.append(pivot)
-        for i in range(j + 1, n):
-            acc = q[i][j] - sum(
-                (lower[i][k] * lower[j][k] * diag[k] for k in range(j)), Fraction(0)
-            )
-            lower[i][j] = acc / pivot
+        diag.append(Fraction(pivot, previous * den))
+        lower[k][k] = Fraction(1)
+        for i in range(k + 1, n):
+            row, aik = a[i], a[i][k]
+            lower[i][k] = Fraction(aik, pivot)
+            for j in range(k + 1, i + 1):
+                row[j] = (pivot * row[j] - aik * a[j][k]) // previous
+        previous = pivot
     return LDLReport(tuple(tuple(r) for r in lower), tuple(diag))
 
 

@@ -5,9 +5,11 @@ Durand-Kerner pass in builtin complex floats or from the roots of a lower
 precision), conjugate-pair classification
 cross-checked against the exact Sturm count, Lagrange basis construction, and
 assembly of the interior Gram pair (Q*, q*) whose exact rounding is performed
-downstream.  The margin sigma is the smallest eigenvalue of Q* from mpmath's
-``eigsy``; it only picks the rounding digits, and the exact LDL^T downstream
-proves positive definiteness.  Deflation by a root and q* are ratpoly's
+downstream.  Q* is summed on mpmath's raw ``libmp`` values.  The margin sigma,
+an estimate of the smallest eigenvalue of Q*, comes from one Cholesky
+factorization of Q* and a Lanczos run on its inverse; it only picks the
+rounding digits, and the exact LDL^T downstream proves positive
+definiteness.  Deflation by a root and q* are ratpoly's
 ``long_division`` in mp arithmetic.  Every function here makes one attempt at
 the precision it is given (mpmath software floats with a mantissa of that
 many bits) and raises IllConditioned when that precision does not suffice;
@@ -27,10 +29,12 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import ldexp, prod
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import fone, from_float, from_int, from_man_exp, fzero, mpf_add, mpf_div
+from mpmath.libmp import mpf_mul, mpf_neg, mpf_shift, mpf_sqrt, mpf_sub, round_nearest, to_float
 
 from .ratpoly import Poly, horner, long_division, norm2_squared, sqrt_upper_bound
 from .ratpoly import sturm_real_root_count
@@ -94,9 +98,10 @@ class RootProfile:
 class InteriorGram:
     """Interior Gram pair: g = x^T Qstar x + qstar*f up to the residual rho.
 
-    sigma is the smallest eigenvalue of Qstar at the working precision,
-    shrunk by a factor 1 - 2^-32; rho is an upper bound on the coefficient
-    2-norm of the identity residual.
+    sigma estimates the smallest eigenvalue of Qstar at the working
+    precision (see ``smallest_eigenvalue``), shrunk by a factor 1 - 2^-32,
+    and is 0 when Qstar is not numerically positive definite; rho is an
+    upper bound on the coefficient 2-norm of the identity residual.
     """
 
     Qstar: tuple
@@ -301,6 +306,146 @@ def _value_error(fc, gc, x):
     return slope(gc) * step + rounding(gc)
 
 
+#: 1 - 2^-32, the factor by which sigma is shrunk below the estimate.
+_SHRINK = from_man_exp(2**32 - 1, -32)
+
+
+def _residual(start, xs, ys, prec):
+    """start - sum x*y over raw mpf values, exact until one rounding to prec."""
+    sign, total, low, _ = start
+    if sign:
+        total = -total
+    for (s, m, e, _), (t, n, f, _) in zip(xs, ys):
+        if m and n:
+            term, e = (m * n if s ^ t else -m * n), e + f
+            if not total:
+                total, low = term, e
+            elif e >= low:
+                total += term << (e - low)
+            else:
+                total, low = (total << (low - e)) + term, e
+    return from_man_exp(total, low, prec, round_nearest)
+
+
+def _dot(xs, ys, prec):
+    return mpf_neg(_residual(fzero, xs, ys, prec))
+
+
+def _cholesky(rows, prec):
+    """Cholesky factor L (Q = L L^T) of a symmetric matrix of raw mpf values,
+    row j holding columns 0..j; None unless every pivot is positive."""
+    lower = []
+    for j, row in enumerate(rows):
+        lj = []
+        for i, li in enumerate(lower):
+            lj.append(mpf_div(_residual(row[i], lj, li, prec), li[i], prec, round_nearest))
+        pivot = _residual(row[j], lj, lj, prec)
+        if pivot[0] or not pivot[1]:  # negative or zero
+            return None
+        lj.append(mpf_sqrt(pivot, prec, round_nearest))
+        lower.append(lj)
+    return lower
+
+
+def _cholesky_solve(lower, below, inverse, b, prec):
+    """Q^-1 b from the Cholesky factor: L y = b, then L^T x = y.  below[i]
+    lists column i of L under the diagonal, inverse[i] is 1/L[i][i]."""
+    y = []
+    for li, r, bi in zip(lower, inverse, b):
+        y.append(mpf_mul(_residual(bi, li, y, prec), r, prec, round_nearest))
+    x = []
+    for col, r, yi in zip(reversed(below), reversed(inverse), reversed(y)):
+        x.insert(0, mpf_mul(_residual(yi, col, x, prec), r, prec, round_nearest))
+    return x
+
+
+def _largest_ritz_value(alpha, beta):
+    """Largest eigenvalue of the symmetric tridiagonal matrix T with diagonal
+    alpha and off-diagonal beta (floats).  Newton's method on det(xI - T)
+    starts at Gershgorin's upper bound; on a polynomial with only real roots
+    it descends monotonically to the largest one.  The pivots of xI - T give
+    det and its log-derivative; it stops where a step no longer descends, or
+    where xI - T is no longer positive definite (x reached the root up to
+    rounding)."""
+    radius = [0.0] * len(alpha)
+    for i, b in enumerate(beta):
+        radius[i] += abs(b)
+        radius[i + 1] += abs(b)
+    x = max(a + r for a, r in zip(alpha, radius))
+    coupling = [0.0] + [b * b for b in beta]
+    while True:
+        pivot, slope, ratio = 1.0, 0.0, 0.0
+        for a, b2 in zip(alpha, coupling):
+            slope = 1 + b2 * slope / (pivot * pivot)
+            pivot = x - a - b2 / pivot
+            if pivot <= 0:
+                return x
+            ratio += slope / pivot
+        x_next = x - 1 / ratio
+        if not x_next < x:
+            return x
+        x = x_next
+
+
+def smallest_eigenvalue(rows, prec):
+    """sigma = (1 - 2^-32)*lambda_min of a symmetric matrix Q of raw mpf
+    values, estimated at ``prec`` bits and returned as a raw mpf; 0 when the
+    Cholesky factorization of Q fails (Q is not numerically positive
+    definite).
+
+    Lanczos on Q^-1, with the Cholesky factors' solves and full
+    reorthogonalization, from the start vector (1, 2, ..., n): lambda_min is
+    1/theta for the largest Ritz value theta.  By interlacing theta cannot
+    fall from one step to the next, so the run stops where it stops growing
+    in double precision, or when the Krylov space spans all of R^n or ends.
+    A Ritz value never exceeds the largest eigenvalue of Q^-1, so a start
+    vector that misses the lowest eigenvector of Q would overstate sigma:
+    before an early stop, sigma is confirmed by a Cholesky factorization of
+    Q - sigma*I.  If that fails, the run goes on (rounding brings the missed
+    directions in), and sigma is 0 when the Krylov space ends first.
+    """
+    lower = _cholesky(rows, prec)
+    if lower is None:
+        return fzero
+    n = len(rows)
+    below = [[lower[k][i] for k in range(i + 1, n)] for i in range(n)]
+    inverse = [mpf_div(fone, li[-1], prec, round_nearest) for li in lower]
+    ramp = [from_int(i + 1) for i in range(n)]
+    norm = mpf_sqrt(_dot(ramp, ramp, prec), prec, round_nearest)
+    v = [mpf_div(x, norm, prec, round_nearest) for x in ramp]
+    basis, alpha, beta, theta, scale = [], [], [], 0.0, 0
+    while True:
+        basis.append(v)
+        w = _cholesky_solve(lower, below, inverse, v, prec)
+        alpha.append(_dot(v, w, prec))
+        # T in floats, scaled by 2^-scale so that no entry overflows; the
+        # scale never falls, so the last theta rescales without rounding
+        last = scale
+        scale = max(x[2] + x[3] for x in alpha + beta)
+        previous, theta = ldexp(theta, last - scale), _largest_ritz_value(
+            [to_float(mpf_shift(x, -scale)) for x in alpha],
+            [to_float(mpf_shift(x, -scale)) for x in beta])
+        full = len(basis) == n
+        if not full:
+            for _ in range(2):  # twice: one pass leaves w skewed when it cancels
+                cs = [_dot(u, w, prec) for u in basis]
+                w = [_residual(x, cs, us, prec) for x, us in zip(w, zip(*basis))]
+            b = mpf_sqrt(_dot(w, w, prec), prec, round_nearest)
+        if full or not b[1] or not theta > previous:
+            sigma = mpf_shift(mpf_div(_SHRINK, from_float(theta), prec, round_nearest), -scale)
+            if full:
+                return sigma
+            shifted = [[mpf_sub(x, sigma, prec, round_nearest) if i == j else x
+                        for i, x in enumerate(row)] for j, row in enumerate(rows)]
+            if _cholesky(shifted, prec) is not None:
+                return sigma
+            if not b[1]:
+                return fzero
+        beta.append(b)
+        r = mpf_div(fone, b, prec, round_nearest)
+        v = [mpf_mul(x, r, prec, round_nearest) for x in w]
+
+
 def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
     """Interior Gram pair (Q*, q*) for g modulo squarefree f.
 
@@ -356,24 +501,27 @@ def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
             columns.append([root_disc * mp.im(c) for c in u])
             weights.append(2 * den)
 
-        rows = [[mp.mpf(0)] * n for _ in range(n)]
+        # acc += w*col[r]*col[c] on the raw values, in the same order and
+        # rounding as mpf arithmetic, with w*col[r] taken once per row
+        raw = [[x._mpf_ for x in col] for col in columns]
+        entries = [[fzero] * n for _ in range(n)]
         for r in range(n):
+            scaled = [(mpf_mul(w._mpf_, col[r], bits, round_nearest), col)
+                      for w, col in zip(weights, raw)]
             for c in range(r, n):
-                acc = mp.mpf(0)
-                for w, col in zip(weights, columns):
-                    acc += w * col[r] * col[c]
-                rows[r][c] = rows[c][r] = acc
+                acc = fzero
+                for wr, col in scaled:
+                    acc = mpf_add(acc, mpf_mul(wr, col[c], bits, round_nearest), bits,
+                                  round_nearest)
+                entries[r][c] = entries[c][r] = acc
+        rows = [[mp.make_mpf(x) for x in row] for row in entries]
 
         # q* by long division of (g - x^T Q* x) by f
         quad = antidiagonal_sums(rows, mp.mpf(0))
         num = [(gc[i] if i < len(gc) else mp.mpf(0)) - quad[i] for i in range(2 * n - 1)]
         qstar = long_division(num, fc, lambda c: c / fc[-1])
 
-        try:
-            eigenvalues = mp.eigsy(mp.matrix(rows), eigvals_only=True)
-        except RuntimeError as exc:  # the tridiagonal QL iteration did not converge
-            raise IllConditioned(str(exc)) from exc
-        sigma = min(eigenvalues) * (1 - mp.ldexp(1, -32))
+        sigma = mp.make_mpf(smallest_eigenvalue(entries, bits))
 
         # exact residual norm: binary floats are rationals, so the identity
         # error of (Q*, q*) can be bounded without any floating-point slack

@@ -54,6 +54,17 @@ def test_parse_division_needs_a_nonzero_constant(text, capsys):
     assert "non-zero constant divisor" in capsys.readouterr().err
 
 
+def test_parse_long_sum_of_high_powers_is_linear():
+    # each x^k is one sparse entry and each + adds one: no dense vector per
+    # term (4 s for this input when every + copied a dense accumulator)
+    text = " + ".join(f"x^{k}" for k in range(10000, 9000, -1))
+    started = time.perf_counter()
+    p = parse_poly(text)
+    assert time.perf_counter() - started < 0.5
+    assert p == Poly.from_integers([0] * 9001 + [1] * 1000)
+    assert parse_poly("x^3 - 2*x^3 + x^3 + x - (x + 1)") == Poly.constant(-1)
+
+
 def test_parse_errors_have_position():
     for text in ("x +", "2x", "x^", "(x+1", "x^99999", "1/0", "y"):
         with pytest.raises(ParseError) as info:
@@ -308,12 +319,12 @@ def test_certify_pinned_bytes(f, g, precisions, digest, monkeypatch, capsys):
 
 
 def test_certify_eigensolver_failure_exits_four(monkeypatch, capsys):
-    def no_convergence(*_args, **_kwargs):
-        raise RuntimeError("tridiag_eigen: no convergence to an eigenvalue")
-
-    monkeypatch.setattr(numeric.mp, "eigsy", no_convergence)
+    # a margin kernel whose Cholesky never succeeds finds no margin at any rung
+    monkeypatch.setattr(numeric, "_cholesky", lambda _rows, _prec: None)
     assert main(["certify", "--f", "x^3-2", "--g", "x"]) == 4
-    assert "precision exhausted" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "precision exhausted" in err
+    assert err.count("no rounding margin") == 4
 
 
 def test_certify_root_finder_failure_exits_four(monkeypatch, capsys):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from rootsos import exactify, numeric
@@ -224,6 +226,59 @@ def test_ldl_vs_determinant_oracle():
             assert not _leading_minors_positive(q)
 
 
+def _ldl_reference(q):
+    """Square-root-free Cholesky in Fraction arithmetic, column by column."""
+    n = len(q)
+    lower = [[F(0)] * n for _ in range(n)]
+    diag = []
+    for j in range(n):
+        lower[j][j] = F(1)
+        pivot = q[j][j] - sum((lower[j][k] ** 2 * diag[k] for k in range(j)), F(0))
+        if pivot <= 0:
+            return None
+        diag.append(pivot)
+        for i in range(j + 1, n):
+            acc = q[i][j] - sum((lower[i][k] * lower[j][k] * diag[k] for k in range(j)), F(0))
+            lower[i][j] = acc / pivot
+    return tuple(tuple(r) for r in lower), tuple(diag)
+
+
+@st.composite
+def _symmetric_rational(draw):
+    n = draw(st.integers(1, 6))
+    entry = st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**12)
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = draw(entry)
+    if draw(st.booleans()):  # diagonally dominant, so positive definite
+        for i in range(n):
+            rows[i][i] = sum(map(abs, rows[i])) + draw(st.fractions(min_value=F(1, 10**6),
+                                                                     max_value=1))
+    return tuple(tuple(r) for r in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_symmetric_rational())
+def test_bareiss_ldl_equals_the_fraction_reference(q):
+    # the fraction-free elimination returns the same factors, and fails on
+    # exactly the matrices where the Fraction loop meets a pivot <= 0
+    report = check_positive_definite(q)
+    reference = _ldl_reference(q)
+    if reference is None:
+        assert report is None
+    else:
+        assert (report.lower, report.diag) == reference
+
+
+def test_bareiss_ldl_accepts_integers_and_stops_at_a_zero_pivot():
+    assert check_positive_definite(((4, 2), (2, 3))).diag == (F(4), F(2))
+    # singular leading block: the second pivot is exactly zero
+    third = F(1, 3)
+    assert check_positive_definite(((third, third, 0), (third, third, 0), (0, 0, 1))) is None
+    assert check_positive_definite(()) == exactify.LDLReport((), ())
+
+
 def test_gram_to_sos_toy():
     lift = GramLift(TOY_Q, Poly([F(3, 10), F(-2, 5)]), F_CUBE, X)
     sos = gram_to_sos(lift)
@@ -402,17 +457,19 @@ def test_certify_strict_limits_scale_with_g(f, g, monkeypatch):
 
 
 def test_certify_strict_eigensolver_failure_exhausts_precision(monkeypatch):
+    # the margin kernel's Cholesky of Q* never succeeds: sigma = 0 at every rung
     tried = []
 
-    def no_convergence(*_args, **_kwargs):
-        tried.append(mp.prec)
-        raise RuntimeError("tridiag_eigen: no convergence to an eigenvalue")
+    def not_definite(_rows, prec):
+        tried.append(prec)
 
-    monkeypatch.setattr(numeric.mp, "eigsy", no_convergence)
+    monkeypatch.setattr(numeric, "_cholesky", not_definite)
     with pytest.raises(PrecisionExhausted) as info:
         certify_strict_squarefree(F_CUBE, X)
     assert tried == [106, 212, 424, 848]  # each failure retries at double precision
-    assert info.value.sigma is None
+    assert info.value.attempts == tuple(
+        (bits, "no rounding margin (delta <= 0)") for bits in (106, 212, 424, 848))
+    assert info.value.sigma == 0
     assert info.value.precision_bits == 848
     assert "up to 848 bits" in str(info.value)
 

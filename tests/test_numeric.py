@@ -6,12 +6,15 @@ import pytest
 from mpmath import mp
 
 from rootsos import numeric
+from rootsos.exactify import delta_bound
+from rootsos.lifting import certify_nonnegative
 from rootsos.numeric import (
     IllConditioned,
     build_interior_gram,
     exact_fraction,
     find_roots,
     lagrange_basis,
+    smallest_eigenvalue,
 )
 from rootsos.ratpoly import NotSquarefree, Poly, norm2_squared
 from support import random_squarefree_poly, random_strictly_positive_poly
@@ -257,6 +260,88 @@ def test_interior_gram_matches_closed_form():
         assert abs(gram.qstar[1] + mp.mpf(7) / 18) < 1e-25
     assert abs(gram.sigma - 0.2239) < 2e-3
     assert gram.rho < 1e-20
+
+
+def _digits(f, sigma, rho):
+    """The rounding digits t = ceil(log10(1/delta)) that sigma picks; None
+    when there is no rounding margin."""
+    delta = delta_bound(f, sigma, rho)
+    if delta <= 0:
+        return None
+    t = 1
+    while F(1, 10**t) > delta:
+        t += 1
+    return t
+
+
+def _near8():
+    # the refute workload's near-boundary shape: f = x^8 - 2, g = x^2 - r
+    # with 0 < 2^(1/4) - r < 1e-20, so both real roots weigh about 1e-20
+    with mp.workprec(200):
+        r = F(int(mp.floor(mp.root(2, 4) * 10**20)), 10**20)
+    return X**8 - Poly.constant(2), X**2 - Poly.constant(r)
+
+
+@pytest.mark.parametrize("case", ["near8", "x^32-2", "parrilo"])
+def test_sigma_picks_the_digits_of_an_eigsy_oracle(case, monkeypatch):
+    if case == "near8":
+        (f, g), rungs = _near8(), (424, 848)
+    elif case == "x^32-2":
+        f, g, rungs = X**32 - Poly.constant(2), X + Poly.constant(3), (106,)
+    else:  # the rank-deficient boundary matrix of LAMBDA_FACTOR = 1
+        monkeypatch.setattr(numeric, "LAMBDA_FACTOR", 1)
+        f, g, rungs = F_CUBE, X, (106, 212, 424, 848)
+    for bits in rungs:
+        gram = build_interior_gram(f, g, find_roots(f, bits))
+        with mp.workprec(bits):
+            eigenvalues = sorted(mp.eigsy(mp.matrix(gram.Qstar), eigvals_only=True))
+            oracle = eigenvalues[0] * (1 - mp.ldexp(1, -32))
+        assert _digits(f, gram.sigma, gram.rho) == _digits(f, oracle, gram.rho)
+        if case == "near8":  # two clustered smallest eigenvalues, sigma below both
+            assert eigenvalues[1] < 2 * eigenvalues[0]
+            assert gram.sigma < eigenvalues[0]
+        if case == "parrilo":
+            assert _digits(f, gram.sigma, gram.rho) is None
+
+
+def _reflected(h, d):
+    """H diag(d) H for the Householder reflection H = I - 2 h h^T/(h^T h):
+    an exact rational matrix with eigenvalues d and eigenvectors H e_k."""
+    n, hh = len(h), sum(x * x for x in h)
+    reflect = [[int(i == j) - F(2 * h[i] * h[j], hh) for j in range(n)] for i in range(n)]
+    return [[sum(reflect[i][k] * d[k] * reflect[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("exact", [
+    # eigenvalues 1 and 3, the lowest eigenvector (2, -1) orthogonal to the
+    # start vector (1, 2): one Gram-Schmidt pass would leave the second
+    # Lanczos vector skewed
+    [[F(7, 5), F(4, 5)], [F(4, 5), F(13, 5)]],
+    # H maps (1, ..., 8) to (0, 14, 2, 2, 0, ...), so H e_1 is orthogonal to
+    # it: Lanczos sees eigenvalue 3 first and its Ritz value stops growing
+    # there; the Cholesky of Q - 3I fails and the run goes on to the margin
+    _reflected([1, -12, 1, 2, 5, 6, 7, 8], [1, 3] + [10**6 + k for k in range(6)]),
+], ids=["n=2", "n=8"])
+def test_sigma_from_a_start_vector_orthogonal_to_the_lowest_eigenvector(exact):
+    with mp.workprec(106):
+        q = [[(mp.mpf(x.numerator) / x.denominator)._mpf_ for x in row] for row in exact]
+        sigma = mp.make_mpf(smallest_eigenvalue(q, 106))
+    assert 1 - 2**-31 < sigma < 1
+
+
+def test_sigma_is_zero_without_a_cholesky_factor():
+    one, two = mp.mpf(1)._mpf_, mp.mpf(2)._mpf_
+    assert smallest_eigenvalue([[one, two], [two, one]], 106) == mp.mpf(0)._mpf_
+
+
+def test_certify_never_calls_eigsy(monkeypatch):
+    def no_eigsy(*_args, **_kwargs):
+        raise AssertionError("mp.eigsy called")
+
+    monkeypatch.setattr(numeric.mp, "eigsy", no_eigsy)
+    for f, g in ((F_CUBE, X), _near8(), (X * (X**3 - Poly.constant(2)) ** 2, X**2 + Poly.one())):
+        assert certify_nonnegative(f, g).weights
 
 
 def test_interior_gram_symmetric_exactly():
