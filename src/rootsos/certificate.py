@@ -19,7 +19,7 @@ from .ratpoly import Poly, weighted_square_sum
 
 FORMAT_VERSION = "sos-cert/1"
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class ParseError(ValueError):
@@ -84,7 +84,7 @@ def _poly_obj(p: Poly) -> list[str]:
 
 def _parse_pair(text: object, where: str) -> tuple[int, int]:
     """(numerator, denominator) of a rational string, not reduced."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ParseError(f"{where}: expected a rational string, got {text!r}")
     num, _, den = text.partition("/")
     try:
@@ -125,6 +125,8 @@ def deserialize(text: str) -> Certificate:
         raise ParseError(exc.msg, line=exc.lineno) from exc
     except ValueError as exc:  # a number literal beyond the int<->str digit limit
         raise ParseError(str(exc)) from exc
+    except RecursionError as exc:  # arrays or objects nested past the interpreter's limit
+        raise ParseError("JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     version = doc.get("version")

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import compress
 
 from . import certificate as certmod
-from .certificate import Certificate, ParseError as CertificateParseError
+from .certificate import Certificate
 from .exactify import PrecisionExhausted
 from .factorq import factor_over_Q
 from .lifting import HypothesisViolated, NotNonnegative, certify_nonnegative
@@ -32,7 +32,18 @@ EXIT_HYPOTHESIS = 2
 EXIT_NOT_NONNEGATIVE = 3
 EXIT_PRECISION = 4
 
+#: Exit code and message prefix of each refusal a command may raise, by the
+#: first class that matches; ValueError covers parse, read and write errors.
+_EXITS = {
+    HypothesisViolated: (EXIT_HYPOTHESIS, "hypothesis violated"),
+    NotNonnegative: (EXIT_NOT_NONNEGATIVE, "not non-negative"),
+    PrecisionExhausted: (EXIT_PRECISION, "precision exhausted"),
+    ValueError: (EXIT_ERROR, "error"),
+}
+
 MAX_EXPONENT = 10**4
+#: Cap on the nesting of parentheses and unary minuses, each a parser recursion.
+MAX_NESTING = 100
 #: Cap on the bits of any numerator or denominator a power ``^`` may build.
 MAX_POWER_BITS = 2**20
 #: Cap on the dense size, coefficients x bits, of any power or product the
@@ -53,6 +64,7 @@ class _Tokens:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # open parentheses and unary minuses
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -73,7 +85,7 @@ class _Tokens:
         seen_dot = False
         while self.pos < len(self.text):
             ch = self.text[self.pos]
-            if ch.isdigit():
+            if "0" <= ch <= "9":  # ASCII digits only, as in the certificate format
                 self.pos += 1
             elif ch == "." and not seen_dot:
                 seen_dot = True
@@ -83,16 +95,22 @@ class _Tokens:
         lexeme = self.text[start : self.pos]
         if not lexeme or lexeme == ".":
             raise ParseError(start, "a number")
-        return Fraction(lexeme)
+        try:
+            return Fraction(lexeme)
+        except ValueError:  # past the interpreter's int<->str digit limit
+            raise ParseError(start, "a number of fewer digits") from None
 
     def uint(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise ParseError(start, "an integer exponent")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past the interpreter's int<->str digit limit
+            raise ParseError(start, f"an exponent <= {MAX_EXPONENT}") from None
 
 
 #: A parsed value: non-zero integer numerators by exponent over one positive
@@ -216,21 +234,25 @@ def _log_height(value: Sparse) -> float:
 
 def _parse_base(toks: _Tokens) -> Sparse:
     ch = toks.peek()
-    if ch == "-":
+    if ch in ("-", "("):
+        if toks.depth == MAX_NESTING:
+            raise ParseError(toks.pos, f"nesting depth <= {MAX_NESTING}")
         toks.take()
-        terms, den = _parse_factor(toks)
-        return {i: -v for i, v in terms.items()}, den
-    if ch == "(":
-        toks.take()
-        inner = _parse_expr(toks)
-        if toks.peek() != ")":
-            raise ParseError(toks.pos, "')'")
-        toks.take()
+        toks.depth += 1
+        if ch == "-":
+            terms, den = _parse_factor(toks)
+            inner = {i: -v for i, v in terms.items()}, den
+        else:
+            inner = _parse_expr(toks)
+            if toks.peek() != ")":
+                raise ParseError(toks.pos, "')'")
+            toks.take()
+        toks.depth -= 1
         return inner
     if ch in ("x", "X"):
         toks.take()
         return {1: 1}, 1
-    if ch.isdigit() or ch == ".":
+    if "0" <= ch <= "9" or ch == ".":
         value = toks.number()
         return ({0: value.numerator} if value else {}), value.denominator
     raise ParseError(toks.pos, "a number, 'x', '(' or '-'")
@@ -256,35 +278,15 @@ def _pretty_certificate(cert: Certificate) -> str:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    try:
-        f = parse_poly(args.f)
-        g = parse_poly(args.g)
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
+    f, g = parse_poly(args.f), parse_poly(args.g)
     started = time.perf_counter()
-    try:
-        cert = certify_nonnegative(f, g)
-    except HypothesisViolated as exc:
-        print(f"hypothesis violated: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except NotNonnegative as exc:
-        print(f"not non-negative: {exc}", file=sys.stderr)
-        return EXIT_NOT_NONNEGATIVE
-    except PrecisionExhausted as exc:
-        print(f"precision exhausted: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    cert = certify_nonnegative(f, g)
     elapsed = time.perf_counter() - started
 
     try:
         payload = _pretty_certificate(cert) if args.pretty else certmod.serialize(cert)
     except ValueError as exc:  # a coefficient beyond the int<->str digit limit
-        print(f"error: cannot write the certificate: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(f"cannot write the certificate: {exc}") from exc
     summary = (
         f"certificate: N={len(cert.weights)} terms, "
         f"max coefficient bits={_max_bits(cert)}, time={elapsed:.3f}s"
@@ -294,8 +296,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(payload)
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_ERROR
+            raise ValueError(f"cannot write {args.out}: {exc}") from exc
         print(summary)
     else:
         sys.stdout.write(payload)
@@ -307,14 +308,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         with open(args.cert, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
-        print(f"error: cannot read {args.cert}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        cert = certmod.deserialize(text)
-    except CertificateParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {args.cert}: {exc}") from exc
+    cert = certmod.deserialize(text)
     verdict = certmod.verify(cert)
     if verdict:
         print(f"valid: g = sum of {len(cert.weights)} weighted squares + q*f")
@@ -326,23 +322,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    try:
-        f = parse_poly(args.f)
-        g = parse_poly(args.g) if args.g is not None else None
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    f = parse_poly(args.f)
+    g = parse_poly(args.g) if args.g is not None else None
     if f.is_zero:
-        print("error: f must be non-zero", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("f must be non-zero")
 
     lines = [f"f = {f}", f"deg f = {int(f.degree) if f else '-inf'}"]
     if f.degree >= 1:
-        try:  # first, so that a degree over the cap is refused before any work
-            fact = factor_over_Q(f)
-        except ValueError as exc:  # over the degree cap, or no usable prime
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
+        # first, so that a degree over the cap is refused before any work
+        fact = factor_over_Q(f)
         lines.append("squarefree decomposition:")  # Yun's monic parts
         for mult in sorted({e for _p, e in fact.factors}):
             part = math.prod((p for p, e in fact.factors if e == mult), start=Poly.one())
@@ -401,7 +389,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     # looked up per call, not bound into the parser, so a replaced command is seen
     command = {"certify": cmd_certify, "verify": cmd_verify, "inspect": cmd_inspect}
-    return command[args.command](args)
+    try:
+        return command[args.command](args)
+    except tuple(_EXITS) as exc:
+        code, prefix = next(v for t, v in _EXITS.items() if isinstance(exc, t))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -18,14 +18,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 
 from .ratpoly import Poly, long_division, squarefree_decompose
+from .ratpoly import _gf_gcd, _gf_monic, _trim, _zp_divmod, _zp_reduce  # shared with gcd
 
 #: Inputs above this degree are refused instead of silently grinding.
 DEGREE_CAP = 64
-
-_PRIME_ATTEMPTS = 200
 
 
 class ZeroOrConstant(ValueError):
@@ -33,8 +32,7 @@ class ZeroOrConstant(ValueError):
 
 
 class NoUsablePrime(ValueError):
-    """No prime among the first _PRIME_ATTEMPTS odd primes keeps the integer
-    image squarefree."""
+    """No prime in _ODD_PRIMES keeps the integer image squarefree."""
 
 
 class LiftFailure(ValueError):
@@ -60,6 +58,18 @@ class IrreducibleFactorization:
         return out
 
 
+def _odd_primes_to(limit: int) -> tuple[int, ...]:
+    """The odd primes up to ``limit``, by the sieve of Eratosthenes."""
+    prime = bytearray([1]) * (limit + 1)
+    for n in range(3, math.isqrt(limit) + 1, 2):
+        prime[n * n :: 2 * n] = bytes(len(range(n * n, limit + 1, 2 * n)))
+    return tuple(compress(range(3, limit + 1, 2), prime[3::2]))
+
+
+#: The primes the factorizer tries, in order: the first 200 odd primes.
+_ODD_PRIMES = _odd_primes_to(1229)
+
+
 # ---------------------------------------------------------------------------
 # integer / modular coefficient-list helpers (ascending order, trimmed)
 #
@@ -70,35 +80,16 @@ class IrreducibleFactorization:
 # ---------------------------------------------------------------------------
 
 
-def _trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 def _deg(c: list[int]) -> int:
     return len(c) - 1
 
 
-def _zp_reduce(a: list[int], m: int) -> list[int]:
-    return _trim([x % m for x in a])
-
-
-def _zp_add(a: list[int], b: list[int], m: int) -> list[int]:
+def _zp_add(a: list[int], b: list[int], m: int, sign: int = 1) -> list[int]:
+    """a + sign*b modulo m (sign is 1 or -1)."""
     out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
+    out[: len(a)] = a
     for i, x in enumerate(b):
-        out[i] = (out[i] + x) % m
-    return _trim(out)
-
-
-def _zp_sub(a: list[int], b: list[int], m: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = (out[i] - x) % m
+        out[i] = (out[i] + sign * x) % m
     return _trim(out)
 
 
@@ -114,29 +105,11 @@ def _zp_mul(a: list[int], b: list[int], m: int) -> list[int]:
     return _zp_reduce(out, m)
 
 
-def _gf_monic(a: list[int], p: int) -> list[int]:
-    if not a:
-        return []
-    inv = pow(a[-1], -1, p)
-    return [(x * inv) % p for x in a]
-
-
-def _zp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
-    """Long division over Z/mZ by ``b``, whose leading coefficient must be a
-    unit mod m (so quotient and remainder are unique)."""
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial mod m")
-    inv = pow(b[-1], -1, m)
-    rem = list(a)
-    quo = long_division(rem, b, lambda c: c * inv % m)
-    return _trim(quo), _zp_reduce(rem[: len(b) - 1], m)
-
-
-def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    r0, r1 = _zp_reduce(a, p), _zp_reduce(b, p)
-    while r1:
-        r0, r1 = r1, _zp_divmod(r0, r1, p)[1]
-    return _gf_monic(r0, p)
+def _zp_prod(factors, m: int) -> list[int]:
+    out = [1]
+    for c in factors:
+        out = _zp_mul(out, c, m)
+    return out
 
 
 def _gf_gcdex(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
@@ -147,8 +120,8 @@ def _gf_gcdex(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int],
     while r1:
         q, r = _zp_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _zp_sub(s0, _zp_mul(q, s1, p), p)
-        t0, t1 = t1, _zp_sub(t0, _zp_mul(q, t1, p), p)
+        s0, s1 = s1, _zp_add(s0, _zp_mul(q, s1, p), p, -1)
+        t0, t1 = t1, _zp_add(t0, _zp_mul(q, t1, p), p, -1)
     inv = pow(r0[-1], -1, p)
     scale = lambda c: [(x * inv) % p for x in c]
     return scale(r0), scale(s0), scale(t0)
@@ -182,28 +155,6 @@ def _z_divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
 def _symmetric(c: list[int], m: int) -> list[int]:
     half = m // 2
     return _trim([((x % m) - m) if (x % m) > half else (x % m) for x in c])
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        if n % q == 0:
-            return n == q
-    d = 37
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def _odd_primes():
-    n = 3
-    while True:
-        if _is_prime(n):
-            yield n
-        n += 2
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +237,7 @@ def _gf_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
             out.append((v, _deg(v)))
             break
         h = _gf_powmod(h, p, v, p)
-        g = _gf_gcd(_zp_sub(h, [0, 1], p), v, p)
+        g = _gf_gcd(_zp_add(h, [0, 1], p, -1), v, p)
         if _deg(g) > 0:
             out.append((g, d))
             v = _zp_divmod(v, g, p)[0]
@@ -319,7 +270,7 @@ def _gf_equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[l
             continue
         u = _gf_gcd(a, f, p)
         if not 0 < _deg(u) < n:
-            u = _gf_gcd(_zp_sub(_gf_powmod(a, exponent, f, p), [1], p), f, p)
+            u = _gf_gcd(_zp_add(_gf_powmod(a, exponent, f, p), [1], p, -1), f, p)
             if not 0 < _deg(u) < n:
                 continue
         rest = _zp_divmod(f, u, p)[0]
@@ -332,13 +283,7 @@ def _lift_tree(f: list[int], facs: list[list[int]], p: int, target: int) -> list
     if len(facs) == 1:
         return [_zp_reduce(f, modulus)]
     mid = len(facs) // 2
-    g = [1]
-    for c in facs[:mid]:
-        g = _zp_mul(g, c, p)
-    h = [1]
-    for c in facs[mid:]:
-        h = _zp_mul(h, c, p)
-    g, h = _lift_pair(f, g, h, p, target)
+    g, h = _lift_pair(f, _zp_prod(facs[:mid], p), _zp_prod(facs[mid:], p), p, target)
     return _lift_tree(g, facs[:mid], p, target) + _lift_tree(h, facs[mid:], p, target)
 
 
@@ -353,15 +298,15 @@ def _lift_pair(
     while level < target:
         level = min(2 * level, target)
         m = p**level
-        e = _zp_sub(_zp_reduce(f, m), _zp_mul(g, h, m), m)
+        e = _zp_add(_zp_reduce(f, m), _zp_mul(g, h, m), m, -1)
         q, r = _zp_divmod(_zp_mul(s, e, m), h, m)
         g = _zp_add(g, _zp_add(_zp_mul(t, e, m), _zp_mul(q, g, m), m), m)
         h = _zp_add(h, r, m)
         if level < target:
-            b = _zp_sub(_zp_add(_zp_mul(s, g, m), _zp_mul(t, h, m), m), [1], m)
+            b = _zp_add(_zp_add(_zp_mul(s, g, m), _zp_mul(t, h, m), m), [1], m, -1)
             c, d = _zp_divmod(_zp_mul(s, b, m), h, m)
-            s = _zp_sub(s, d, m)
-            t = _zp_sub(t, _zp_add(_zp_mul(t, b, m), _zp_mul(c, g, m), m), m)
+            s = _zp_add(s, d, m, -1)
+            t = _zp_add(t, _zp_add(_zp_mul(t, b, m), _zp_mul(c, g, m), m), m, -1)
     return g, h
 
 
@@ -379,10 +324,7 @@ def recombine(g: list[int], lifted: list[list[int]], modulus: int, bound: int) -
         while hit:
             hit = False
             for combo in combinations(range(len(remaining)), size):
-                prod = [1]
-                for i in combo:
-                    prod = _zp_mul(prod, remaining[i], modulus)
-                cand = _symmetric(prod, modulus)
+                cand = _symmetric(_zp_prod((remaining[i] for i in combo), modulus), modulus)
                 if any(abs(x) > bound for x in cand):
                     continue
                 quo, rem = _z_divmod_monic(rest, cand)
@@ -423,8 +365,8 @@ def _factor_squarefree(part: Poly) -> list[Poly]:
     n = _deg(g)
     # g is monic, so its image keeps its degree modulo every prime.  Primes
     # dividing its discriminant leave a square factor; x*(x - P), with P the
-    # product of the first _PRIME_ATTEMPTS odd primes, has no usable one.
-    for prime, _ in zip(_odd_primes(), range(_PRIME_ATTEMPTS)):
+    # product of _ODD_PRIMES, has no usable one.
+    for prime in _ODD_PRIMES:
         gbar = _zp_reduce(g, prime)
         deriv = [k * gbar[k] for k in range(1, n + 1)]
         if _deg(_gf_gcd(gbar, deriv, prime)) == 0:
@@ -432,7 +374,7 @@ def _factor_squarefree(part: Poly) -> list[Poly]:
     else:
         raise NoUsablePrime(
             f"no usable prime: a squarefree factor of degree {n} is not "
-            f"squarefree modulo any of the first {_PRIME_ATTEMPTS} odd primes"
+            f"squarefree modulo any of the first {len(_ODD_PRIMES)} odd primes"
         )
     modular = factor_mod_p(gbar, prime, random.Random(f"0:{prime}:{n}"))
     # rational roots first: deflating g keeps it congruent to the product of
@@ -463,12 +405,9 @@ def _factor_squarefree(part: Poly) -> list[Poly]:
 def _lift_root(g: list[int], r: int, p: int, bound: int) -> int:
     """Lift the simple root r of g modulo p by Newton steps to a root modulo
     the first p**(2**j) above 2*bound, in the symmetric range."""
+    deriv = [k * g[k] for k in range(1, len(g))]
     m = p
     while m <= 2 * bound:
         m *= m
-        value = slope = 0
-        for c in reversed(g):  # Horner for g(r) and g'(r)
-            slope = (slope * r + value) % m
-            value = (value * r + c) % m
-        r = (r - value * pow(slope, -1, m)) % m
+        r = (r - _gf_eval(g, r, m) * pow(_gf_eval(deriv, r, m), -1, m)) % m
     return r - m if r > m // 2 else r

@@ -68,11 +68,13 @@ def newton_sqrt_iterates(gbar: Poly, h0: Poly, p: Poly, e: int) -> list[Poly]:
     root: h0 is inverted once modulo p by extended_gcd, and
     s <- s*(2 - h^(k)*s) carries s to an inverse of h^(k) modulo M = p^(2^k).
     Step k divides h^(k)^2 - gbar by M: a remainder breaks the invariant
-    h^(k)^2 = gbar mod M (AssertionError, as does the last iterate's check),
-    and the quotient E gives h^(k+1) = h^(k) - M*((E*s/2) mod M), the
-    reduction modulo M^2.  Each iterate is the unique square root of gbar
-    modulo p^(2^k) that is congruent to h0 modulo p and has degree below
-    2^k*deg p.  The returned list contains h0 and every iterate.
+    h^(k)^2 = gbar mod M (AssertionError), and the quotient E gives
+    h^(k+1) = h^(k) - M*((E*s/2) mod M), the reduction modulo M^2.  Each
+    iterate is the unique square root of gbar modulo p^(2^k) that is
+    congruent to h0 modulo p and has degree below 2^k*deg p.  The last
+    iterate is not squared again: a wrong one breaks the identity that
+    ``certify_nonnegative`` checks.  The returned list contains h0 and every
+    iterate.
     """
     if e < 1:
         raise ValueError("target exponent must be >= 1")
@@ -95,8 +97,6 @@ def newton_sqrt_iterates(gbar: Poly, h0: Poly, p: Poly, e: int) -> list[Poly]:
         h = h - modulus * ((error * s * Fraction(1, 2)) % modulus)
         modulus = modulus * modulus
         iterates.append(h)
-    if not ((h * h - gbar) % modulus).is_zero:
-        raise AssertionError("Newton square invariant broken")
     return iterates
 
 
@@ -116,10 +116,10 @@ def hensel_lift_sos(sos: SOSDecomposition, p: Poly, e: int, g: Poly) -> SOSDecom
     if (g % p).is_zero:
         raise NoInvertibleSquare("p divides g; the lifting lemma does not apply")
 
-    candidates = [j for j, h in enumerate(sos.polys) if not h.is_zero and gcd(h, p).degree == 0]
-    if not candidates:
+    j = next((j for j in reversed(range(len(sos.polys)))
+              if sos.polys[j] and gcd(sos.polys[j], p).degree == 0), None)
+    if j is None:
         raise NoInvertibleSquare("every square is divisible by p")
-    j = candidates[-1]
 
     rest = weighted_square_sum(
         (w for i, w in enumerate(sos.weights) if i != j),
@@ -184,7 +184,8 @@ def reduce_nonneg_to_strict(f: Poly, g: Poly) -> StrictReduction:
     identity 1 = s*(f/d) + t*d^2 yields b = t*g (reduced modulo f/d) with
     b*d^2 = g mod f; b is then strictly positive at the real roots of f/d.
     That b is coprime to each factor of f/d is left to
-    ``certify_strict_squarefree`` (SharedFactor).  g = 0 gives d = monic f
+    ``certify_strict_squarefree`` (SharedFactor), and b*d^2 = g mod f to the
+    identity that ``certify_nonnegative`` checks.  g = 0 gives d = monic f
     and no factors.  f/d is factored over Q before the Bezout step, whose
     cost grows with deg(f/d), so a degree over the factorization cap is
     refused first.
@@ -193,9 +194,7 @@ def reduce_nonneg_to_strict(f: Poly, g: Poly) -> StrictReduction:
         raise ValueError("f must have degree >= 1")
 
     d = gcd(f, g)
-    cofactor, rem = divmod(f, d)
-    if not rem.is_zero:
-        raise AssertionError("gcd does not divide f")
+    cofactor = f // d
     if d.degree > 0:
         common = gcd(d, cofactor)
         if common.degree != 0:
@@ -205,13 +204,8 @@ def reduce_nonneg_to_strict(f: Poly, g: Poly) -> StrictReduction:
         return StrictReduction(d, cofactor, (), Poly.zero())
 
     factors = factor_over_Q(cofactor).factors
-    unit, _s, t = extended_gcd(cofactor, d * d)
-    if unit != Poly.one():
-        raise AssertionError("cofactor and d^2 are not coprime despite hypothesis")
-    b = (t * g) % cofactor
-    if not ((b * d * d - g) % f).is_zero:
-        raise AssertionError("b*d^2 = g mod f failed")
-    return StrictReduction(d, cofactor, factors, b)
+    t = extended_gcd(cofactor, d * d)[2]  # coprime by the hypothesis
+    return StrictReduction(d, cofactor, factors, (t * g) % cofactor)
 
 
 def certify_nonnegative(f: Poly, g: Poly) -> Certificate:

@@ -31,9 +31,9 @@ package's one other division loop, divides in mp floats, Z/mZ and Z.
 
 ``gcd`` first maps both operands to one fixed prime, 2**61 - 1.  If the
 prime divides neither leading numerator nor the denominator and the images
-are coprime there (``factorq``'s GF(p) gcd), the operands are coprime over Q
-and the answer is 1; this is exact and needs no retries.  Every other pair
-runs the Euclidean algorithm over Q.
+are coprime there (the GF(p) gcd ``_gf_gcd``, which ``factorq`` shares), the
+operands are coprime over Q and the answer is 1; this is exact and needs no
+retries.  Every other pair runs the Euclidean algorithm over Q.
 """
 
 from __future__ import annotations
@@ -418,6 +418,46 @@ def long_division(rem: list, div, lead) -> list:
     return quo
 
 
+# -- coefficient lists over Z/mZ, shared with factorq -----------------------
+# Ascending and trimmed; inputs may hold any integers, outputs lie in [0, m).
+
+
+def _trim(c: list[int]) -> list[int]:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _zp_reduce(a: list[int], m: int) -> list[int]:
+    return _trim([x % m for x in a])
+
+
+def _gf_monic(a: list[int], p: int) -> list[int]:
+    if not a:
+        return []
+    inv = pow(a[-1], -1, p)
+    return [(x * inv) % p for x in a]
+
+
+def _zp_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Long division over Z/mZ by ``b``, whose leading coefficient must be a
+    unit mod m (so quotient and remainder are unique)."""
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial mod m")
+    inv = pow(b[-1], -1, m)
+    rem = list(a)
+    quo = long_division(rem, b, lambda c: c * inv % m)
+    return _trim(quo), _zp_reduce(rem[: len(b) - 1], m)
+
+
+def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over GF(p) by the Euclidean algorithm."""
+    r0, r1 = _zp_reduce(a, p), _zp_reduce(b, p)
+    while r1:
+        r0, r1 = r1, _zp_divmod(r0, r1, p)[1]
+    return _gf_monic(r0, p)
+
+
 def _bias(n: int, width: int) -> int:
     """sum 2**(8*width - 1) * 2**(8*width*i) over i < n."""
     return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
@@ -508,15 +548,9 @@ def _coprime_modulo_prime(a: Poly, b: Poly) -> bool:
     False means only that this one image does not decide.
     """
     p = _GCD_PRIME
-    images = []
-    for poly in (a, b):
-        if poly.den % p == 0 or poly.nums[-1] % p == 0:
-            return False
-        images.append([v % p for v in poly.nums])
-    image_a, image_b = images
-    from .factorq import _gf_gcd  # factorq imports this module
-
-    return len(_gf_gcd(image_a, image_b, p)) == 1
+    if any(poly.den % p == 0 or poly.nums[-1] % p == 0 for poly in (a, b)):
+        return False
+    return len(_gf_gcd(a.nums, b.nums, p)) == 1
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
@@ -600,9 +634,7 @@ def squarefree_decompose(f: Poly) -> SquarefreeDecomposition:
     i = 1
     while b.degree > 0:
         a = gcd(b, d) if not d.is_zero else b.monic()
-        b, rem_b = divmod(b, a)
-        if not rem_b.is_zero:
-            raise AssertionError("Yun internal error: inexact division")
+        b = b // a
         d = (d // a) - b.derivative()
         if a.degree > 0:
             parts.append((a, i))

@@ -115,6 +115,20 @@ def test_malformed_rational_rejected():
         deserialize(text)
 
 
+@pytest.mark.parametrize("bad", ['"\u0663"', '"5\\n"', '"\\u0663/5"'],
+                         ids=["arabic-indic-digit", "trailing-newline", "escaped-digit"])
+def test_rational_strings_are_ascii_digits_only(bad):
+    # the format's rationals are -?[0-9]+(/[0-9]+)? in ASCII, nothing more
+    text = serialize(_toy_certificate()).replace('"3/5"', bad)
+    with pytest.raises(ParseError, match="expected a rational string"):
+        deserialize(text)
+
+
+def test_deeply_nested_json_is_a_parse_error():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        deserialize("[" * 200000)
+
+
 OVER_DIGIT_LIMIT = "1" + "0" * 5000  # Python converts at most 4300 digits
 
 

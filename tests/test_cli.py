@@ -7,11 +7,21 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from rootsos import cli, numeric
 from rootsos.certificate import Certificate, deserialize, verify
-from rootsos.cli import MAX_EXPONENT, MAX_POWER_BITS, MAX_SIZE_BITS, ParseError, main, parse_poly
+from rootsos.cli import (
+    MAX_EXPONENT,
+    MAX_NESTING,
+    MAX_POWER_BITS,
+    MAX_SIZE_BITS,
+    ParseError,
+    main,
+    parse_poly,
+)
 from rootsos.ratpoly import Poly
 from support import odd_primes_product
 
@@ -71,6 +81,57 @@ def test_parse_errors_have_position():
             parse_poly(text)
         assert info.value.position >= 0
         assert info.value.expected
+
+
+@pytest.mark.parametrize("text", ["x-\u0663", "x^\u00b2"], ids=["arabic-indic-three", "superscript-two"])
+def test_parse_accepts_ascii_digits_only(text, capsys):
+    with pytest.raises(ParseError) as info:
+        parse_poly(text)
+    assert info.value.position == 2
+    assert main(["certify", "--f", text, "--g", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: at position 2: expected ")
+
+
+def test_parse_number_past_the_digit_limit_has_a_position():
+    for text in ("x^" + "1" * 5000, "x-" + "1" * 5000, "x-0." + "1" * 5000):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text)
+        assert info.value.position == 2
+
+
+def test_parse_nesting_depth_at_the_bound_certifies(capsys):
+    f = "(" * MAX_NESTING + "x-1" + ")" * MAX_NESTING
+    assert parse_poly(f) == X - Poly.one()
+    assert parse_poly("-" * MAX_NESTING + "x") == X
+    assert main(["certify", "--f", f, "--g", "x+2"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["certify", "inspect"])
+@pytest.mark.parametrize(
+    "f",
+    ["(" * 246 + "x-1" + ")" * 246, "(" * 10000 + "x-1" + ")" * 10000, "-" * 3000 + "x"],
+    ids=["parentheses-246", "parentheses-10000", "minuses-3000"],
+)
+def test_parse_nesting_past_the_bound_exits_one(command, f, capsys):
+    # each level is a few recursive calls; past the bound is a parse error,
+    # not a RecursionError
+    assert main([command, f"--f={f}", "--g", "x+2"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: at position {MAX_NESTING}: expected nesting depth <= {MAX_NESTING}\n")
+
+
+_NESTS = st.lists(st.sampled_from(["(", "-", "(-", "-(", " ( "]), max_size=150).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NESTS, st.text(alphabet="xX0123456789.+-*/^() \u0663\u00b2", max_size=30))
+def test_parse_raises_nothing_but_parse_error(nest, body):
+    for text in (body, nest + body + ")" * nest.count("(")):
+        try:
+            parse_poly(text)
+        except ParseError:
+            pass
 
 
 def test_certify_writes_verifiable_file(tmp_path, capsys):
@@ -146,6 +207,20 @@ def test_verify_truncated_certificate(tmp_path, capsys):
 def test_verify_missing_file(capsys):
     assert main(["verify", "--cert", "/nonexistent/cert.json"]) == 1
     capsys.readouterr()
+
+
+def test_verify_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["verify", "--cert", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+
+def test_verify_deeply_nested_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text("[" * 200000)
+    assert main(["verify", "--cert", str(path)]) == 1
+    assert capsys.readouterr().err == "error: JSON nested too deeply\n"
 
 
 def test_inspect_report(capsys):

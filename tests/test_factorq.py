@@ -444,6 +444,15 @@ def test_root_split_matches_the_whole_image_lift(monkeypatch):
         checked += 1
 
 
+def test_prime_table_is_the_first_200_odd_primes():
+    reference, n = [], 3  # trial division
+    while len(reference) < 200:
+        if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
+            reference.append(n)
+        n += 2
+    assert factorq._ODD_PRIMES == tuple(reference)
+
+
 def test_false_root_lifts_stay_in_the_cofactor(monkeypatch):
     # x^2 - 2 has the roots 6 and 11 modulo 17; their lifts are 17-adic
     # square roots of 2, which fail the exact check
@@ -455,7 +464,7 @@ def test_false_root_lifts_stay_in_the_cofactor(monkeypatch):
         return lifted[-1]
 
     monkeypatch.setattr(factorq, "_lift_root", spy)
-    monkeypatch.setattr(factorq, "_odd_primes", lambda: iter([17]))
+    monkeypatch.setattr(factorq, "_ODD_PRIMES", (17,))
     calls = _spy_lift_tree(monkeypatch)
     quad, lin = X**2 - Poly.constant(2), X - Poly.constant(3)
     assert _by_degree(_factor_squarefree(quad * lin)) == [lin, quad]
@@ -482,7 +491,7 @@ def test_tree_lift_runs_only_on_the_cofactor(monkeypatch):
     assert len(factor_over_Q(linear).factors) == 16
     assert calls == []
     # x^2 + 1 has the roots 23 and 30 modulo 53, apart from 1..16
-    monkeypatch.setattr(factorq, "_odd_primes", lambda: iter([53]))
+    monkeypatch.setattr(factorq, "_ODD_PRIMES", (53,))
     fact = factor_over_Q(linear * (X**2 + Poly.one()))
     assert fact.factors[-1] == (X**2 + Poly.one(), 1) and len(fact.factors) == 17
     assert calls == [(2, 2), (1, 1), (1, 1)]

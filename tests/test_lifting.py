@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -234,6 +235,36 @@ def test_reduce_example_with_gcd():
     assert red.factors == ((F_CUBE, 2),)
     assert red.b == X
     assert ((red.b * red.d * red.d - X**3) % f).is_zero
+
+
+def test_identity_check_catches_a_wrong_last_newton_iterate(monkeypatch):
+    # no check after the Newton loop: the final identity check catches it
+    real = lifting.newton_sqrt_iterates
+
+    def corrupt(gbar, h0, p, e):
+        iterates = real(gbar, h0, p, e)
+        return iterates[:-1] + [iterates[-1] + Poly.one()]
+
+    assert verify(certify_nonnegative(X * F_CUBE**2, X**3))
+    monkeypatch.setattr(lifting, "newton_sqrt_iterates", corrupt)
+    with pytest.raises(AssertionError, match="certificate identity"):
+        certify_nonnegative(X * F_CUBE**2, X**3)
+
+
+def test_identity_check_catches_a_wrong_b(monkeypatch):
+    # no b*d^2 = g mod f check in the reduction: the final identity check
+    # catches a b that breaks it, here one still positive at the real root
+    real = lifting.reduce_nonneg_to_strict
+
+    def corrupt(f, g):
+        red = real(f, g)
+        return dataclasses.replace(red, b=red.b + Poly.one())
+
+    f, g = X**2 * F_CUBE, X**2 * (X + Poly.constant(3))
+    assert verify(certify_nonnegative(f, g))
+    monkeypatch.setattr(lifting, "reduce_nonneg_to_strict", corrupt)
+    with pytest.raises(AssertionError, match="certificate identity"):
+        certify_nonnegative(f, g)
 
 
 def test_reduce_counterexample():

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -215,6 +218,23 @@ def test_gcd_of_a_coprime_pair_does_no_division(monkeypatch):
     for a, b in pairs:
         assert gcd(a, b) == Poly.one()
     assert divisions == []
+
+
+def test_gcd_runs_without_factorq():
+    # the GF(p) gcd lives in ratpoly; a bare package shell keeps rootsos's
+    # __init__ (which imports every module) from loading factorq itself
+    code = (
+        "import sys, types\n"
+        f"shell = types.ModuleType('rootsos'); shell.__path__ = [{os.path.dirname(ratpoly.__file__)!r}]\n"
+        "sys.modules['rootsos'] = shell\n"
+        "from rootsos.ratpoly import Poly, gcd\n"
+        "x = Poly.x()\n"
+        "assert gcd(x**3 - Poly.constant(2), x**2 + Poly.one()) == Poly.one()\n"
+        "assert gcd(x**2 - Poly.one(), x**2 + x) == x + Poly.one()\n"
+        "print('rootsos.factorq' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_gcd_both_zero():
