@@ -259,10 +259,8 @@ def _parse_base(toks: _Tokens) -> Sparse:
 
 
 def _max_bits(cert: Certificate) -> int:
-    pairs = [(w.numerator, w.denominator) for w in cert.weights]
-    for p in (*cert.polys, cert.q):
-        pairs.extend(p.pairs())
-    return max((max(abs(n).bit_length(), d.bit_length()) for n, d in pairs), default=0)
+    weights = (max(abs(w.numerator).bit_length(), w.denominator.bit_length()) for w in cert.weights)
+    return max((*weights, *(p.max_bits() for p in (*cert.polys, cert.q))), default=0)
 
 
 def _pretty_certificate(cert: Certificate) -> str:

@@ -1,11 +1,15 @@
 """Floating-point stage of the certification pipeline.
 
-Simultaneous root approximation (mpmath's ``polyroots``, started from a
-Durand-Kerner pass in builtin complex floats or from the roots of a lower
-precision), conjugate-pair classification
+Root approximation by Newton refinement, conjugate-pair classification
 cross-checked against the exact Sturm count, Lagrange basis construction, and
 assembly of the interior Gram pair (Q*, q*) whose exact rounding is performed
-downstream.  Q* is summed on mpmath's raw ``libmp`` values.  The margin sigma,
+downstream.  ``find_roots`` refines the previous rung's roots, or else the
+seeds of a Durand-Kerner pass in builtin complex floats, by Newton's method
+on raw ``libmp`` values: a real root in real arithmetic, a conjugate pair
+through its representative alone, whose exact conjugate is the other root.
+The step count follows from the precision.  When a root stalls or the
+refined roots fail a check, mpmath's ``polyroots`` runs from the same seeds.
+Q* is summed on mpmath's raw ``libmp`` values.  The margin sigma,
 an estimate of the smallest eigenvalue of Q*, comes from one Cholesky
 factorization of Q* and a Lanczos run on its inverse; it only picks the
 rounding digits, and the exact LDL^T downstream proves positive
@@ -15,7 +19,7 @@ the precision it is given (mpmath software floats with a mantissa of that
 many bits) and raises IllConditioned when that precision does not suffice;
 the caller (``exactify``) retries at the next rung of its fixed precision
 ladder.  A rung continues from the one before it: ``find_roots`` starts
-``polyroots`` from the previous rung's roots when it is given them, and a
+from the previous rung's roots when it is given them, and a
 value that fails the threshold of ``build_interior_gram`` travels in the
 IllConditioned with a bound on its evaluation error, so the caller can skip
 the rungs whose threshold it cannot pass.  The sign of g at the real roots
@@ -27,6 +31,7 @@ real root is only a reason to retry.
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ldexp, prod
@@ -45,13 +50,19 @@ DEFAULT_PRECISION_BITS = 106
 LAMBDA_FACTOR = 2
 
 _POLYROOTS_MAX_STEPS = 500
-#: Step cap of the first polyroots call (extraprec=10).  From float seeds or
-#: a previous rung's roots it converges within 4 steps, and from mpmath's own
+#: Step cap of the first polyroots call (extraprec=10), the fallback of the
+#: Newton refinement.  From float seeds or a previous rung's roots it
+#: converged within 4 steps on the benchmark workloads, and from mpmath's own
 #: start in 8-28 steps on degrees 3-32; a root it cannot resolve would run
 #: all _POLYROOTS_MAX_STEPS before the retry with more extra bits.
 _FIRST_MAX_STEPS = 50
 _SEED_MAX_STEPS = 200
 _SEED_TOL = 1e-13
+#: Correct bits credited to a float seed: a double's mantissa.
+_FLOAT_SEED_BITS = sys.float_info.mant_dig
+#: mpmath's default extraprec: the first polyroots call's extra bits, and
+#: the extra bits of the Newton refinement.
+_GUARD_BITS = 10
 
 
 class IllConditioned(ArithmeticError):
@@ -158,26 +169,24 @@ def _float_seeds(monic):
     return zs if all(cmath.isfinite(z) for z in zs) else None
 
 
-def _polyroots(coeffs, start=None):
-    """Roots by mpmath's Durand-Kerner ``polyroots``; IllConditioned if it
-    converges at neither extraprec.  Its stopping test is absolute, so the
-    monic polynomial is scaled by 2^k, k = max_i floor(e_i / i) =
+def _scaled_monic(coeffs):
+    """(k, monic coefficients scaled by 2^-k), k = max_i floor(e_i / i) =
     floor(max_i log2|a_{n-i}|^(1/i)) with e_i = floor(log2|a_{n-i}|): by
-    Fujiwara's bound every scaled root has |y| <= 4.  The seeds only pick
-    where it starts: the roots ``start`` of a lower precision, scaled by the
-    same 2^-k, or else the float seeds; a cluster may need extraprec."""
+    Fujiwara's bound every root y of the scaled polynomial has |y| <= 4."""
     n = len(coeffs) - 1
     monic = [c / coeffs[-1] for c in coeffs]
-    if n == 1:
-        return [mp.mpc(-monic[0])]
-    k = max((mp.frexp(c)[1] - 1) // (n - j) for j, c in enumerate(monic[:-1]) if c)
-    scaled = [mp.ldexp(c, k * (j - n)) for j, c in enumerate(monic)]
-    if start is None:
-        seeds = _float_seeds(scaled)
-    else:
-        seeds = [mp.mpc(x) * mp.ldexp(1, -k) for x in start]
+    k = max(((mp.frexp(c)[1] - 1) // (n - j) for j, c in enumerate(monic[:-1]) if c), default=0)
+    return k, [mp.ldexp(c, k * (j - n)) for j, c in enumerate(monic)]
+
+
+def _polyroots(k, scaled, seeds):
+    """Roots by mpmath's Durand-Kerner ``polyroots`` on the scaled monic
+    polynomial (its stopping test is absolute), started from ``seeds`` in
+    the scaled coordinates, or from mpmath's own start when they are None;
+    IllConditioned if it converges at neither extraprec.  The seeds only
+    pick where it starts; a cluster may need extraprec."""
     # mpmath's default extraprec, then the working precision
-    for extra, steps in ((10, _FIRST_MAX_STEPS), (mp.prec, _POLYROOTS_MAX_STEPS)):
+    for extra, steps in ((_GUARD_BITS, _FIRST_MAX_STEPS), (mp.prec, _POLYROOTS_MAX_STEPS)):
         try:
             ys = mp.polyroots(scaled[::-1], maxsteps=steps, cleanup=False,
                               extraprec=extra, roots_init=seeds)
@@ -185,6 +194,107 @@ def _polyroots(coeffs, start=None):
             continue
         return [y * mp.ldexp(1, k) for y in ys]  # exact: a power-of-two scale
     raise IllConditioned(f"polyroots did not converge at {mp.prec} bits")
+
+
+def _value_and_slope(cs, z):
+    """f(z) and f'(z), for the ascending coefficients cs of f as raw mpf
+    values, with every sum of products rounded once to the working
+    precision.
+
+    A real z takes Horner's scheme.  A complex z = a + bi takes Goertzel's
+    in real arithmetic (Knuth, TAOCP 4.6.4): dividing f by (x - z)(x -
+    conj z) = x^2 - r*x + s, r = 2a and s = |z|^2, runs beta_k = c_k +
+    r*beta_(k+1) - s*beta_(k+2) down to k = 0, and f(z) = beta_0 - beta_1 *
+    conj(z).  The quotient u has the coefficients beta_2 .. beta_n, so the
+    same scheme gives u(z), and f'(z) = 2bi*u(z) + beta_1."""
+    prec = mp.prec
+    if not isinstance(z, mpmath.mpc):
+        x, value, slope = z._mpf_, cs[-1], fzero
+        for c in reversed(cs[:-1]):
+            slope = mpf_add(mpf_mul(slope, x), value, prec, round_nearest)
+            value = mpf_add(mpf_mul(value, x), c, prec, round_nearest)
+        return mp.make_mpf(value), mp.make_mpf(slope)
+    a, b = z._mpc_
+    coef = mpf_neg(mpf_shift(a, 1)), mpf_add(mpf_mul(a, a), mpf_mul(b, b), prec, round_nearest)
+    beta = beta_up = gamma = gamma_up = fzero  # beta_k and beta_(k+1); gamma likewise
+    for k in range(len(cs) - 1, -1, -1):
+        beta, beta_up = _residual(cs[k], coef, (beta, beta_up), prec), beta
+        if k >= 2:
+            gamma, gamma_up = _residual(beta, coef, (gamma, gamma_up), prec), gamma
+    a, b = z.real, z.imag
+    beta, beta_up, gamma, gamma_up = map(mp.make_mpf, (beta, beta_up, gamma, gamma_up))
+    return (mp.mpc(beta - a * beta_up, b * beta_up),
+            mp.mpc(beta_up - 2 * b * b * gamma_up, 2 * b * (gamma - a * gamma_up)))
+
+
+def _newton(cs, z, steps, tol):
+    """Root of f (raw ascending coefficients cs) near z by Newton's method
+    at the working precision, or None when it stalls: f'(z) = 0, a step no
+    shorter than the one before, or no step below tol*|z| within
+    ``steps``."""
+    last = mp.inf
+    for _ in range(steps):
+        value, slope = _value_and_slope(cs, z)
+        if not slope:
+            return None
+        step = value / slope
+        size = abs(step)
+        if not size < last:
+            return None
+        z, last = z - step, size
+        if size <= tol * abs(z):
+            return z
+    return None
+
+
+def _distinct(roots) -> bool:
+    """Whether no two roots coincide as doubles: the images of each two are
+    apart by more than 4 units in the last place of a double, relative to
+    |a| + |b|, which covers the rounding of both images and of their
+    difference.  Two seeds that converged to one root fail, and so does a
+    root beyond the float range."""
+    cs = [complex(z) for z in roots]
+    ulps = 4 * sys.float_info.epsilon
+    return all(abs(a - b) > (abs(a) + abs(b)) * ulps for i, a in enumerate(cs) for b in cs[:i])
+
+
+def _split_seeds(seeds, real: int, scale):
+    """The float seeds, times ``scale``, as ``real`` real seeds (those
+    nearest the real axis, as _classify measures it) and one seed above the
+    axis per conjugate pair; None when the rest do not split evenly."""
+    ranked = sorted(seeds, key=lambda y: abs(y.imag) / (1 + abs(y.real)))
+    reps = [y for y in ranked[real:] if y.imag > 0]
+    if 2 * len(reps) != len(seeds) - real:
+        return None
+    return [mp.mpf(y.real) * scale for y in ranked[:real]] + [mp.mpc(y) * scale for y in reps]
+
+
+def _refined_roots(cs, seeds, seed_bits):
+    """All roots of f (cs ascending) refined by Newton's method from
+    ``seeds`` with ``seed_bits`` correct bits, at the working precision p,
+    or None when a root stalls or two roots are not told apart.
+
+    A real seed (mpf) takes real steps.  A complex seed (mpc) stands for a
+    conjugate pair and takes complex steps; the exact conjugate of its
+    refined value is the pair's other root.  The steps run with polyroots'
+    _GUARD_BITS more, and each root converges once a step is below
+    2^-p*|z|, polyroots' own test made relative: a root whose condition
+    number is beyond about 2^_GUARD_BITS stalls, and only the fallback
+    resolves it.  Newton's method doubles the correct bits per step, so
+    ceil(log2((p + _GUARD_BITS) / seed_bits)) steps reach the guarded
+    precision, and one more step confirms."""
+    tol = mp.ldexp(1, -mp.prec)
+    steps = (-(-(mp.prec + _GUARD_BITS) // seed_bits) - 1).bit_length() + 1
+    raw, roots = [c._mpf_ for c in cs], []
+    with mp.extraprec(_GUARD_BITS):
+        for z in seeds:
+            z = _newton(raw, z, steps, tol)
+            if z is None:
+                return None
+            roots.append(z)
+    roots = [+z for z in roots]  # rounded to the working precision
+    roots += [mpmath.conj(z) for z in roots if isinstance(z, mpmath.mpc)]
+    return roots if _distinct(roots) else None
 
 
 def _classify(z, f: Poly, expected_real: int, bits: int):
@@ -240,12 +350,14 @@ def find_roots(
     """All complex roots of a squarefree polynomial, classified real/pair, in
     one attempt at ``precision_bits``.
 
-    ``previous``, the profile of an attempt at a lower precision, seeds
-    ``polyroots`` in place of the float seeds.  The real count is validated
-    against the exact Sturm count ``real``, computed here when the caller has
-    not.  A mismatch, a failed residual screen or no convergence of
-    ``polyroots`` (at either extraprec) raises IllConditioned: retry at a
-    higher precision.
+    The roots are refined by Newton's method from ``previous``, the profile
+    of an attempt at a lower precision of the same degree, or else from the
+    float seeds, split by the real count.  If a root stalls, or the refined
+    roots fail a check, ``polyroots`` runs from the same seeds.  The real
+    count is validated against the exact Sturm count ``real``, computed here
+    when the caller has not.  A mismatch, a failed residual screen or no
+    convergence of ``polyroots`` (at either extraprec) raises IllConditioned:
+    retry at a higher precision.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("find_roots needs degree >= 1")
@@ -254,8 +366,22 @@ def find_roots(
     if real is None:
         real = sturm_real_root_count(f)  # raises NotSquarefree when repeated
     with mp.workprec(precision_bits):
-        start = None if previous is None else previous.ordered_roots()
-        reals, reps = _classify(_polyroots(_mp_coeffs(f), start), f, real, precision_bits)
+        fc = _mp_coeffs(f)
+        k, scaled = _scaled_monic(fc)
+        if previous is not None and previous.degree == f.degree:
+            seeds = [mp.mpc(x) * mp.ldexp(1, -k) for x in previous.ordered_roots()]
+            start, seed_bits = previous.real_roots + previous.complex_pairs, previous.precision_bits
+        else:
+            seeds = _float_seeds(scaled)
+            start = seeds and _split_seeds(seeds, real, mp.ldexp(1, k))
+            seed_bits = _FLOAT_SEED_BITS
+        roots = start and _refined_roots(fc, start, seed_bits)
+        if roots:
+            try:
+                return RootProfile(*_classify(roots, f, real, precision_bits), precision_bits)
+            except IllConditioned:
+                pass  # polyroots from the same seeds decides
+        reals, reps = _classify(_polyroots(k, scaled, seeds), f, real, precision_bits)
     return RootProfile(reals, reps, precision_bits)
 
 
@@ -263,22 +389,26 @@ def lagrange_basis(f: Poly, roots: RootProfile) -> list:
     """Lagrange basis u_i = f/(f'(xi_i)(x - xi_i)) over the ordered roots.
 
     Each u_i is a coefficient tuple of degree n-1 with u_i(xi_j) ~ delta_ij; a
-    poor basis shows in the exact residual bound rho and the exact LDL^T.
+    poor basis shows in the exact residual bound rho and the exact LDL^T.  A
+    real root's basis is built in real arithmetic, and a conjugate's basis
+    is the exact conjugate of its representative's.
     """
     n = int(f.degree)
     with mp.workprec(roots.precision_bits):
-        xs = [mp.mpc(x) for x in roots.ordered_roots()]
-        if len(set(xs)) < n:
+        if len(set(roots.ordered_roots())) < n:
             raise IllConditioned("coincident roots at working precision")
         monic = _mp_coeffs(f.monic())
-        basis = []
-        for xi in xs:
+        k, basis = len(roots.real_roots), []
+        for i, xi in enumerate(roots.real_roots + roots.complex_pairs):
             quo = long_division(list(monic), (-xi, 1), lambda c: c)  # f/(lc*(x - xi))
             dval = horner(quo, xi)  # f'(xi)/lc = prod_{j != i} (xi - xj)
             if dval == 0:
                 raise IllConditioned("vanishing derivative at a root")
-            basis.append([c / dval for c in quo])
-        return [tuple(u) for u in basis]
+            u = tuple(c / dval for c in quo)
+            if i >= k:  # a pair's representative: its conjugate's slot comes first
+                basis.append(tuple(mpmath.conj(c) for c in u))
+            basis.append(u)
+        return basis
 
 
 def threshold(g: Poly, bits: int) -> Fraction:
@@ -481,7 +611,7 @@ def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
                     val, _value_error(fc, gc, xi))
 
         basis = lagrange_basis(f, roots)
-        columns = [[mp.re(c) for c in u] for u in basis[: len(weights)]]
+        columns = basis[: len(weights)]
 
         k = len(roots.real_roots)
         for idx, rep in enumerate(roots.complex_pairs):
@@ -524,9 +654,19 @@ def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
         sigma = mp.make_mpf(smallest_eigenvalue(entries, bits))
 
         # exact residual norm: binary floats are rationals, so the identity
-        # error of (Q*, q*) can be bounded without any floating-point slack
-        q_exact = [[exact_fraction(x) for x in row] for row in rows]
-        resid = Poly(antidiagonal_sums(q_exact)) + Poly(exact_fraction(x) for x in qstar) * f - g
+        # error of (Q*, q*) can be bounded without any floating-point slack;
+        # every mantissa is shifted to the least exponent (at most 0)
+        qraw = [x._mpf_ if x else fzero for x in qstar]  # a skipped slot holds int 0
+        low = min([0] + [e for row in entries for _s, m, e, _b in row if m]
+                  + [e for _s, m, e, _b in qraw if m])
+
+        def num(x):
+            sign, man, exp, _ = x
+            return (-man if sign else man) << (exp - low)
+
+        quad = antidiagonal_sums([[num(x) for x in row] for row in entries], 0)
+        den = 1 << -low
+        resid = Poly.from_integers(quad, den) + Poly.from_integers(map(num, qraw), den) * f - g
         rho_frac = sqrt_upper_bound(norm2_squared(resid)) * (1 + Fraction(1, 2**32))
         rho = mp.mpf(rho_frac.numerator) / rho_frac.denominator
 

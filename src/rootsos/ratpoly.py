@@ -77,7 +77,7 @@ class Poly:
     polynomials have equal (nums, den).
     """
 
-    __slots__ = ("nums", "den", "_coeffs")
+    __slots__ = ("nums", "den", "_coeffs", "_bits")
 
     nums: tuple[int, ...]
     den: int
@@ -151,12 +151,27 @@ class Poly:
             return cs
 
     def pairs(self) -> list[tuple[int, int]]:
-        """(numerator, denominator) of each coefficient in lowest terms."""
+        """(numerator, denominator) of each coefficient in lowest terms.  The
+        largest bit length among them is kept for ``max_bits``."""
         den = self.den
         if den == 1:
-            return [(v, 1) for v in self.nums]
-        gcds = [math.gcd(v, den) for v in self.nums]
-        return [(v // g, den // g) for v, g in zip(self.nums, gcds)]
+            pairs = [(v, 1) for v in self.nums]
+        else:
+            gcds = [math.gcd(v, den) for v in self.nums]
+            pairs = [(v // g, den // g) for v, g in zip(self.nums, gcds)]
+        bits = max((max(abs(n).bit_length(), d.bit_length()) for n, d in pairs), default=0)
+        object.__setattr__(self, "_bits", bits)
+        return pairs
+
+    def max_bits(self) -> int:
+        """The largest bit length of a numerator or denominator in
+        ``pairs``, kept from the last reduction, so that a serialized
+        polynomial is not reduced again."""
+        try:
+            return self._bits
+        except AttributeError:
+            self.pairs()
+            return self._bits
 
     @property
     def degree(self) -> Union[int, float]:

@@ -146,6 +146,21 @@ def test_certify_writes_verifiable_file(tmp_path, capsys):
     assert main(["verify", "--cert", str(out)]) == 0
 
 
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["json", "pretty"])
+def test_certify_summary_reports_the_largest_reduced_coefficient(pretty, tmp_path, capsys):
+    # the bits of the weights, the squares and q as the file writes them,
+    # whether or not the certificate was serialized before the summary
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--f", "x^3-2", "--g", "x", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    values = [F(t["omega"]) for t in doc["terms"]]
+    values += [F(c) for t in doc["terms"] for c in t["h"]] + [F(c) for c in doc["q"]]
+    bits = max(max(abs(v.numerator).bit_length(), v.denominator.bit_length()) for v in values)
+    capsys.readouterr()
+    assert main(["certify", "--f", "x^3-2", "--g", "x"] + pretty) == 0
+    assert f"max coefficient bits={bits}," in capsys.readouterr().err
+
+
 def test_certify_stdout_json(capsys):
     code = main(["certify", "--f", "x^2+1", "--g", "x-100"])
     assert code == 0
@@ -406,6 +421,7 @@ def test_certify_root_finder_failure_exits_four(monkeypatch, capsys):
     def no_convergence(*_args, **_kwargs):
         raise mp.NoConvergence("Didn't converge in maxsteps=500 steps.")
 
+    monkeypatch.setattr(numeric, "_newton", lambda *_args: None)  # every root stalls
     monkeypatch.setattr(numeric.mp, "polyroots", no_convergence)
     assert main(["certify", "--f", "x^3-2", "--g", "x"]) == 4
     assert "precision exhausted" in capsys.readouterr().err

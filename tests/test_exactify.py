@@ -481,6 +481,7 @@ def test_certify_strict_root_finder_failure_exhausts_precision(monkeypatch):
         tried.append((mp.prec, kwargs["extraprec"]))
         raise mp.NoConvergence("Didn't converge in maxsteps=500 steps.")
 
+    monkeypatch.setattr(numeric, "_newton", lambda *_args: None)  # every root stalls
     monkeypatch.setattr(numeric.mp, "polyroots", no_convergence)
     with pytest.raises(PrecisionExhausted) as info:
         certify_strict_squarefree(F_CUBE, X)
@@ -599,15 +600,15 @@ def test_certify_strict_exhaustion_names_every_rung(monkeypatch):
         assert f"{bits} bits: {reason}" in message
 
 
-def _spy_polyroots_starts(monkeypatch):
+def _spy_refinement_starts(monkeypatch):
     starts = []
-    polyroots = numeric.mp.polyroots
+    refine = numeric._refined_roots
 
-    def spy(coeffs, **kwargs):
-        starts.append((mp.prec, kwargs["roots_init"]))
-        return polyroots(coeffs, **kwargs)
+    def spy(cs, seeds, seed_bits):
+        starts.append((mp.prec, list(seeds), seed_bits))
+        return refine(cs, seeds, seed_bits)
 
-    monkeypatch.setattr(numeric.mp, "polyroots", spy)
+    monkeypatch.setattr(numeric, "_refined_roots", spy)
     return starts
 
 
@@ -628,20 +629,20 @@ def test_certify_strict_skips_a_rung_and_seeds_the_next_from_the_last_roots(monk
         return found[-1]
 
     monkeypatch.setattr(numeric, "find_roots", keep)
-    starts = _spy_polyroots_starts(monkeypatch)
+    starts = _spy_refinement_starts(monkeypatch)
     certify_strict_squarefree(NEAR_F, NEAR_G)
     assert calls == [("roots", 106), ("gram", 106), ("roots", 424), ("gram", 424)]
-    assert [bits for bits, _seeds in starts] == [106, 424]
-    assert all(type(z) is complex for z in starts[0][1])  # float seeds
-    # the 424-bit polyroots starts from the 106-bit roots (scaled by 2^-k,
-    # and k = 0 for x^8 - 2)
-    with mp.workprec(424):
-        assert starts[1][1] == [mp.mpc(z) for z in found[0].ordered_roots()]
+    assert [bits for bits, _seeds, _seed_bits in starts] == [106, 424]
+    assert starts[0][2] == numeric._FLOAT_SEED_BITS  # float seeds
+    # the 424-bit refinement starts from the 106-bit roots: the real roots
+    # and one representative per conjugate pair
+    prev = found[0]
+    assert starts[1][1:] == ([*prev.real_roots, *prev.complex_pairs], 106)
 
 
 def test_certify_strict_rung_after_failed_roots_starts_from_float_seeds(monkeypatch):
     # TINY_PAIR's roots fail at 106 bits, and at 424 they are made to fail
-    # after polyroots ran: neither rung leaves seeds for the next
+    # after they were refined: neither rung leaves seeds for the next
     find_roots = numeric.find_roots
 
     def fail_at_424(f, bits, **kwargs):
@@ -651,10 +652,10 @@ def test_certify_strict_rung_after_failed_roots_starts_from_float_seeds(monkeypa
         return roots
 
     monkeypatch.setattr(numeric, "find_roots", fail_at_424)
-    starts = _spy_polyroots_starts(monkeypatch)
+    starts = _spy_refinement_starts(monkeypatch)
     certify_strict_squarefree(TINY_PAIR, X)
-    assert [bits for bits, _seeds in starts] == [106, 212, 424, 848]
-    from_floats = [all(type(z) is complex for z in seeds) for _bits, seeds in starts]
+    assert [bits for bits, _seeds, _seed_bits in starts] == [106, 212, 424, 848]
+    from_floats = [seed_bits == numeric._FLOAT_SEED_BITS for _bits, _seeds, seed_bits in starts]
     assert from_floats == [True, True, False, True]
 
 

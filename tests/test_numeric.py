@@ -1,8 +1,10 @@
-import cmath
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from rootsos import numeric
@@ -80,6 +82,7 @@ def test_find_roots_without_convergence_makes_one_attempt(monkeypatch):
         tried.append((mp.prec, kwargs["extraprec"]))
         raise mp.NoConvergence("Didn't converge in maxsteps=500 steps.")
 
+    monkeypatch.setattr(numeric, "_newton", lambda *_args: None)  # every root stalls
     monkeypatch.setattr(numeric.mp, "polyroots", no_convergence)
     with pytest.raises(IllConditioned):
         find_roots(F_CUBE)
@@ -114,15 +117,43 @@ def test_first_polyroots_call_stops_at_its_step_cap(monkeypatch):
 
 
 def test_find_roots_starts_from_the_previous_roots(monkeypatch):
-    calls = _spy_polyroots(monkeypatch)
-    f = X**3 - Poly.constant(F(1, 10**9))  # k = -10: the roots are scaled by 2^10
+    calls = _spy_refinement(monkeypatch)
+    polyroots = _spy_polyroots(monkeypatch)
+    f = X**3 - Poly.constant(F(1, 10**9))
     low = find_roots(f, 106)
     high = find_roots(f, 212, previous=low)
+    # the real root and the pair's representative, credited with 106 bits
+    assert calls[1] == (212, [*low.real_roots, *low.complex_pairs], 106)
+    assert polyroots == []
     with mp.workprec(212):
-        assert calls[1]["roots_init"] == [mp.mpc(z) * 2**10 for z in low.ordered_roots()]
         for a, b in zip(low.ordered_roots(), high.ordered_roots()):
             assert abs(a - b) < mp.ldexp(1, -90)
     assert find_roots(f, 212) == high
+
+
+def test_find_roots_refines_no_previous_of_another_degree(monkeypatch):
+    # the roots of a quadratic are no start for a cubic: the attempt
+    # refines the cubic's own float seeds, as if there were no previous
+    other = find_roots(X**2 - Poly.constant(2), 106)
+    calls = _spy_refinement(monkeypatch)
+    prof = find_roots(F_CUBE, 212, previous=other)
+    assert prof == find_roots(F_CUBE, 212)
+    assert calls[0] == calls[1]
+    assert calls[0][0::2] == (212, numeric._FLOAT_SEED_BITS)
+
+
+def test_refinement_stalls_or_confuses_roots_and_returns_none():
+    cs = [mp.mpf(c) for c in (-6, 11, -6, 1)]  # (x - 1)(x - 2)(x - 3)
+    with mp.workprec(106):
+        seeds = [mp.mpf("1.001"), mp.mpf("2.001"), mp.mpf("2.999")]
+        roots = numeric._refined_roots(cs, seeds, 8)  # 8 correct bits: 5 steps
+        assert roots == [1, 2, 3]
+        # two seeds that both converge to 1: no root is left for 2
+        assert numeric._refined_roots(cs, [seeds[0], mp.mpf("0.999"), seeds[2]], 8) is None
+        # credited with more bits than they have, the seeds run out of steps
+        assert numeric._refined_roots(cs, seeds, 53) is None
+        # f'(z) = 0 at the seed
+        assert numeric._refined_roots([mp.mpf(c) for c in (-2, 0, 1)], [mp.mpf(0)], 53) is None
 
 
 def test_find_roots_misclassification_is_ill_conditioned():
@@ -158,15 +189,30 @@ def _spy_polyroots(monkeypatch):
     return calls
 
 
-def test_polyroots_starts_from_finite_float_seeds(monkeypatch):
-    calls = _spy_polyroots(monkeypatch)
+def _spy_refinement(monkeypatch):
+    calls = []
+    refine = numeric._refined_roots
+
+    def spy(cs, seeds, seed_bits):
+        calls.append((mp.prec, list(seeds), seed_bits))
+        return refine(cs, seeds, seed_bits)
+
+    monkeypatch.setattr(numeric, "_refined_roots", spy)
+    return calls
+
+
+def test_refinement_starts_from_finite_float_seeds(monkeypatch):
+    calls = _spy_refinement(monkeypatch)
+    polyroots = _spy_polyroots(monkeypatch)
     f = X**10 - Poly.constant(3)
     prof = find_roots(f)
     assert prof.precision_bits == 106 and len(prof.real_roots) == 2
-    assert len(calls) == 1
-    seeds = calls[0]["roots_init"]
-    assert len(seeds) == 10
-    assert all(cmath.isfinite(z) for z in seeds)
+    assert polyroots == []  # the refined roots passed every check
+    [(bits, seeds, seed_bits)] = calls
+    assert (bits, seed_bits) == (106, numeric._FLOAT_SEED_BITS)
+    # split by the Sturm count: two real seeds, then one seed per pair
+    assert [type(z) for z in seeds] == [mp.mpf] * 2 + [mp.mpc] * 4
+    assert all(mp.isfinite(z) and complex(z) == z for z in seeds)  # doubles
 
 
 def test_non_finite_seeds_fall_back_to_the_default_start(monkeypatch):
@@ -477,3 +523,25 @@ def test_sigma_positive_on_strict_instances():
         gram = build_interior_gram(f, g, find_roots(f))
         assert gram.sigma > 0
         done += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 10))
+def test_refined_roots_match_polyroots(seed, degree):
+    # the Newton refinement alone, from the float seeds and from the last
+    # rung's roots, against polyroots run to convergence at as many extra
+    # bits as the working precision
+    f = random_squarefree_poly(random.Random(seed), degree, 100)
+    real = numeric.sturm_real_root_count(f)
+    with mock.patch.object(numeric, "_polyroots", side_effect=AssertionError("fell back")):
+        low = find_roots(f, 106, real=real)
+        profiles = [low, find_roots(f, 212, real=real), find_roots(f, 212, real=real, previous=low)]
+    for prof in profiles:
+        bits = prof.precision_bits
+        with mp.workprec(bits):
+            cs = numeric._mp_coeffs(f)
+            want = numeric._classify(mp.polyroots(cs[::-1], maxsteps=500, extraprec=bits),
+                                     f, real, bits)
+            assert (len(prof.real_roots), len(prof.complex_pairs)) == tuple(map(len, want))
+            for z, w in zip(prof.real_roots + prof.complex_pairs, want[0] + want[1]):
+                assert abs(z - w) <= mp.ldexp(1, -(bits // 2)) * (1 + abs(w))

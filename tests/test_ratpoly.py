@@ -617,5 +617,6 @@ def test_from_integers_and_from_pairs_bring_any_form_to_the_canonical_one():
     assert Poly.from_integers([0, 0], 5) == Poly.zero()
     assert (Poly.zero().nums, Poly.zero().den) == ((), 1)
     assert half.pairs() == [(1, 2), (0, 1), (-3, 4)]
+    assert (half.max_bits(), Poly([F(5, 2)]).max_bits(), Poly.zero().max_bits()) == (3, 3, 0)
     with pytest.raises(ZeroDivisionError):
         Poly.from_integers([1], 0)
