@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import mpmath
+
 from . import numeric
 from .numeric import DEFAULT_PRECISION_BITS, IllConditioned, antidiagonal_sums, exact_fraction
 from .ratpoly import Poly, gcd, norm2_squared, sqrt_upper_bound, sturm_real_root_count
@@ -277,19 +279,6 @@ def _sos_from_ldl(report: LDLReport, modulus: Poly) -> SOSDecomposition:
     return SOSDecomposition(report.diag, polys, modulus)
 
 
-def _sci(x: Fraction) -> str:
-    """A positive rational in scientific notation, three significant digits,
-    at any exponent."""
-    exp = (x.numerator.bit_length() - x.denominator.bit_length()) * 30103 // 100000
-    mantissa = x / Fraction(10) ** exp
-    while mantissa >= 10:
-        mantissa, exp = mantissa / 10, exp + 1
-    while mantissa < 1:
-        mantissa, exp = mantissa * 10, exp - 1
-    text = f"{float(mantissa):.2f}"
-    return f"1.00e{exp + 1}" if text == "10.00" else f"{text}e{exp}"
-
-
 def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposition]:
     """Exact rational Gram certificate for g strictly positive at the real
     roots of a squarefree f.
@@ -342,8 +331,9 @@ def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposit
     for bits in PRECISION_LADDER:
         half_thr = numeric.threshold(g_red, bits) / 2
         if measured is not None and measured < half_thr:
-            attempts.append((bits, f"skipped: measured v = {_sci(measured)} < thr/2 = "
-                                   f"{_sci(half_thr)}"))
+            v, t = (mpmath.nstr(mpmath.mpf(x.numerator) / x.denominator, 3, strip_zeros=False)
+                    for x in (measured, half_thr))
+            attempts.append((bits, f"skipped: measured v = {v} < thr/2 = {t}"))
             continue
         try:
             roots = numeric.find_roots(f, bits, real=real, previous=roots)

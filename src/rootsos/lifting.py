@@ -232,7 +232,7 @@ def certify_nonnegative(f: Poly, g: Poly) -> Certificate:
         _lift, sos = certify_strict_squarefree(p, residue)
         if e > 1:
             sos = hensel_lift_sos(sos, p, e, reduction.b)
-        parts.append((p**e, sos))
+        parts.append((sos.modulus, sos))  # p, or the p**e of the lift
     combined = crt_combine_sos(parts)
 
     polys = combined.polys

@@ -8,7 +8,8 @@ seeds of a Durand-Kerner pass in builtin complex floats, by Newton's method
 on raw ``libmp`` values: a real root in real arithmetic, a conjugate pair
 through its representative alone, whose exact conjugate is the other root.
 The step count follows from the precision.  When a root stalls or the
-refined roots fail a check, mpmath's ``polyroots`` runs from the same seeds.
+refined roots fail a check, mpmath's ``polyroots`` runs once from the same
+seeds, with as many extra bits as the working precision.
 Q* is summed on mpmath's raw ``libmp`` values.  The margin sigma,
 an estimate of the smallest eigenvalue of Q*, comes from one Cholesky
 factorization of Q* and a Lanczos run on its inverse; it only picks the
@@ -50,18 +51,11 @@ DEFAULT_PRECISION_BITS = 106
 LAMBDA_FACTOR = 2
 
 _POLYROOTS_MAX_STEPS = 500
-#: Step cap of the first polyroots call (extraprec=10), the fallback of the
-#: Newton refinement.  From float seeds or a previous rung's roots it
-#: converged within 4 steps on the benchmark workloads, and from mpmath's own
-#: start in 8-28 steps on degrees 3-32; a root it cannot resolve would run
-#: all _POLYROOTS_MAX_STEPS before the retry with more extra bits.
-_FIRST_MAX_STEPS = 50
 _SEED_MAX_STEPS = 200
 _SEED_TOL = 1e-13
 #: Correct bits credited to a float seed: a double's mantissa.
 _FLOAT_SEED_BITS = sys.float_info.mant_dig
-#: mpmath's default extraprec: the first polyroots call's extra bits, and
-#: the extra bits of the Newton refinement.
+#: Extra bits of the Newton refinement, mpmath's default extraprec.
 _GUARD_BITS = 10
 
 
@@ -183,17 +177,16 @@ def _polyroots(k, scaled, seeds):
     """Roots by mpmath's Durand-Kerner ``polyroots`` on the scaled monic
     polynomial (its stopping test is absolute), started from ``seeds`` in
     the scaled coordinates, or from mpmath's own start when they are None;
-    IllConditioned if it converges at neither extraprec.  The seeds only
-    pick where it starts; a cluster may need extraprec."""
-    # mpmath's default extraprec, then the working precision
-    for extra, steps in ((_GUARD_BITS, _FIRST_MAX_STEPS), (mp.prec, _POLYROOTS_MAX_STEPS)):
-        try:
-            ys = mp.polyroots(scaled[::-1], maxsteps=steps, cleanup=False,
-                              extraprec=extra, roots_init=seeds)
-        except mp.NoConvergence:
-            continue
-        return [y * mp.ldexp(1, k) for y in ys]  # exact: a power-of-two scale
-    raise IllConditioned(f"polyroots did not converge at {mp.prec} bits")
+    IllConditioned if it does not converge.  One call, with as many extra
+    bits as the working precision: a root whose refinement stalled has a
+    condition number beyond _GUARD_BITS, which mpmath's default extraprec
+    (the same 10 bits) cannot resolve either."""
+    try:
+        ys = mp.polyroots(scaled[::-1], maxsteps=_POLYROOTS_MAX_STEPS, cleanup=False,
+                          extraprec=mp.prec, roots_init=seeds)
+    except mp.NoConvergence:
+        raise IllConditioned(f"polyroots did not converge at {mp.prec} bits") from None
+    return [y * mp.ldexp(1, k) for y in ys]  # exact: a power-of-two scale
 
 
 def _value_and_slope(cs, z):
@@ -209,8 +202,8 @@ def _value_and_slope(cs, z):
     same scheme gives u(z), and f'(z) = 2bi*u(z) + beta_1."""
     prec = mp.prec
     if not isinstance(z, mpmath.mpc):
-        x, value, slope = z._mpf_, cs[-1], fzero
-        for c in reversed(cs[:-1]):
+        x, value, slope = z._mpf_, fzero, fzero
+        for c in reversed(cs):
             slope = mpf_add(mpf_mul(slope, x), value, prec, round_nearest)
             value = mpf_add(mpf_mul(value, x), c, prec, round_nearest)
         return mp.make_mpf(value), mp.make_mpf(slope)
@@ -276,7 +269,7 @@ def _refined_roots(cs, seeds, seed_bits):
 
     A real seed (mpf) takes real steps.  A complex seed (mpc) stands for a
     conjugate pair and takes complex steps; the exact conjugate of its
-    refined value is the pair's other root.  The steps run with polyroots'
+    refined value is the pair's other root.  The steps run with
     _GUARD_BITS more, and each root converges once a step is below
     2^-p*|z|, polyroots' own test made relative: a root whose condition
     number is beyond about 2^_GUARD_BITS stalls, and only the fallback
@@ -297,11 +290,13 @@ def _refined_roots(cs, seeds, seed_bits):
     return roots if _distinct(roots) else None
 
 
-def _classify(z, f: Poly, expected_real: int, bits: int):
+def _classify(z, fc, norm_f, expected_real: int, bits: int):
     """Split approximations into real roots and conjugate-pair representatives.
 
-    Raises IllConditioned when the picture is inconsistent: a real count other
-    than Sturm's, unpaired complex roots, or residuals too large.
+    ``fc`` and ``norm_f`` are f's coefficients and their 2-norm at the
+    working precision.  Raises IllConditioned when the picture is
+    inconsistent: a real count other than Sturm's, unpaired complex roots,
+    or residuals too large.
     """
     n = len(z)
     thr = mp.ldexp(1, -(bits // 2))
@@ -327,9 +322,6 @@ def _classify(z, f: Poly, expected_real: int, bits: int):
         reps.append((a + mp.conj(b)) / 2)
 
     # residual screen: every returned root must nearly annihilate f
-    fc = _mp_coeffs(f)
-    norm2 = norm2_squared(f)
-    norm_f = mp.sqrt(mp.mpf(norm2.numerator) / norm2.denominator)
     bound = mp.ldexp(1, -(bits // 4)) * norm_f
     for xi in list(reals) + reps:
         if abs(horner(fc, xi)) > bound * max(1, abs(xi)) ** n:
@@ -353,11 +345,11 @@ def find_roots(
     The roots are refined by Newton's method from ``previous``, the profile
     of an attempt at a lower precision of the same degree, or else from the
     float seeds, split by the real count.  If a root stalls, or the refined
-    roots fail a check, ``polyroots`` runs from the same seeds.  The real
-    count is validated against the exact Sturm count ``real``, computed here
-    when the caller has not.  A mismatch, a failed residual screen or no
-    convergence of ``polyroots`` (at either extraprec) raises IllConditioned:
-    retry at a higher precision.
+    roots fail a check, ``polyroots`` runs once from the same seeds.  The
+    real count is validated against the exact Sturm count ``real``, computed
+    here when the caller has not.  A mismatch, a failed residual screen or
+    no convergence of ``polyroots`` raises IllConditioned: retry at a higher
+    precision.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("find_roots needs degree >= 1")
@@ -367,6 +359,8 @@ def find_roots(
         real = sturm_real_root_count(f)  # raises NotSquarefree when repeated
     with mp.workprec(precision_bits):
         fc = _mp_coeffs(f)
+        norm2 = norm2_squared(f)
+        norm_f = mp.sqrt(mp.mpf(norm2.numerator) / norm2.denominator)
         k, scaled = _scaled_monic(fc)
         if previous is not None and previous.degree == f.degree:
             seeds = [mp.mpc(x) * mp.ldexp(1, -k) for x in previous.ordered_roots()]
@@ -378,10 +372,11 @@ def find_roots(
         roots = start and _refined_roots(fc, start, seed_bits)
         if roots:
             try:
-                return RootProfile(*_classify(roots, f, real, precision_bits), precision_bits)
+                return RootProfile(*_classify(roots, fc, norm_f, real, precision_bits),
+                                   precision_bits)
             except IllConditioned:
                 pass  # polyroots from the same seeds decides
-        reals, reps = _classify(_polyroots(k, scaled, seeds), f, real, precision_bits)
+        reals, reps = _classify(_polyroots(k, scaled, seeds), fc, norm_f, real, precision_bits)
     return RootProfile(reals, reps, precision_bits)
 
 
@@ -421,19 +416,18 @@ def _value_error(fc, gc, x):
     """First-order bound on the error of horner(gc, x) at an approximate root
     x of f (coefficients fc): |g'(x)| times the Newton step |f(x)/f'(x)|,
     with f(x) widened by Horner's rounding error, plus the rounding error of
-    g(x) itself.  Infinite when f'(x) evaluates to 0."""
+    g(x) itself.  f(x), f'(x) and g'(x) come from the Newton kernel.
+    Infinite when f'(x) evaluates to 0."""
     unit = 4 * len(fc) * mp.eps  # Horner's rounding, per unit of sum |c_i||x|^i
 
     def rounding(cs):
         return unit * horner([abs(c) for c in cs], abs(x))
 
-    def slope(cs):
-        return abs(horner([i * c for i, c in enumerate(cs)][1:], x))
-
-    if not slope(fc):
+    value, slope = _value_and_slope([c._mpf_ for c in fc], x)
+    if not slope:
         return mp.inf
-    step = (abs(horner(fc, x)) + rounding(fc)) / slope(fc)
-    return slope(gc) * step + rounding(gc)
+    step = (abs(value) + rounding(fc)) / abs(slope)
+    return abs(_value_and_slope([c._mpf_ for c in gc], x)[1]) * step + rounding(gc)
 
 
 #: 1 - 2^-32, the factor by which sigma is shrunk below the estimate.

@@ -367,44 +367,53 @@ NEAR_BOUNDARY_G3 = "x^2 - 131607401295249246081/100000000000000000000"
 
 
 @pytest.mark.parametrize(
-    "f, g, precisions, digest",
+    "f, g, precisions, fallbacks, digest",
     [
-        ("x^16-2", "x^2+2*x+3", [106],
+        ("x^16-2", "x^2+2*x+3", [106], 0,
          "dec117ff8ded16f922f173b794bc1496e51713c2d27d2668c8ee961f29265181"),
-        ("x^8-2", NEAR_BOUNDARY_G, [106, 424],
+        ("x^8-2", NEAR_BOUNDARY_G, [106, 424], 0,
          "d76fdd0c9431ab95ccb676d5121a51609771984c5bcb2eb300a90ea6476c39c4"),
         # two of its four factors are linear and are decided exactly
-        ("x^8-10^40", "x+10^6", [106, 106],
+        ("x^8-10^40", "x+10^6", [106, 106], 0,
          "eaed94af1669d67d493551326eefbf6df3b196e3a928655db4c0aa85dd0c9079"),
-        ("x^4+x+10^50", "x-1", [106, 212, 424],
+        ("x^4+x+10^50", "x-1", [106, 212, 424], 0,
          "f8204c6a9088959c26cd295b8afdc6e2f0d28bcb6d73b14aa1599f303cb303eb"),
-        ("x^8-3", NEAR_BOUNDARY_G3, [106, 424],
+        ("x^8-3", NEAR_BOUNDARY_G3, [106, 424], 0,
          "47bbd2776a191d952ac0c2d1f791e6aabc6898e6bb1d0d7c4f597656d8c2a8c3"),
-        ("x^32-2", "x+3", [106],
+        ("x^32-2", "x+3", [106], 0,
          "c2af913141988144828acaab8bda5ffb5fa303a4e7a55444025cbfdd4abc72e6"),
         # g = 0 and a g that f divides: no factors, so the empty square sum
-        ("x^3-2", "0", [],
+        ("x^3-2", "0", [], 0,
          "e41dbba7227c183a56ec58e4c0e3c81ddc95fe139fe03a3a834c82f831623676"),
-        ("x^3-2", "(x^3-2)*(x+5)", [],
+        ("x^3-2", "(x^3-2)*(x+5)", [], 0,
          "f835372580ca27b4486118d9d03d9c04b6a975a63a24b5c32010daa7a84c5c34"),
-        ("(x-1)*(x+2)*(2*x-3)*(x^2+x+1)", "x^2+2*x+3", [106],
+        ("(x-1)*(x+2)*(2*x-3)*(x^2+x+1)", "x^2+2*x+3", [106], 0,
          "83e61f331794683293007cfa541617652d73083d89180bdc1decb0bacc968df4"),
+        # ill-conditioned roots: the Newton refinement stalls, polyroots decides
+        ("*".join(f"(x-{k})" for k in range(1, 11)) + "+1/7", "x^2+1", [106], 1,
+         "5af08188da4a9e6ecf7e4face59820ca3850b10d0dc76ef94ba38813d40a447f"),
     ],
     ids=["dense-gram-16", "near-boundary", "large-roots", "huge-constant",
-         "near-boundary-3", "dense-gram-32", "zero-g", "f-divides-g", "split-crt"],
+         "near-boundary-3", "dense-gram-32", "zero-g", "f-divides-g", "split-crt", "fallback"],
 )
-def test_certify_pinned_bytes(f, g, precisions, digest, monkeypatch, capsys):
-    tried = []
-    find_roots = numeric.find_roots
+def test_certify_pinned_bytes(f, g, precisions, fallbacks, digest, monkeypatch, capsys):
+    tried, fell_back = [], []
+    find_roots, polyroots = numeric.find_roots, numeric._polyroots
 
     def spy(poly, bits, **kwargs):
         tried.append(bits)
         return find_roots(poly, bits, **kwargs)
 
+    def fallback_spy(*args):
+        fell_back.append(args)
+        return polyroots(*args)
+
     monkeypatch.setattr(numeric, "find_roots", spy)
+    monkeypatch.setattr(numeric, "_polyroots", fallback_spy)
     assert main(["certify", "--f", f, "--g", g]) == 0
     out = capsys.readouterr().out
     assert tried == precisions
+    assert len(fell_back) == fallbacks
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

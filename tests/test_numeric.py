@@ -86,9 +86,9 @@ def test_find_roots_without_convergence_makes_one_attempt(monkeypatch):
     monkeypatch.setattr(numeric.mp, "polyroots", no_convergence)
     with pytest.raises(IllConditioned):
         find_roots(F_CUBE)
-    # mpmath's default extraprec, then as many extra bits as the working
-    # precision; the doubling belongs to the caller
-    assert tried == [(106, 10), (106, 106)]
+    # one call, with as many extra bits as the working precision; the
+    # doubling belongs to the caller
+    assert tried == [(106, 106)]
 
 
 def test_ordered_roots_are_exact_conjugates_at_any_context_precision():
@@ -97,9 +97,10 @@ def test_ordered_roots_are_exact_conjugates_at_any_context_precision():
     assert conj.real == rep.real and exact_fraction(conj.imag) == -exact_fraction(rep.imag)
 
 
-def test_first_polyroots_call_stops_at_its_step_cap(monkeypatch):
-    # the roots of prod(x - k) + 1/7 are too ill-conditioned for 10 extra
-    # bits: the first call gives up after its cap, the retry converges
+def test_fallback_makes_one_polyroots_call_at_the_working_precision(monkeypatch):
+    # the roots of prod(x - k) + 1/7 are too ill-conditioned for the Newton
+    # refinement's 10 guard bits: one polyroots call with 106 extra bits
+    # resolves them
     tried = []
     polyroots = numeric.mp.polyroots
 
@@ -113,7 +114,7 @@ def test_first_polyroots_call_stops_at_its_step_cap(monkeypatch):
         f = f * (X - Poly.constant(k))
     prof = find_roots(f + Poly.constant(F(1, 7)), 106)
     assert len(prof.real_roots) + 2 * len(prof.complex_pairs) == 10
-    assert tried == [(10, 50), (106, 500)]
+    assert tried == [(106, 500)]
 
 
 def test_find_roots_starts_from_the_previous_roots(monkeypatch):
@@ -492,6 +493,14 @@ def test_degenerate_pair_weight_carries_a_bound_on_its_error():
         assert info.value.error < mp.ldexp(1, -200)
 
 
+def test_zero_g_at_a_real_root_is_too_close_to_zero():
+    # g = 0 has no coefficients: its value at the root and the bound on
+    # that value's error are both 0
+    with pytest.raises(IllConditioned, match="too close to zero") as info:
+        build_interior_gram(F_CUBE, Poly.zero(), find_roots(F_CUBE))
+    assert info.value.value == 0 and info.value.error == 0
+
+
 def test_unreduced_g_rejected():
     with pytest.raises(ValueError):
         build_interior_gram(F_CUBE, X**3, find_roots(F_CUBE))
@@ -540,8 +549,10 @@ def test_refined_roots_match_polyroots(seed, degree):
         bits = prof.precision_bits
         with mp.workprec(bits):
             cs = numeric._mp_coeffs(f)
+            norm2 = norm2_squared(f)
+            norm_f = mp.sqrt(mp.mpf(norm2.numerator) / norm2.denominator)
             want = numeric._classify(mp.polyroots(cs[::-1], maxsteps=500, extraprec=bits),
-                                     f, real, bits)
+                                     cs, norm_f, real, bits)
             assert (len(prof.real_roots), len(prof.complex_pairs)) == tuple(map(len, want))
             for z, w in zip(prof.real_roots + prof.complex_pairs, want[0] + want[1]):
                 assert abs(z - w) <= mp.ldexp(1, -(bits // 2)) * (1 + abs(w))
