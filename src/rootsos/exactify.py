@@ -9,9 +9,8 @@ is returned, so floating-point behaviour can never produce a wrong result.
 ``certify_strict_squarefree`` decides the sign of g at the real roots of f
 exactly, by a Tarski query, before any numeric work, so a refusal never
 rests on a float; it then owns the one precision loop: each numeric call
-makes one attempt, at each rung of PRECISION_LADDER in turn.  A rung starts
-its root finding from the last rung's roots, and a rung whose threshold a
-measured value of g cannot pass is skipped.
+makes one attempt, at each rung of PRECISION_LADDER in turn, and a rung
+starts its root finding from the last rung's roots.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import mpmath
 
 from . import numeric
 from .numeric import DEFAULT_PRECISION_BITS, IllConditioned, antidiagonal_sums, exact_fraction
@@ -36,9 +33,6 @@ DIGITS_CAP = 64
 #: Working precisions of the numeric stage, one attempt each: every reason to
 #: retry doubles the mantissa, from DEFAULT_PRECISION_BITS up to 848 bits.
 PRECISION_LADDER = tuple(DEFAULT_PRECISION_BITS << k for k in range(4))
-#: A value that failed the threshold test predicts later rungs only when it
-#: exceeds the bound on its evaluation error by this factor.
-TRUST_FACTOR = 2**16
 
 
 class DegreeTooHigh(ValueError):
@@ -297,12 +291,11 @@ def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposit
     the exact check even after two extra digits), the next rung of
     PRECISION_LADDER is tried; after the last one, PrecisionExhausted names
     every rung's reason.  Each rung's root finding starts from the roots of
-    the last rung that found them.  When the Gram stage fails because a
-    value v of g (or a pair weight) is at or below thr = 2^(-bits/4)*min(1,
-    ||g_red||_inf), and v exceeds its evaluation error bound TRUST_FACTOR
-    times, every later rung with v < thr/2 is skipped: its own evaluation of
-    v would fail the same test.  So every rung that could pass is still
-    tried, and the certificate is the one the full ladder finds.
+    the last rung that found them.  The Gram stage calls a value of g at a
+    real root, or a pair weight, by the threshold or by its own error bound
+    (see ``numeric.build_interior_gram``), so a rung fails on a value only
+    when that rung cannot resolve it, and the first rung that does may
+    certify.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("f must have degree >= 1")
@@ -327,26 +320,14 @@ def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposit
         height, cap = height * 10, cap + 1
     attempts = []
     last_sigma = last_rho = last_delta = None
-    roots = measured = None  # the last rung's roots; a trusted v, as a Fraction
+    roots = None  # the last rung's roots
     for bits in PRECISION_LADDER:
-        half_thr = numeric.threshold(g_red, bits) / 2
-        if measured is not None and measured < half_thr:
-            v, t = (mpmath.nstr(mpmath.mpf(x.numerator) / x.denominator, 3, strip_zeros=False)
-                    for x in (measured, half_thr))
-            attempts.append((bits, f"skipped: measured v = {v} < thr/2 = {t}"))
-            continue
+        previous, roots = roots, None  # a rung whose roots fail leaves no seeds
         try:
-            roots = numeric.find_roots(f, bits, real=real, previous=roots)
-        except IllConditioned as exc:
-            roots = None  # a rung whose roots failed leaves no seeds
-            attempts.append((bits, str(exc)))
-            continue
-        try:
+            roots = numeric.find_roots(f, bits, real=real, previous=previous)
             gram = numeric.build_interior_gram(f, g_red, roots)
         except IllConditioned as exc:
             attempts.append((bits, str(exc)))
-            if exc.value is not None and exc.value > TRUST_FACTOR * exc.error:
-                measured = exact_fraction(exc.value)
             continue
         delta = delta_bound(f, gram.sigma, gram.rho)
         last_sigma, last_rho, last_delta = gram.sigma, gram.rho, delta

@@ -314,7 +314,8 @@ def recombine(g: list[int], lifted: list[list[int]], modulus: int, bound: int) -
     """Monic irreducible factors over Z of the monic squarefree g, from its
     modular factors lifted modulo ``modulus`` > 2*``bound``, where ``bound``
     bounds the coefficients of every monic factor of g over Z: subset
-    products in the symmetric range are trial-divided into g."""
+    products in the symmetric range are trial-divided into g, after a test
+    of the constant term: a true factor's divides rest(0) when that is not 0."""
     remaining = lifted
     found: list[list[int]] = []
     rest = list(g)
@@ -324,6 +325,9 @@ def recombine(g: list[int], lifted: list[list[int]], modulus: int, bound: int) -
         while hit:
             hit = False
             for combo in combinations(range(len(remaining)), size):
+                const = _symmetric([math.prod(remaining[i][0] for i in combo)], modulus)
+                if rest[0] and (not const or rest[0] % const[0]):
+                    continue
                 cand = _symmetric(_zp_prod((remaining[i] for i in combo), modulus), modulus)
                 if any(abs(x) > bound for x in cand):
                     continue

@@ -20,13 +20,13 @@ the precision it is given (mpmath software floats with a mantissa of that
 many bits) and raises IllConditioned when that precision does not suffice;
 the caller (``exactify``) retries at the next rung of its fixed precision
 ladder.  A rung continues from the one before it: ``find_roots`` starts
-from the previous rung's roots when it is given them, and a
-value that fails the threshold of ``build_interior_gram`` travels in the
-IllConditioned with a bound on its evaluation error, so the caller can skip
-the rungs whose threshold it cannot pass.  The sign of g at the real roots
-is decided exactly upstream, so this stage never refuses an input: a linear
-f never reaches it, and a value of g that does not clear the threshold at a
-real root is only a reason to retry.
+from the previous rung's roots when it is given them.  ``build_interior_gram``
+calls a value of g at a real root, or a pair weight, when it clears the
+threshold or exceeds TRUST_FACTOR times the bound on its evaluation error,
+so a near-boundary value passes at the first rung that resolves it.  The
+sign of g at the real roots is decided exactly upstream, so this stage
+never refuses an input: a linear f never reaches it, and a value of g that
+cannot be called at a real root is only a reason to retry.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ DEFAULT_PRECISION_BITS = 106
 #: lambda = LAMBDA_FACTOR*|g| at each conjugate pair: any value above 1 keeps
 #: Q* interior (positive definite), and 1 is the rank-deficient boundary.
 LAMBDA_FACTOR = 2
+#: A value of g at a root, or a pair weight, at or below the threshold is
+#: still called when it exceeds its evaluation error bound this many times.
+TRUST_FACTOR = 2**16
 
 _POLYROOTS_MAX_STEPS = 500
 _SEED_MAX_STEPS = 200
@@ -62,9 +65,9 @@ _GUARD_BITS = 10
 class IllConditioned(ArithmeticError):
     """Root cluster or degenerate data at the working precision; retry higher.
 
-    ``value``, when set, is the quantity that failed build_interior_gram's
-    threshold test (g at a real root, or a pair weight) and ``error`` a
-    first-order bound on its evaluation error at that precision."""
+    ``value``, when set, is the quantity build_interior_gram could not call
+    (g at a real root, or a pair weight) and ``error`` the first-order bound
+    on its evaluation error at that precision by which it was judged."""
 
     def __init__(self, message, value=None, error=None):
         super().__init__(message)
@@ -408,7 +411,8 @@ def lagrange_basis(f: Poly, roots: RootProfile) -> list:
 
 def threshold(g: Poly, bits: int) -> Fraction:
     """thr = 2^(-bits/4)*min(1, ||g||_inf): at ``bits``, build_interior_gram
-    calls a value of g at a real root, or a pair weight, only above thr."""
+    calls a value of g at a real root, or a pair weight, above thr, or by
+    its error bound (see _call_below_threshold)."""
     return min(Fraction(1), Fraction(max(map(abs, g.nums), default=0), g.den)) / 2 ** (bits // 4)
 
 
@@ -428,6 +432,14 @@ def _value_error(fc, gc, x):
         return mp.inf
     step = (abs(value) + rounding(fc)) / abs(slope)
     return abs(_value_and_slope([c._mpf_ for c in gc], x)[1]) * step + rounding(gc)
+
+
+def _call_below_threshold(value, error, thr, what):
+    """Pass a value at or below thr above TRUST_FACTOR times the bound ``error``
+    on its evaluation error; else raise IllConditioned, naming thr and error."""
+    if not value > TRUST_FACTOR * error:
+        raise IllConditioned(f"{what} (thr = {mpmath.nstr(thr, 6)}, error bound "
+                             f"{mpmath.nstr(error, 6)})", value, error)
 
 
 #: 1 - 2^-32, the factor by which sigma is shrunk below the estimate.
@@ -577,12 +589,13 @@ def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
     per real root weighted by g there, two real columns per conjugate pair
     with weight 2(lambda + Re g(xi)) and lambda = LAMBDA_FACTOR*|g(xi)|,
     which keeps the matrix positive definite.  g must be positive at every
-    real root (decided exactly upstream); a value there at or below the
-    threshold thr = 2^(-bits/4)*min(1, ||g||_inf) raises IllConditioned
-    before the basis is built.  The same thr bounds each pair weight, so a
-    g scaled by a positive constant below 1 meets thresholds scaled with it.
-    Either IllConditioned carries the value it compared and a bound on that
-    value's evaluation error.
+    real root (decided exactly upstream).  A value there is called above the
+    threshold thr = 2^(-bits/4)*min(1, ||g||_inf), or above TRUST_FACTOR
+    times the bound ``_value_error`` puts on its evaluation error; else
+    IllConditioned is raised before the basis is built.  Each pair weight is
+    called the same way, so a g scaled by a positive constant below 1 meets
+    thresholds scaled with it.  Either IllConditioned carries the value and
+    its bound.
     """
     n = int(f.degree)
     if not g.degree < n:
@@ -599,10 +612,9 @@ def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
         weights = [horner(gc, xi) for xi in roots.real_roots]
         for xi, val in zip(roots.real_roots, weights):
             if val <= thr:
-                raise IllConditioned(
-                    f"g({mpmath.nstr(xi, 12)}) = {mpmath.nstr(val, 6)} is too close to zero "
-                    f"to call (thr = {mpmath.nstr(thr, 6)})",
-                    val, _value_error(fc, gc, xi))
+                _call_below_threshold(val, _value_error(fc, gc, xi), thr,
+                                      f"g({mpmath.nstr(xi, 12)}) = {mpmath.nstr(val, 6)} is too "
+                                      "close to zero to call")
 
         basis = lagrange_basis(f, roots)
         columns = basis[: len(weights)]
@@ -615,8 +627,8 @@ def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
             lam = LAMBDA_FACTOR * mag if mag > 0 else mp.mpf(LAMBDA_FACTOR)
             den = lam + mp.re(gamma)
             if den <= thr:  # den moves at most LAMBDA_FACTOR + 1 times as far as gamma
-                raise IllConditioned("degenerate pair weight", den,
-                                     (LAMBDA_FACTOR + 1) * _value_error(fc, gc, rep))
+                _call_below_threshold(den, (LAMBDA_FACTOR + 1) * _value_error(fc, gc, rep), thr,
+                                      f"degenerate pair weight {mpmath.nstr(den, 6)}")
             disc = max(lam**2 - mag**2, mp.mpf(0))
             ratio = mp.im(gamma) / den
             root_disc = mp.sqrt(disc) / den

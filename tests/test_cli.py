@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -22,7 +23,7 @@ from rootsos.cli import (
     main,
     parse_poly,
 )
-from rootsos.ratpoly import Poly
+from rootsos.ratpoly import Poly, sturm_real_root_count, tarski_query
 from support import odd_primes_product
 
 X = Poly.x()
@@ -371,14 +372,14 @@ NEAR_BOUNDARY_G3 = "x^2 - 131607401295249246081/100000000000000000000"
     [
         ("x^16-2", "x^2+2*x+3", [106], 0,
          "dec117ff8ded16f922f173b794bc1496e51713c2d27d2668c8ee961f29265181"),
-        ("x^8-2", NEAR_BOUNDARY_G, [106, 424], 0,
+        ("x^8-2", NEAR_BOUNDARY_G, [106], 0,
          "d76fdd0c9431ab95ccb676d5121a51609771984c5bcb2eb300a90ea6476c39c4"),
         # two of its four factors are linear and are decided exactly
         ("x^8-10^40", "x+10^6", [106, 106], 0,
          "eaed94af1669d67d493551326eefbf6df3b196e3a928655db4c0aa85dd0c9079"),
         ("x^4+x+10^50", "x-1", [106, 212, 424], 0,
          "f8204c6a9088959c26cd295b8afdc6e2f0d28bcb6d73b14aa1599f303cb303eb"),
-        ("x^8-3", NEAR_BOUNDARY_G3, [106, 424], 0,
+        ("x^8-3", NEAR_BOUNDARY_G3, [106], 0,
          "47bbd2776a191d952ac0c2d1f791e6aabc6898e6bb1d0d7c4f597656d8c2a8c3"),
         ("x^32-2", "x+3", [106], 0,
          "c2af913141988144828acaab8bda5ffb5fa303a4e7a55444025cbfdd4abc72e6"),
@@ -453,10 +454,10 @@ def test_certify_clear_negative_beats_an_earlier_near_zero(monkeypatch, capsys):
     assert "not non-negative: g < 0 at 1 of the 2 real roots" in capsys.readouterr().err
 
 
-def test_certify_skips_a_rung_the_measured_value_cannot_pass(monkeypatch, capsys):
+def test_certify_calls_a_value_by_its_error_bound(monkeypatch, tmp_path, capsys):
     # r = floor(2^(1/3)*10^70)/10^70: g(2^(1/3)) is about 2^-233, lost in
-    # rounding at 106 and 212 bits, measured at 424 bits, and below half the
-    # 848-bit threshold 2^-212, so the last rung is skipped
+    # rounding at 106 and 212 bits; at 424 bits it is below the threshold
+    # 2^-106 but far above its error bound, so it is called
     tried = []
     find_roots = numeric.find_roots
 
@@ -466,12 +467,37 @@ def test_certify_skips_a_rung_the_measured_value_cannot_pass(monkeypatch, capsys
 
     monkeypatch.setattr(numeric, "find_roots", spy)
     r = "12599210498948731647672106072782283505702514647015079800819751121552996"
-    assert main(["certify", "--f", "x^3-2", "--g", f"x-{r}/10^70"]) == 4
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--f", "x^3-2", "--g", f"x-{r}/10^70", "--out", str(out)]) == 0
     assert tried == [106, 212, 424]
-    err = capsys.readouterr().err
-    assert "precision exhausted" in err
-    assert "424 bits: g(1.25992104989) = 7.6514e-71 is too close to zero to call" in err
-    assert "848 bits: skipped: measured v = 7.65e-71 < thr/2 = 7.60e-65" in err
+    assert main(["verify", "--cert", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "7bc0f12fb64208e62af2615fde36818a8537f2114cd5f4b47fe85d634c41dc75"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("k", [70, 80, 100])
+def test_certify_decides_g_at_the_precision_boundary(k, tmp_path, capsys):
+    # g = +-(x - floor(xi*10^k)/10^k) at a real root xi drawn by the seed:
+    # |g(xi)| <= 10^-k, below what 106 or 212 bits can call.  The Tarski
+    # query decides the sign; a positive must certify, a negative refuse
+    rng = random.Random(7)
+    out = tmp_path / "cert.json"
+    for text in ["x^3-2", "x^5-x-1", "x^3-3*x+1", "x^4-10*x^2+1"]:
+        f = parse_poly(text)
+        with mp.workdps(k + 40):
+            roots = mp.polyroots([mp.mpf(c.numerator) / c.denominator for c in f.coeffs[::-1]],
+                                 maxsteps=200, extraprec=4 * k)
+            xi = rng.choice(sorted(mp.re(z) for z in roots if abs(mp.im(z)) < mp.mpf(10)**-k))
+            r = F(int(mp.floor(xi * mp.mpf(10)**k)), 10**k)
+        for sign in (1, -1):
+            g = (X - Poly.constant(r)) * Poly.constant(sign)
+            negative = sturm_real_root_count(f) - tarski_query(f, g % f)
+            code = main(["certify", "--f", text, "--g=" + str(g), "--out", str(out)])
+            assert code == (3 if negative else 0), (text, str(g))
+            if code == 0:
+                assert main(["verify", "--cert", str(out)]) == 0
+    capsys.readouterr()
 
 
 def test_import_loads_no_third_party_package_but_mpmath():

@@ -490,10 +490,16 @@ def test_certify_strict_root_finder_failure_exhausts_precision(monkeypatch):
     assert info.value.precision_bits == 848
 
 
-# x^2 + 1e-40: at 106 bits the pair +-1e-20 i reads as real (the roots fail),
-# at 212 bits g = x is too small at the pair (the Gram fails), at 424 bits
-# the run certifies
+# x^2 + 1e-40: at 106 bits the pair +-1e-20 i reads as real (the roots fail);
+# at 212 bits the pair weight of g = x, 2e-20, is below the threshold 2^-53
+# but far above its error bound, so it is called and the run certifies
 TINY_PAIR = X**2 + Poly.constant(F(1, 10**40))
+
+
+def _untrusted_values(monkeypatch):
+    # an infinite error bound: no value below the threshold is called, so
+    # TINY_PAIR's Gram fails at 212 bits and certifies at 424
+    monkeypatch.setattr(numeric, "_value_error", lambda *_args: mp.inf)
 
 
 def _spy_numeric_stages(monkeypatch):
@@ -516,8 +522,7 @@ def _spy_numeric_stages(monkeypatch):
 def test_certify_strict_tries_each_precision_once(monkeypatch):
     calls = _spy_numeric_stages(monkeypatch)
     cert = certify_nonnegative(TINY_PAIR, X)
-    assert calls == [("roots", 106), ("roots", 212), ("gram", 212),
-                     ("roots", 424), ("gram", 424)]
+    assert calls == [("roots", 106), ("roots", 212), ("gram", 212)]
     digest = hashlib.sha256(serialize(cert).encode()).hexdigest()
     assert digest == "10f474c9ef2cd775a8e0f8a59b5725f88029bd8890bb7f6eb03d44fbabc5ef5b"
 
@@ -526,6 +531,7 @@ def test_certify_strict_counts_real_roots_once_for_every_attempt(monkeypatch):
     # the Sturm count of the Tarski decision is passed to each attempt, so
     # find_roots never computes its own
     monkeypatch.setattr(numeric, "sturm_real_root_count", None)
+    _untrusted_values(monkeypatch)
     counts, found = [], []
     find_roots = numeric.find_roots
 
@@ -556,6 +562,7 @@ def test_certify_strict_max_retries_bounds_every_doubling(
     # the number of doublings is the length of PRECISION_LADDER: a shorter
     # ladder stops after its last rung and reports that rung's failure
     monkeypatch.setattr(exactify, "PRECISION_LADDER", ladder)
+    _untrusted_values(monkeypatch)
     calls = _spy_numeric_stages(monkeypatch)
     with pytest.raises(PrecisionExhausted) as info:
         certify_strict_squarefree(TINY_PAIR, X)
@@ -569,8 +576,10 @@ def test_certify_strict_max_retries_bounds_every_doubling(
 
 
 def test_certify_strict_exhaustion_names_every_rung(monkeypatch):
-    # TINY_PAIR fails in the roots at 106 bits and in the Gram at 212; the
-    # numeric stage is forced to fail at 424 and 848, where it would certify
+    # TINY_PAIR fails in the roots at 106 bits and, its values untrusted, in
+    # the Gram at 212; the numeric stage is forced to fail at 424 and 848,
+    # where it would certify
+    _untrusted_values(monkeypatch)
     calls = _spy_numeric_stages(monkeypatch)
     roots_spy = numeric.find_roots
 
@@ -611,14 +620,10 @@ def _spy_refinement_starts(monkeypatch):
     return starts
 
 
-# x^8 - 2 with g = x^2 - r, r = floor(2^(1/4)*10^20)/10^20: g(+-2^(1/8)) is
-# about 7.5e-21, too close to zero at 106 bits and below half the 212-bit
-# threshold 2^-53, but above half the 424-bit one
-NEAR_F = X**8 - Poly.constant(2)
-NEAR_G = X**2 - Poly.constant(F(118920711500272106671, 10**20))
-
-
-def test_certify_strict_skips_a_rung_and_seeds_the_next_from_the_last_roots(monkeypatch):
+def test_certify_strict_seeds_each_rung_from_the_last_roots(monkeypatch):
+    # x^4 + x + 10^50 with g = x - 1 has no rounding margin (delta <= 0) at
+    # 106 and 212 bits and certifies at 424
+    f, g = X**4 + X + Poly.constant(10**50), X - Poly.one()
     calls = _spy_numeric_stages(monkeypatch)
     found = []
     roots_spy = numeric.find_roots
@@ -629,19 +634,22 @@ def test_certify_strict_skips_a_rung_and_seeds_the_next_from_the_last_roots(monk
 
     monkeypatch.setattr(numeric, "find_roots", keep)
     starts = _spy_refinement_starts(monkeypatch)
-    certify_strict_squarefree(NEAR_F, NEAR_G)
-    assert calls == [("roots", 106), ("gram", 106), ("roots", 424), ("gram", 424)]
-    assert [bits for bits, _seeds, _seed_bits in starts] == [106, 424]
+    certify_strict_squarefree(f, g)
+    assert calls == [("roots", 106), ("gram", 106), ("roots", 212), ("gram", 212),
+                     ("roots", 424), ("gram", 424)]
+    assert [bits for bits, _seeds, _seed_bits in starts] == [106, 212, 424]
     assert starts[0][2] == numeric._FLOAT_SEED_BITS  # float seeds
-    # the 424-bit refinement starts from the 106-bit roots: the real roots
-    # and one representative per conjugate pair
-    prev = found[0]
-    assert starts[1][1:] == ([*prev.real_roots, *prev.complex_pairs], 106)
+    # each refinement starts from the last rung's roots: the real roots and
+    # one representative per conjugate pair
+    for prev, (_bits, seeds, seed_bits) in zip(found, starts[1:]):
+        assert (seeds, seed_bits) == ([*prev.real_roots, *prev.complex_pairs], prev.precision_bits)
 
 
 def test_certify_strict_rung_after_failed_roots_starts_from_float_seeds(monkeypatch):
-    # TINY_PAIR's roots fail at 106 bits, and at 424 they are made to fail
-    # after they were refined: neither rung leaves seeds for the next
+    # TINY_PAIR's roots fail at 106 bits, its untrusted values fail the Gram
+    # at 212, and at 424 its roots are made to fail after they were refined:
+    # neither 106 nor 424 leaves seeds for the next rung
+    _untrusted_values(monkeypatch)
     find_roots = numeric.find_roots
 
     def fail_at_424(f, bits, **kwargs):
@@ -658,18 +666,20 @@ def test_certify_strict_rung_after_failed_roots_starts_from_float_seeds(monkeypa
     assert from_floats == [True, True, False, True]
 
 
-def test_certify_strict_untrusted_values_skip_nothing(monkeypatch):
-    # the same test value, but reported with an error bound as large as
-    # itself: no rung can be predicted, so every rung up to 424 is tried
-    build_gram = numeric.build_interior_gram
+# x^8 - 2 with g = x^2 - r, r = floor(2^(1/4)*10^20)/10^20: g(+-2^(1/8)) is
+# about 7.5e-21: below the thresholds 2^-26 at 106 bits and 2^-53 at 212,
+# above 2^-106 at 424, and far above its error bound at every rung
+NEAR_F = X**8 - Poly.constant(2)
+NEAR_G = X**2 - Poly.constant(F(118920711500272106671, 10**20))
 
-    def noisy(f, g, roots):
-        try:
-            return build_gram(f, g, roots)
-        except IllConditioned as exc:
-            raise IllConditioned(str(exc), exc.value, exc.value) from exc
 
-    monkeypatch.setattr(numeric, "build_interior_gram", noisy)
+def test_certify_strict_untrusted_value_retries(monkeypatch):
+    # the value is called at 106 bits by its error bound; with an infinite
+    # bound it is called only at 424 bits, and every rung up to it is tried
     calls = _spy_numeric_stages(monkeypatch)
+    certify_strict_squarefree(NEAR_F, NEAR_G)
+    assert calls == [("roots", 106), ("gram", 106)]
+    calls.clear()
+    _untrusted_values(monkeypatch)
     certify_strict_squarefree(NEAR_F, NEAR_G)
     assert [bits for stage, bits in calls if stage == "roots"] == [106, 212, 424]

@@ -458,14 +458,17 @@ def test_failed_value_carries_a_bound_on_its_error():
     f, g = F_CUBE, X - Poly.constant(CUBE_ROOT_R)
     with mp.workprec(1000):
         true = mp.cbrt(2) - mp.mpf(CUBE_ROOT_R.numerator) / CUBE_ROOT_R.denominator
-    for bits in (106, 212, 424):
+    for bits in (106, 212):
         with pytest.raises(IllConditioned, match="too close to zero") as info:
             build_interior_gram(f, g, find_roots(f, bits))
         value, error = info.value.value, info.value.error
         with mp.workprec(1000):
             assert abs(value - true) <= error
-        # rounding noise below 424 bits, a measurement from 424 bits on
-        assert (value > 2**16 * error) == (bits == 424)
+        # rounding noise below 424 bits: the value is not called
+        assert not value > numeric.TRUST_FACTOR * error
+        assert f"error bound {mp.nstr(error, 6)})" in str(info.value)
+    # a measurement from 424 bits on: below the threshold, but called
+    assert build_interior_gram(f, g, find_roots(f, 424)).sigma > 0
 
 
 def test_failed_value_error_bound_covers_an_inexact_root():
@@ -483,14 +486,24 @@ def test_failed_value_error_bound_covers_an_inexact_root():
 
 
 def test_degenerate_pair_weight_carries_a_bound_on_its_error():
-    # the pair of x^2 + 1e-40 is +-1e-20 i, where g = x has |g| = 1e-20:
-    # the pair weight 2|g| + Re g = 2e-20 is below the 212-bit threshold 2^-53
-    f = X**2 + Poly.constant(F(1, 10**40))
+    # g = x^2 + r*x + r^2 nearly divides by the quadratic factor of x^3 - 2,
+    # x^2 + c*x + c^2 with c = 2^(1/3): at its roots z, g(z) = (r - c)(z + r
+    # + c), so the pair weight 2|g| + Re g is about 2e-70, lost in rounding
+    # at 212 bits and called at 424
+    g = X**2 + Poly.constant(CUBE_ROOT_R) * X + Poly.constant(CUBE_ROOT_R**2)
+    with mp.workprec(1000):
+        r = mp.mpf(CUBE_ROOT_R.numerator) / CUBE_ROOT_R.denominator
+        z = mp.cbrt(2) * mp.expjpi(mp.mpf(2) / 3)
+        gamma = z**2 + r * z + r**2
+        true = 2 * abs(gamma) + mp.re(gamma)
     with pytest.raises(IllConditioned, match="degenerate pair weight") as info:
-        build_interior_gram(f, X, find_roots(f, 212))
-    with mp.workprec(212):
-        assert abs(info.value.value - mp.mpf(2) / 10**20) <= info.value.error
-        assert info.value.error < mp.ldexp(1, -200)
+        build_interior_gram(F_CUBE, g, find_roots(F_CUBE, 212))
+    value, error = info.value.value, info.value.error
+    with mp.workprec(1000):
+        assert abs(value - true) <= error
+    assert error < mp.ldexp(1, -200)
+    assert not value > numeric.TRUST_FACTOR * error
+    assert build_interior_gram(F_CUBE, g, find_roots(F_CUBE, 424)).sigma > 0
 
 
 def test_zero_g_at_a_real_root_is_too_close_to_zero():
