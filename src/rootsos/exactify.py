@@ -292,8 +292,8 @@ def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposit
     PRECISION_LADDER is tried; after the last one, PrecisionExhausted names
     every rung's reason.  Each rung's root finding starts from the roots of
     the last rung that found them.  The Gram stage calls a value of g at a
-    real root, or a pair weight, by the threshold or by its own error bound
-    (see ``numeric.build_interior_gram``), so a rung fails on a value only
+    real root, or a pair weight, by its own error bound alone (see
+    ``numeric.build_interior_gram``), so a rung fails on a value only
     when that rung cannot resolve it, and the first rung that does may
     certify.
     """

@@ -21,9 +21,9 @@ many bits) and raises IllConditioned when that precision does not suffice;
 the caller (``exactify``) retries at the next rung of its fixed precision
 ladder.  A rung continues from the one before it: ``find_roots`` starts
 from the previous rung's roots when it is given them.  ``build_interior_gram``
-calls a value of g at a real root, or a pair weight, when it clears the
-threshold or exceeds TRUST_FACTOR times the bound on its evaluation error,
-so a near-boundary value passes at the first rung that resolves it.  The
+calls a value of g at a real root, or a pair weight, when it exceeds
+TRUST_FACTOR times the bound on its evaluation error, so a near-boundary
+value passes at the first rung that resolves it.  The
 sign of g at the real roots is decided exactly upstream, so this stage
 never refuses an input: a linear f never reaches it, and a value of g that
 cannot be called at a real root is only a reason to retry.
@@ -49,8 +49,8 @@ DEFAULT_PRECISION_BITS = 106
 #: lambda = LAMBDA_FACTOR*|g| at each conjugate pair: any value above 1 keeps
 #: Q* interior (positive definite), and 1 is the rank-deficient boundary.
 LAMBDA_FACTOR = 2
-#: A value of g at a root, or a pair weight, at or below the threshold is
-#: still called when it exceeds its evaluation error bound this many times.
+#: A value of g at a real root, or a pair weight, is called when it exceeds
+#: the bound on its evaluation error this many times.
 TRUST_FACTOR = 2**16
 
 _POLYROOTS_MAX_STEPS = 500
@@ -409,13 +409,6 @@ def lagrange_basis(f: Poly, roots: RootProfile) -> list:
         return basis
 
 
-def threshold(g: Poly, bits: int) -> Fraction:
-    """thr = 2^(-bits/4)*min(1, ||g||_inf): at ``bits``, build_interior_gram
-    calls a value of g at a real root, or a pair weight, above thr, or by
-    its error bound (see _call_below_threshold)."""
-    return min(Fraction(1), Fraction(max(map(abs, g.nums), default=0), g.den)) / 2 ** (bits // 4)
-
-
 def _value_error(fc, gc, x):
     """First-order bound on the error of horner(gc, x) at an approximate root
     x of f (coefficients fc): |g'(x)| times the Newton step |f(x)/f'(x)|,
@@ -434,12 +427,11 @@ def _value_error(fc, gc, x):
     return abs(_value_and_slope([c._mpf_ for c in gc], x)[1]) * step + rounding(gc)
 
 
-def _call_below_threshold(value, error, thr, what):
-    """Pass a value at or below thr above TRUST_FACTOR times the bound ``error``
-    on its evaluation error; else raise IllConditioned, naming thr and error."""
+def _call(value, error, what):
+    """Pass a value above TRUST_FACTOR times the bound ``error`` on its
+    evaluation error; else raise IllConditioned, naming that bound."""
     if not value > TRUST_FACTOR * error:
-        raise IllConditioned(f"{what} (thr = {mpmath.nstr(thr, 6)}, error bound "
-                             f"{mpmath.nstr(error, 6)})", value, error)
+        raise IllConditioned(f"{what} (error bound {mpmath.nstr(error, 6)})", value, error)
 
 
 #: 1 - 2^-32, the factor by which sigma is shrunk below the estimate.
@@ -589,13 +581,13 @@ def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
     per real root weighted by g there, two real columns per conjugate pair
     with weight 2(lambda + Re g(xi)) and lambda = LAMBDA_FACTOR*|g(xi)|,
     which keeps the matrix positive definite.  g must be positive at every
-    real root (decided exactly upstream).  A value there is called above the
-    threshold thr = 2^(-bits/4)*min(1, ||g||_inf), or above TRUST_FACTOR
-    times the bound ``_value_error`` puts on its evaluation error; else
-    IllConditioned is raised before the basis is built.  Each pair weight is
-    called the same way, so a g scaled by a positive constant below 1 meets
-    thresholds scaled with it.  Either IllConditioned carries the value and
-    its bound.
+    real root (decided exactly upstream).  A value there is called when it
+    exceeds TRUST_FACTOR times the bound ``_value_error`` puts on its
+    evaluation error; else IllConditioned is raised before the basis is
+    built.  Each pair weight is called the same way, and a pair weight of 0
+    (g evaluates to 0 at the pair) never is.  The bound is homogeneous in g,
+    so a g scaled by a positive constant meets a test scaled with it.  Either
+    IllConditioned carries the value and its bound.
     """
     n = int(f.degree)
     if not g.degree < n:
@@ -606,15 +598,11 @@ def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
     bits = roots.precision_bits
     with mp.workprec(bits):
         gc = _mp_coeffs(g)
-        thr = threshold(g, bits)
-        thr = mp.mpf(thr.numerator) / thr.denominator  # rounds only min(1, ||g||_inf)
         fc = _mp_coeffs(f)
         weights = [horner(gc, xi) for xi in roots.real_roots]
         for xi, val in zip(roots.real_roots, weights):
-            if val <= thr:
-                _call_below_threshold(val, _value_error(fc, gc, xi), thr,
-                                      f"g({mpmath.nstr(xi, 12)}) = {mpmath.nstr(val, 6)} is too "
-                                      "close to zero to call")
+            _call(val, _value_error(fc, gc, xi),
+                  f"g({mpmath.nstr(xi, 12)}) = {mpmath.nstr(val, 6)} is too close to zero to call")
 
         basis = lagrange_basis(f, roots)
         columns = basis[: len(weights)]
@@ -624,11 +612,11 @@ def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
             u = basis[k + 2 * idx + 1]  # basis polynomial at the representative
             gamma = horner(gc, rep)
             mag = abs(gamma)
-            lam = LAMBDA_FACTOR * mag if mag > 0 else mp.mpf(LAMBDA_FACTOR)
+            lam = LAMBDA_FACTOR * mag
             den = lam + mp.re(gamma)
-            if den <= thr:  # den moves at most LAMBDA_FACTOR + 1 times as far as gamma
-                _call_below_threshold(den, (LAMBDA_FACTOR + 1) * _value_error(fc, gc, rep), thr,
-                                      f"degenerate pair weight {mpmath.nstr(den, 6)}")
+            # den moves at most LAMBDA_FACTOR + 1 times as far as gamma
+            _call(den, (LAMBDA_FACTOR + 1) * _value_error(fc, gc, rep),
+                  f"degenerate pair weight {mpmath.nstr(den, 6)}")
             disc = max(lam**2 - mag**2, mp.mpf(0))
             ratio = mp.im(gamma) / den
             root_disc = mp.sqrt(disc) / den

@@ -456,8 +456,8 @@ def test_certify_clear_negative_beats_an_earlier_near_zero(monkeypatch, capsys):
 
 def test_certify_calls_a_value_by_its_error_bound(monkeypatch, tmp_path, capsys):
     # r = floor(2^(1/3)*10^70)/10^70: g(2^(1/3)) is about 2^-233, lost in
-    # rounding at 106 and 212 bits; at 424 bits it is below the threshold
-    # 2^-106 but far above its error bound, so it is called
+    # rounding at 106 and 212 bits; at 424 bits it is far above its error
+    # bound, so it is called
     tried = []
     find_roots = numeric.find_roots
 

@@ -33,6 +33,10 @@ from support import random_nonzero_poly
 
 X = Poly.x()
 F_CUBE = X**3 - Poly.constant(2)
+# x^8 - 2 with g = x^2 - r, r = floor(2^(1/4)*10^20)/10^20: g(+-2^(1/8)) is
+# about 7.5e-21, far above its error bound at every rung
+NEAR_F = X**8 - Poly.constant(2)
+NEAR_G = X**2 - Poly.constant(F(118920711500272106671, 10**20))
 
 TOY_QBAR = (
     (F(6, 10), F(1, 10), F(-2, 10)),
@@ -437,12 +441,16 @@ def test_certify_strict_one_projection_and_ldl_per_tried_t(
         (X**4 + X + Poly.one(), Poly.constant(F(1, 10**300))),
         (F_CUBE, Poly.constant(F(1, 10**300))),
         (F_CUBE, Poly([F(1, 10**301), F(1, 10**300)])),
+        (NEAR_F, NEAR_G * Poly.constant(F(1, 10**300))),
+        (NEAR_F, NEAR_G * Poly.constant(10**300)),
     ],
-    ids=["one", "1e-20", "1e-70", "1e-300", "cube-1e-300", "cube-linear-1e-300"],
+    ids=["one", "1e-20", "1e-70", "1e-300", "cube-1e-300", "cube-linear-1e-300",
+         "near-1e-300", "near-1e300"],
 )
 def test_certify_strict_limits_scale_with_g(f, g, monkeypatch):
     # a positive constant factor on g only scales the certificate: the
-    # threshold and the digit cap follow ||g||, so one rung suffices
+    # error bound of each value and the digit cap follow g, so one rung
+    # suffices
     tried = []
     find_roots = numeric.find_roots
 
@@ -491,15 +499,17 @@ def test_certify_strict_root_finder_failure_exhausts_precision(monkeypatch):
 
 
 # x^2 + 1e-40: at 106 bits the pair +-1e-20 i reads as real (the roots fail);
-# at 212 bits the pair weight of g = x, 2e-20, is below the threshold 2^-53
-# but far above its error bound, so it is called and the run certifies
+# at 212 bits the pair weight of g = x, 2e-20, is far above its error bound,
+# so it is called and the run certifies
 TINY_PAIR = X**2 + Poly.constant(F(1, 10**40))
 
 
 def _untrusted_values(monkeypatch):
-    # an infinite error bound: no value below the threshold is called, so
+    # an infinite error bound below 424 bits: no value is called there, so
     # TINY_PAIR's Gram fails at 212 bits and certifies at 424
-    monkeypatch.setattr(numeric, "_value_error", lambda *_args: mp.inf)
+    bound = numeric._value_error
+    monkeypatch.setattr(numeric, "_value_error",
+                        lambda *args: mp.inf if mp.prec < 424 else bound(*args))
 
 
 def _spy_numeric_stages(monkeypatch):
@@ -666,16 +676,10 @@ def test_certify_strict_rung_after_failed_roots_starts_from_float_seeds(monkeypa
     assert from_floats == [True, True, False, True]
 
 
-# x^8 - 2 with g = x^2 - r, r = floor(2^(1/4)*10^20)/10^20: g(+-2^(1/8)) is
-# about 7.5e-21: below the thresholds 2^-26 at 106 bits and 2^-53 at 212,
-# above 2^-106 at 424, and far above its error bound at every rung
-NEAR_F = X**8 - Poly.constant(2)
-NEAR_G = X**2 - Poly.constant(F(118920711500272106671, 10**20))
-
-
 def test_certify_strict_untrusted_value_retries(monkeypatch):
-    # the value is called at 106 bits by its error bound; with an infinite
-    # bound it is called only at 424 bits, and every rung up to it is tried
+    # the value is called at 106 bits by its error bound; with the bound
+    # infinite below 424 bits it is called only at 424, and every rung up to
+    # it is tried
     calls = _spy_numeric_stages(monkeypatch)
     certify_strict_squarefree(NEAR_F, NEAR_G)
     assert calls == [("roots", 106), ("gram", 106)]

@@ -437,8 +437,8 @@ def test_not_strictly_positive():
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["above-zero", "below-zero"])
 def test_value_too_close_to_zero_is_ill_conditioned(sign, monkeypatch):
-    # |g(1)| = 1e-40 is below the 106-bit threshold 2^-26 on either side of
-    # zero: not a refusal, a retry at higher precision
+    # |g(1)| = 1e-40 is below 2^16 times its error bound at 106 bits on
+    # either side of zero: not a refusal, a retry at higher precision
     def no_basis(*_args):
         raise AssertionError("lagrange_basis called")
 
@@ -467,7 +467,7 @@ def test_failed_value_carries_a_bound_on_its_error():
         # rounding noise below 424 bits: the value is not called
         assert not value > numeric.TRUST_FACTOR * error
         assert f"error bound {mp.nstr(error, 6)})" in str(info.value)
-    # a measurement from 424 bits on: below the threshold, but called
+    # a measurement from 424 bits on: far above its error bound, so called
     assert build_interior_gram(f, g, find_roots(f, 424)).sigma > 0
 
 
@@ -506,11 +506,16 @@ def test_degenerate_pair_weight_carries_a_bound_on_its_error():
     assert build_interior_gram(F_CUBE, g, find_roots(F_CUBE, 424)).sigma > 0
 
 
-def test_zero_g_at_a_real_root_is_too_close_to_zero():
-    # g = 0 has no coefficients: its value at the root and the bound on
-    # that value's error are both 0
-    with pytest.raises(IllConditioned, match="too close to zero") as info:
-        build_interior_gram(F_CUBE, Poly.zero(), find_roots(F_CUBE))
+@pytest.mark.parametrize(
+    "f, reason",
+    [(F_CUBE, "too close to zero"), (X**2 + Poly.one(), "degenerate pair weight")],
+    ids=["real-root", "pair-weight"],
+)
+def test_zero_g_is_not_called(f, reason):
+    # g = 0 has no coefficients: its value at a root and the bound on that
+    # value's error are both 0, and so is a pair weight (lambda = 2|g| = 0)
+    with pytest.raises(IllConditioned, match=reason) as info:
+        build_interior_gram(f, Poly.zero(), find_roots(f))
     assert info.value.value == 0 and info.value.error == 0
 
 
