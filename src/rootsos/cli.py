@@ -380,8 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # attach an expression that starts with "-" to the --f or --g before it,
+    # which argparse would read as an option: "--g -x^4" -> "--g=-x^4"
+    tokens: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if token.startswith("-") and tokens and tokens[-1] in ("--f", "--g"):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(tokens)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; fold that into the IO/parse code
         return EXIT_OK if exc.code == 0 else EXIT_ERROR

@@ -348,7 +348,7 @@ def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposit
                 continue
             lift = GramLift(q_exact, q_round + q_reduction, f, g)
             sos = _sos_from_ldl(report, f)
-            if sos.square_sum() != gram_poly(q_exact):
+            if sos.square_sum() != target:  # GramLift proved target = gram_poly(q_exact)
                 raise AssertionError("LDL reconstruction mismatch")
             return lift, sos
         attempts.append((bits, f"no positive exact LDL^T at {' or '.join(map(str, tried))} digits"))

@@ -214,8 +214,8 @@ def certify_nonnegative(f: Poly, g: Poly) -> Certificate:
     Reduces to the strictly positive case, certifies each irreducible factor
     of f/d separately, Hensel-lifts to the factor multiplicities, recombines
     by CRT and restores the gcd part.  The emitted squares are summed once,
-    S = sum w_i h_i^2, which gives q = (g - S) // f; the one exact identity
-    S + q*f = g is checked before the certificate is returned.  Positive
+    S = sum w_i h_i^2, and one division of g - S by f gives q and proves the
+    identity S + q*f = g: its remainder must be zero.  Positive
     weights and deg h_i < deg f hold by construction.  g = 0 and a constant
     f/d take the same path with no factors, so S = 0.  Raises
     HypothesisViolated when gcd(f, g) and f/gcd(f, g) share a factor, and
@@ -239,7 +239,7 @@ def certify_nonnegative(f: Poly, g: Poly) -> Certificate:
     if reduction.d != Poly.one():
         polys = tuple(reduction.d * h for h in polys)
     square_sum = weighted_square_sum(combined.weights, polys)
-    quotient = (g - square_sum) // f
-    if square_sum + quotient * f != g:
+    quotient, rest = divmod(g - square_sum, f)
+    if rest:
         raise AssertionError("certificate identity g = sum w_i h_i^2 + q*f fails")
     return Certificate(f, g, combined.weights, polys, quotient)

@@ -1,30 +1,32 @@
 """Floating-point stage of the certification pipeline.
 
-Root approximation by Newton refinement, conjugate-pair classification
-cross-checked against the exact Sturm count, Lagrange basis construction, and
-assembly of the interior Gram pair (Q*, q*) whose exact rounding is performed
-downstream.  ``find_roots`` refines the previous rung's roots, or else the
-seeds of a Durand-Kerner pass in builtin complex floats, by Newton's method
-on raw ``libmp`` values: a real root in real arithmetic, a conjugate pair
-through its representative alone, whose exact conjugate is the other root.
-The step count follows from the precision.  When a root stalls or the
-refined roots fail a check, mpmath's ``polyroots`` runs once from the same
-seeds, with as many extra bits as the working precision.
-Q* is summed on mpmath's raw ``libmp`` values.  The margin sigma,
-an estimate of the smallest eigenvalue of Q*, comes from one Cholesky
-factorization of Q* and a Lanczos run on its inverse; it only picks the
-rounding digits, and the exact LDL^T downstream proves positive
-definiteness.  Deflation by a root and q* are ratpoly's
-``long_division`` in mp arithmetic.  Every function here makes one attempt at
-the precision it is given (mpmath software floats with a mantissa of that
-many bits) and raises IllConditioned when that precision does not suffice;
-the caller (``exactify``) retries at the next rung of its fixed precision
-ladder.  A rung continues from the one before it: ``find_roots`` starts
-from the previous rung's roots when it is given them.  ``build_interior_gram``
-calls a value of g at a real root, or a pair weight, when it exceeds
-TRUST_FACTOR times the bound on its evaluation error, so a near-boundary
-value passes at the first rung that resolves it.  The
-sign of g at the real roots is decided exactly upstream, so this stage
+Root approximation by Newton refinement, a real/pair split cross-checked
+against the exact Sturm count, the Lagrange basis at the real roots and pair
+representatives, and assembly of the interior Gram pair (Q*, q*) whose exact
+rounding is performed downstream.  ``find_roots`` refines the previous
+rung's roots, or else the seeds of a Durand-Kerner pass in builtin complex
+floats, by Newton's method on raw ``libmp`` values: a real root in real
+arithmetic, a conjugate pair through its representative alone, whose exact
+conjugate is the other root.  The step count follows from the precision.
+When a root stalls or the refined roots fail a check, mpmath's ``polyroots``
+runs once from the same seeds, with as many extra bits as the working
+precision.  The split checks only the real count and that the other roots
+pair up in number: the exact checks downstream prove whatever roots are
+proposed, so a poor root is only a reason to retry.  Q* is summed on
+mpmath's raw ``libmp`` values.  The margin sigma, an estimate of the
+smallest eigenvalue of Q*, comes from one Cholesky factorization of Q* and
+a Lanczos run on its inverse; it only picks the rounding digits, and the
+exact LDL^T downstream proves positive definiteness.  Deflation by a root
+and q* are ratpoly's ``long_division`` in mp arithmetic.  Every function
+here makes one attempt at the precision it is given (mpmath software floats
+with a mantissa of that many bits) and raises IllConditioned when that
+precision does not suffice; the caller (``exactify``) retries at the next
+rung of its fixed precision ladder.  A rung continues from the one before
+it: ``find_roots`` starts from the previous rung's roots when it is given
+them.  ``build_interior_gram`` calls a value of g at a real root, or a pair
+weight, when it exceeds TRUST_FACTOR times the bound on its evaluation
+error, so a near-boundary value passes at the first rung that resolves it.
+The sign of g at the real roots is decided exactly upstream, so this stage
 never refuses an input: a linear f never reaches it, and a value of g that
 cannot be called at a real root is only a reason to retry.
 """
@@ -39,8 +41,9 @@ from math import ldexp, prod
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fone, from_float, from_int, from_man_exp, fzero, mpf_add, mpf_div
-from mpmath.libmp import mpf_mul, mpf_neg, mpf_shift, mpf_sqrt, mpf_sub, round_nearest, to_float
+from mpmath.libmp import fone, from_float, from_int, from_man_exp, fzero, mpf_abs, mpf_add
+from mpmath.libmp import mpf_div, mpf_mul, mpf_neg, mpf_shift, mpf_sqrt, mpf_sub, round_nearest
+from mpmath.libmp import to_float
 
 from .ratpoly import Poly, horner, long_division, norm2_squared, sqrt_upper_bound
 from .ratpoly import sturm_real_root_count
@@ -81,8 +84,8 @@ class RootProfile:
 
     ``real_roots`` is ascending; ``complex_pairs`` holds one representative
     per conjugate pair (positive imaginary part), sorted by real then
-    imaginary part.  Ordered slots list each pair as (conjugate,
-    representative) after the real roots.
+    imaginary part.  A pair's other root is the conjugate of its
+    representative, which nothing downstream needs to hold.
     """
 
     real_roots: tuple
@@ -92,14 +95,6 @@ class RootProfile:
     @property
     def degree(self) -> int:
         return len(self.real_roots) + 2 * len(self.complex_pairs)
-
-    def ordered_roots(self) -> list:
-        out = list(self.real_roots)
-        with mp.workprec(self.precision_bits):  # conj rounds to the context's precision
-            for rep in self.complex_pairs:
-                out.append(mpmath.conj(rep))
-                out.append(rep)
-        return out
 
 
 @dataclass(frozen=True)
@@ -293,43 +288,23 @@ def _refined_roots(cs, seeds, seed_bits):
     return roots if _distinct(roots) else None
 
 
-def _classify(z, fc, norm_f, expected_real: int, bits: int):
-    """Split approximations into real roots and conjugate-pair representatives.
-
-    ``fc`` and ``norm_f`` are f's coefficients and their 2-norm at the
-    working precision.  Raises IllConditioned when the picture is
-    inconsistent: a real count other than Sturm's, unpaired complex roots,
-    or residuals too large.
-    """
-    n = len(z)
+def _classify(z, expected_real: int, bits: int):
+    """Split approximations into ascending real roots and the pair
+    representatives, the roots above the axis, sorted by real then imaginary
+    part.  A root is real when |Im z| < 2^-(bits/2)*(1 + |Re z|).  Raises
+    IllConditioned when that count is not Sturm's, or when the other roots
+    do not split evenly about the real axis; nothing else is checked."""
     thr = mp.ldexp(1, -(bits // 2))
-    reals = []
-    complexes = []
+    reals, reps = [], []
     for zi in z:
         if abs(mp.im(zi)) < thr * (1 + abs(mp.re(zi))):
             reals.append(mp.re(zi))
-        else:
-            complexes.append(zi)
+        elif mp.im(zi) > 0:
+            reps.append(zi)
     if len(reals) != expected_real:
         raise IllConditioned(f"{len(reals)} real roots where Sturm counts {expected_real}")
-
-    pos = sorted((c for c in complexes if mp.im(c) > 0), key=lambda c: (mp.re(c), mp.im(c)))
-    neg = sorted((c for c in complexes if mp.im(c) < 0), key=lambda c: (mp.re(c), -mp.im(c)))
-    if len(pos) != len(neg):
+    if 2 * len(reps) != len(z) - expected_real:
         raise IllConditioned("complex roots do not pair up")
-    pair_tol = mp.ldexp(1, -(bits // 4))
-    reps = []
-    for a, b in zip(pos, neg):
-        if abs(a - mp.conj(b)) > pair_tol * (1 + abs(a)):
-            raise IllConditioned("complex roots do not pair up")
-        reps.append((a + mp.conj(b)) / 2)
-
-    # residual screen: every returned root must nearly annihilate f
-    bound = mp.ldexp(1, -(bits // 4)) * norm_f
-    for xi in list(reals) + reps:
-        if abs(horner(fc, xi)) > bound * max(1, abs(xi)) ** n:
-            raise IllConditioned("a root fails the residual screen")
-
     reals.sort()
     reps.sort(key=lambda c: (mp.re(c), mp.im(c)))
     return tuple(reals), tuple(reps)
@@ -350,9 +325,9 @@ def find_roots(
     float seeds, split by the real count.  If a root stalls, or the refined
     roots fail a check, ``polyroots`` runs once from the same seeds.  The
     real count is validated against the exact Sturm count ``real``, computed
-    here when the caller has not.  A mismatch, a failed residual screen or
-    no convergence of ``polyroots`` raises IllConditioned: retry at a higher
-    precision.
+    here when the caller has not.  A mismatch, non-real roots that do not
+    split evenly about the axis, or no convergence of ``polyroots`` raises
+    IllConditioned: retry at a higher precision.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("find_roots needs degree >= 1")
@@ -362,12 +337,14 @@ def find_roots(
         real = sturm_real_root_count(f)  # raises NotSquarefree when repeated
     with mp.workprec(precision_bits):
         fc = _mp_coeffs(f)
-        norm2 = norm2_squared(f)
-        norm_f = mp.sqrt(mp.mpf(norm2.numerator) / norm2.denominator)
         k, scaled = _scaled_monic(fc)
         if previous is not None and previous.degree == f.degree:
-            seeds = [mp.mpc(x) * mp.ldexp(1, -k) for x in previous.ordered_roots()]
             start, seed_bits = previous.real_roots + previous.complex_pairs, previous.precision_bits
+            # polyroots' seeds, each pair as (conjugate, representative): the
+            # order of the seeds fixes the bits of the roots it returns
+            ordered = [*previous.real_roots,
+                       *(z for rep in previous.complex_pairs for z in (mp.conj(rep), rep))]
+            seeds = [mp.mpc(x) * mp.ldexp(1, -k) for x in ordered]
         else:
             seeds = _float_seeds(scaled)
             start = seeds and _split_seeds(seeds, real, mp.ldexp(1, k))
@@ -375,56 +352,67 @@ def find_roots(
         roots = start and _refined_roots(fc, start, seed_bits)
         if roots:
             try:
-                return RootProfile(*_classify(roots, fc, norm_f, real, precision_bits),
-                                   precision_bits)
+                return RootProfile(*_classify(roots, real, precision_bits), precision_bits)
             except IllConditioned:
                 pass  # polyroots from the same seeds decides
-        reals, reps = _classify(_polyroots(k, scaled, seeds), fc, norm_f, real, precision_bits)
+        reals, reps = _classify(_polyroots(k, scaled, seeds), real, precision_bits)
     return RootProfile(reals, reps, precision_bits)
 
 
 def lagrange_basis(f: Poly, roots: RootProfile) -> list:
-    """Lagrange basis u_i = f/(f'(xi_i)(x - xi_i)) over the ordered roots.
+    """Lagrange basis u_i = f/(f'(xi_i)(x - xi_i)) at the real roots and
+    the pair representatives, in that order.
 
-    Each u_i is a coefficient tuple of degree n-1 with u_i(xi_j) ~ delta_ij; a
-    poor basis shows in the exact residual bound rho and the exact LDL^T.  A
-    real root's basis is built in real arithmetic, and a conjugate's basis
-    is the exact conjugate of its representative's.
+    Each u_i is a coefficient tuple of degree n-1 with u_i(xi_j) ~ delta_ij
+    over all n roots; a poor basis shows in the exact residual bound rho and
+    the exact LDL^T.  A real root's basis is built in real arithmetic.  A
+    conjugate's basis, the exact conjugate of its representative's, is not
+    built: a pair's Gram columns come from the representative's alone.
     """
-    n = int(f.degree)
+    xs = roots.real_roots + roots.complex_pairs
     with mp.workprec(roots.precision_bits):
-        if len(set(roots.ordered_roots())) < n:
+        # reals, representatives and conjugates differ in the sign of Im
+        if len(set(xs)) < len(xs):
             raise IllConditioned("coincident roots at working precision")
         monic = _mp_coeffs(f.monic())
-        k, basis = len(roots.real_roots), []
-        for i, xi in enumerate(roots.real_roots + roots.complex_pairs):
+        basis = []
+        for xi in xs:
             quo = long_division(list(monic), (-xi, 1), lambda c: c)  # f/(lc*(x - xi))
             dval = horner(quo, xi)  # f'(xi)/lc = prod_{j != i} (xi - xj)
             if dval == 0:
                 raise IllConditioned("vanishing derivative at a root")
-            u = tuple(c / dval for c in quo)
-            if i >= k:  # a pair's representative: its conjugate's slot comes first
-                basis.append(tuple(mpmath.conj(c) for c in u))
-            basis.append(u)
+            basis.append(tuple(c / dval for c in quo))
         return basis
 
 
-def _value_error(fc, gc, x):
-    """First-order bound on the error of horner(gc, x) at an approximate root
-    x of f (coefficients fc): |g'(x)| times the Newton step |f(x)/f'(x)|,
+def _raw(cs):
+    """The raw ``libmp`` values of mpf coefficients, and their magnitudes."""
+    raw = [c._mpf_ for c in cs]
+    return raw, [mpf_abs(c) for c in raw]
+
+
+def _value_error(f_raw, g_raw, x):
+    """First-order bound on the error of g(x) by Horner's scheme at an
+    approximate root x of f: |g'(x)| times the Newton step |f(x)/f'(x)|,
     with f(x) widened by Horner's rounding error, plus the rounding error of
-    g(x) itself.  f(x), f'(x) and g'(x) come from the Newton kernel.
-    Infinite when f'(x) evaluates to 0."""
-    unit = 4 * len(fc) * mp.eps  # Horner's rounding, per unit of sum |c_i||x|^i
+    g(x) itself.  f_raw and g_raw are ``_raw`` pairs of f and g.  f(x),
+    f'(x) and g'(x) come from the Newton kernel.  Infinite when f'(x)
+    evaluates to 0."""
+    (fs, f_abs), (gs, g_abs) = f_raw, g_raw
+    prec, size = mp.prec, abs(x)._mpf_
+    unit = 4 * len(fs) * mp.eps  # Horner's rounding, per unit of sum |c_i||x|^i
 
-    def rounding(cs):
-        return unit * horner([abs(c) for c in cs], abs(x))
+    def rounding(magnitudes):  # Horner's scheme at |x|, rounding as mpf arithmetic does
+        total = fzero
+        for c in reversed(magnitudes):
+            total = mpf_add(mpf_mul(total, size, prec, round_nearest), c, prec, round_nearest)
+        return unit * mp.make_mpf(total)
 
-    value, slope = _value_and_slope([c._mpf_ for c in fc], x)
+    value, slope = _value_and_slope(fs, x)
     if not slope:
         return mp.inf
-    step = (abs(value) + rounding(fc)) / abs(slope)
-    return abs(_value_and_slope([c._mpf_ for c in gc], x)[1]) * step + rounding(gc)
+    step = (abs(value) + rounding(f_abs)) / abs(slope)
+    return abs(_value_and_slope(gs, x)[1]) * step + rounding(g_abs)
 
 
 def _call(value, error, what):
@@ -599,23 +587,22 @@ def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
     with mp.workprec(bits):
         gc = _mp_coeffs(g)
         fc = _mp_coeffs(f)
+        f_raw, g_raw = _raw(fc), _raw(gc)
         weights = [horner(gc, xi) for xi in roots.real_roots]
         for xi, val in zip(roots.real_roots, weights):
-            _call(val, _value_error(fc, gc, xi),
+            _call(val, _value_error(f_raw, g_raw, xi),
                   f"g({mpmath.nstr(xi, 12)}) = {mpmath.nstr(val, 6)} is too close to zero to call")
 
         basis = lagrange_basis(f, roots)
         columns = basis[: len(weights)]
-
-        k = len(roots.real_roots)
-        for idx, rep in enumerate(roots.complex_pairs):
-            u = basis[k + 2 * idx + 1]  # basis polynomial at the representative
+        # u: the basis polynomial at the pair's representative
+        for rep, u in zip(roots.complex_pairs, basis[len(weights):]):
             gamma = horner(gc, rep)
             mag = abs(gamma)
             lam = LAMBDA_FACTOR * mag
             den = lam + mp.re(gamma)
             # den moves at most LAMBDA_FACTOR + 1 times as far as gamma
-            _call(den, (LAMBDA_FACTOR + 1) * _value_error(fc, gc, rep),
+            _call(den, (LAMBDA_FACTOR + 1) * _value_error(f_raw, g_raw, rep),
                   f"degenerate pair weight {mpmath.nstr(den, 6)}")
             disc = max(lam**2 - mag**2, mp.mpf(0))
             ratio = mp.im(gamma) / den

@@ -202,6 +202,14 @@ def test_usage_error_maps_to_one(capsys):
     capsys.readouterr()
 
 
+def test_expression_starting_with_minus_follows_its_option(capsys):
+    # argparse alone reads "-x^4" as an option and exits 1
+    assert main(["certify", "--f", "x^5-x-1", "--g", "-x^4"]) == 3
+    assert "not non-negative" in capsys.readouterr().err
+    assert main(["inspect", "--f", "-x^2+2"]) == 0
+    assert "f = -x^2 + 2" in capsys.readouterr().out
+
+
 def test_verify_tampered_certificate(tmp_path, capsys):
     out = tmp_path / "cert.json"
     assert main(["certify", "--f", "x^3-2", "--g", "x", "--out", str(out)]) == 0
@@ -393,9 +401,14 @@ NEAR_BOUNDARY_G3 = "x^2 - 131607401295249246081/100000000000000000000"
         # ill-conditioned roots: the Newton refinement stalls, polyroots decides
         ("*".join(f"(x-{k})" for k in range(1, 11)) + "+1/7", "x^2+1", [106], 1,
          "5af08188da4a9e6ecf7e4face59820ca3850b10d0dc76ef94ba38813d40a447f"),
+        # the same with a conjugate pair: the pin covers the representative
+        # that the fallback's classification takes
+        ("*".join(f"(x-{k})" for k in range(1, 9)) + "*(x^2+2)+1/7", "x^2+1", [106], 1,
+         "9ef4a4d64a602d088fd092302f53c5f2631b9f594a778ae1583302dc44517fe0"),
     ],
     ids=["dense-gram-16", "near-boundary", "large-roots", "huge-constant",
-         "near-boundary-3", "dense-gram-32", "zero-g", "f-divides-g", "split-crt", "fallback"],
+         "near-boundary-3", "dense-gram-32", "zero-g", "f-divides-g", "split-crt", "fallback",
+         "fallback-pair"],
 )
 def test_certify_pinned_bytes(f, g, precisions, fallbacks, digest, monkeypatch, capsys):
     tried, fell_back = [], []

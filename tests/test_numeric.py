@@ -91,9 +91,23 @@ def test_find_roots_without_convergence_makes_one_attempt(monkeypatch):
     assert tried == [(106, 106)]
 
 
-def test_ordered_roots_are_exact_conjugates_at_any_context_precision():
-    prof = find_roots(X**2 + X + Poly.one(), 212)
-    conj, rep = prof.ordered_roots()  # at mpmath's default 53 bits
+def test_fallback_seeds_from_a_previous_pair_are_exact_conjugates(monkeypatch):
+    # the previous rung's pair seeds polyroots as (conjugate, representative),
+    # exact conjugates even where the previous precision is the higher one
+    f = X**2 + X + Poly.one()
+    prof = find_roots(f, 212)
+    seeded = []
+
+    def fallback(_k, _scaled, seeds):
+        seeded.append(seeds)
+        raise IllConditioned("seeds taken")
+
+    monkeypatch.setattr(numeric, "_newton", lambda *_args: None)  # every root stalls
+    monkeypatch.setattr(numeric, "_polyroots", fallback)
+    with pytest.raises(IllConditioned, match="seeds taken"):
+        find_roots(f, 106, previous=prof)
+    conj, rep = seeded[0]
+    assert rep.imag > 0
     assert conj.real == rep.real and exact_fraction(conj.imag) == -exact_fraction(rep.imag)
 
 
@@ -127,7 +141,7 @@ def test_find_roots_starts_from_the_previous_roots(monkeypatch):
     assert calls[1] == (212, [*low.real_roots, *low.complex_pairs], 106)
     assert polyroots == []
     with mp.workprec(212):
-        for a, b in zip(low.ordered_roots(), high.ordered_roots()):
+        for a, b in zip(low.real_roots + low.complex_pairs, high.real_roots + high.complex_pairs):
             assert abs(a - b) < mp.ldexp(1, -90)
     assert find_roots(f, 212) == high
 
@@ -240,7 +254,7 @@ def test_seeds_do_not_change_the_roots(monkeypatch):
             b.precision_bits, len(b.real_roots), len(b.complex_pairs))
         with mp.workprec(a.precision_bits):
             tol = mp.ldexp(1, -(a.precision_bits // 2))
-            for x, y in zip(a.ordered_roots(), b.ordered_roots()):
+            for x, y in zip(a.real_roots + a.complex_pairs, b.real_roots + b.complex_pairs):
                 assert abs(x - y) <= tol
 
 
@@ -254,7 +268,8 @@ def test_root_residuals_random():
         norm_f = float(norm2_squared(f)) ** 0.5
         with mp.workprec(bits):
             bound = mp.ldexp(1, -(bits // 4)) * norm_f
-            for xi in prof.ordered_roots():
+            # |f| is the same at a conjugate
+            for xi in prof.real_roots + prof.complex_pairs:
                 assert abs(f(xi)) <= bound * max(1, abs(xi)) ** n
 
 
@@ -271,16 +286,21 @@ def test_lagrange_basis_delta_and_unity():
     for f in (F_CUBE, (X - Poly.one()) * (X + Poly.constant(3)) * (X**2 + Poly.one())):
         prof = find_roots(f)
         us = lagrange_basis(f, prof)
-        xs = prof.ordered_roots()
+        xs = prof.real_roots + prof.complex_pairs
+        assert len(us) == len(xs)
         with mp.workprec(prof.precision_bits):
+            every_root = [*xs, *(mp.conj(rep) for rep in prof.complex_pairs)]
             tol = mp.ldexp(1, -(prof.precision_bits // 4))
-            for i, u in enumerate(us):
-                for j, xj in enumerate(xs):
-                    want = 1 if i == j else 0
+            for u, xi in zip(us, xs):
+                for xj in every_root:
+                    want = 1 if xj == xi else 0
                     val = sum(c * xj**k for k, c in enumerate(u))
                     assert abs(val - want) <= tol
-            # interpolation of the constant 1: sum of the basis is 1
-            total = [sum(u[k] for u in us) for k in range(len(us))]
+            # interpolation of the constant 1: the basis at a conjugate is the
+            # conjugate of its representative's, so the whole basis sums to 1
+            real = len(prof.real_roots)
+            total = [sum(u[k] for u in us[:real]) + 2 * sum(mp.re(u[k]) for u in us[real:])
+                     for k in range(int(f.degree))]
             assert abs(total[0] - 1) < 1e-20
             for c in total[1:]:
                 assert abs(c) < 1e-20
@@ -567,10 +587,8 @@ def test_refined_roots_match_polyroots(seed, degree):
         bits = prof.precision_bits
         with mp.workprec(bits):
             cs = numeric._mp_coeffs(f)
-            norm2 = norm2_squared(f)
-            norm_f = mp.sqrt(mp.mpf(norm2.numerator) / norm2.denominator)
             want = numeric._classify(mp.polyroots(cs[::-1], maxsteps=500, extraprec=bits),
-                                     cs, norm_f, real, bits)
+                                     real, bits)
             assert (len(prof.real_roots), len(prof.complex_pairs)) == tuple(map(len, want))
             for z, w in zip(prof.real_roots + prof.complex_pairs, want[0] + want[1]):
                 assert abs(z - w) <= mp.ldexp(1, -(bits // 2)) * (1 + abs(w))
