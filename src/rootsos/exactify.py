@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import mpmath
+
 from . import numeric
 from .numeric import DEFAULT_PRECISION_BITS, IllConditioned, antidiagonal_sums, exact_fraction
 from .ratpoly import Poly, gcd, norm2_squared, sqrt_upper_bound, sturm_real_root_count
@@ -65,20 +67,16 @@ class NotNonnegative(ArithmeticError):
 
 class PrecisionExhausted(ArithmeticError):
     """Every rung of the precision ladder failed.  ``attempts`` lists each
-    rung as (bits, reason); sigma/rho/delta are the last Gram stage's, None
-    when no attempt reached it."""
+    rung as (bits, reason); a rung that reached the Gram stage states its own
+    sigma and rho in its reason."""
 
-    def __init__(self, attempts, sigma=None, rho=None, delta=None):
+    def __init__(self, attempts):
         self.attempts = tuple(attempts)
         self.precision_bits = self.attempts[-1][0]
         tried = "; ".join(f"{bits} bits: {reason}" for bits, reason in self.attempts)
         super().__init__(
-            f"no positive-definite rounding found up to {self.precision_bits} bits; "
-            f"{tried} (sigma={sigma}, rho={rho}, delta={delta})"
+            f"no positive-definite rounding found up to {self.precision_bits} bits; {tried}"
         )
-        self.sigma = sigma
-        self.rho = rho
-        self.delta = delta
 
 
 @dataclass(frozen=True)
@@ -286,11 +284,12 @@ def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposit
 
     Then, pipeline per attempt: approximate roots, build the interior pair
     (Q*, q*), derive the safe rounding precision from the eigenvalue margin,
-    round, project, and check positive definiteness exactly.  Whatever fails
-    (IllConditioned from the numeric stage, a margin that is not positive, or
-    the exact check even after two extra digits), the next rung of
-    PRECISION_LADDER is tried; after the last one, PrecisionExhausted names
-    every rung's reason.  Each rung's root finding starts from the roots of
+    round once at ceil(log10(1/delta)) digits, project, and check positive
+    definiteness exactly.  Whatever fails (IllConditioned from the numeric
+    stage, a margin that is not positive, or the exact check), the next rung
+    of PRECISION_LADDER is tried; after the last one, PrecisionExhausted names
+    every rung's reason, with sigma and rho for a rung that reached the Gram
+    stage.  Each rung's root finding starts from the roots of
     the last rung that found them.  The Gram stage calls a value of g at a
     real root, or a pair weight, by its own error bound alone (see
     ``numeric.build_interior_gram``), so a rung fails on a value only
@@ -319,7 +318,6 @@ def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposit
     while height * 10 <= 1:
         height, cap = height * 10, cap + 1
     attempts = []
-    last_sigma = last_rho = last_delta = None
     roots = None  # the last rung's roots
     for bits in PRECISION_LADDER:
         previous, roots = roots, None  # a rung whose roots fail leaves no seeds
@@ -330,27 +328,26 @@ def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposit
             attempts.append((bits, str(exc)))
             continue
         delta = delta_bound(f, gram.sigma, gram.rho)
-        last_sigma, last_rho, last_delta = gram.sigma, gram.rho, delta
         if delta <= 0:
-            attempts.append((bits, "no rounding margin (delta <= 0)"))
-            continue
-        digits = 1  # ceil(log10(1/delta)), clamped to [1, cap]
-        while Fraction(1, 10**digits) > delta and digits < cap:
-            digits += 1
-        tried = sorted({digits, min(digits + 2, cap)})
-        for t in tried:
-            qbar = round_to_digits(gram.Qstar, t)
-            q_round = round_to_digits(gram.qstar, t)
+            failure = "no rounding margin (delta <= 0; "
+        else:
+            digits = 1  # ceil(log10(1/delta)), clamped to [1, cap]
+            while Fraction(1, 10**digits) > delta and digits < cap:
+                digits += 1
+            qbar = round_to_digits(gram.Qstar, digits)
+            q_round = round_to_digits(gram.qstar, digits)
             target = g_red - q_round * f
             q_exact = project(qbar, target)
             report = check_positive_definite(q_exact)
-            if report is None:
-                continue
-            lift = GramLift(q_exact, q_round + q_reduction, f, g)
-            sos = _sos_from_ldl(report, f)
-            if sos.square_sum() != target:  # GramLift proved target = gram_poly(q_exact)
-                raise AssertionError("LDL reconstruction mismatch")
-            return lift, sos
-        attempts.append((bits, f"no positive exact LDL^T at {' or '.join(map(str, tried))} digits"))
+            if report is not None:
+                lift = GramLift(q_exact, q_round + q_reduction, f, g)
+                sos = _sos_from_ldl(report, f)
+                if sos.square_sum() != target:  # GramLift proved target = gram_poly(q_exact)
+                    raise AssertionError("LDL reconstruction mismatch")
+                return lift, sos
+            failure = f"no positive exact LDL^T at {digits} digits ("
+        # delta is not printed: as an exact Fraction it may pass the int-to-str limit
+        sigma, rho = mpmath.nstr(gram.sigma, 6), mpmath.nstr(gram.rho, 6)
+        attempts.append((bits, f"{failure}sigma={sigma}, rho={rho})"))
 
-    raise PrecisionExhausted(attempts, sigma=last_sigma, rho=last_rho, delta=last_delta)
+    raise PrecisionExhausted(attempts)

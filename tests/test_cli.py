@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -247,6 +248,42 @@ def test_verify_deeply_nested_file_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err == "error: JSON nested too deeply\n"
 
 
+@pytest.mark.parametrize(
+    "mutate, clause",
+    [
+        (lambda doc: [doc], "top-level value must be an object"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "q"}, "missing key 'q'"),
+        (lambda doc: {**doc, "f": 5}, "f: expected a coefficient array"),
+        (lambda doc: {**doc, "terms": {}}, "'terms' must be an array"),
+        (lambda doc: {**doc, "terms": [{"h": ["1"]}]}, "terms[0] must be an object with 'omega'"),
+    ],
+    ids=["array", "missing-key", "f-not-array", "terms-not-array", "term-without-omega"],
+)
+def test_verify_malformed_document_exits_one(mutate, clause, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--f", "x^3-2", "--g", "x", "--out", str(out)]) == 0
+    out.write_text(json.dumps(mutate(json.loads(out.read_text()))))
+    capsys.readouterr()
+    assert main(["verify", "--cert", str(out)]) == 1
+    assert clause in capsys.readouterr().err
+
+
+def test_certify_out_into_missing_directory_exits_one(tmp_path, capsys):
+    path = tmp_path / "missing" / "cert.json"
+    assert main(["certify", "--f", "x^3-2", "--g", "x", "--out", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+
+
+def test_inspect_zero_f_exits_one(capsys):
+    assert main(["inspect", "--f", "0"]) == 1
+    assert capsys.readouterr().err == "error: f must be non-zero\n"
+
+
+def test_inspect_zero_g(capsys):
+    assert main(["inspect", "--f", "x^2-2", "--g", "0"]) == 0
+    assert "gcd(f, g) = f (g is zero)" in capsys.readouterr().out
+
+
 def test_inspect_report(capsys):
     assert main(["inspect", "--f", "x*(x^3-2)^2", "--g", "x^3"]) == 0
     out = capsys.readouterr().out
@@ -431,13 +468,26 @@ def test_certify_pinned_bytes(f, g, precisions, fallbacks, digest, monkeypatch, 
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_certify_eigensolver_failure_exits_four(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        ("x^3-2", "x"),
+        # delta is an exact rational past the int-to-str limit here, so the
+        # message must not print it
+        ("x^3-10^5000", "x+1"),
+    ],
+    ids=["cube-root-2", "huge-constant"],
+)
+def test_certify_eigensolver_failure_exits_four(f, g, monkeypatch, capsys):
     # a margin kernel whose Cholesky never succeeds finds no margin at any rung
     monkeypatch.setattr(numeric, "_cholesky", lambda _rows, _prec: None)
-    assert main(["certify", "--f", "x^3-2", "--g", "x"]) == 4
+    assert main(["certify", "--f", f, "--g", g]) == 4
     err = capsys.readouterr().err
-    assert "precision exhausted" in err
+    assert err.startswith("precision exhausted")
+    assert len(err) < 1000
     assert err.count("no rounding margin") == 4
+    # each rung states its own margin
+    assert len(re.findall(r"bits: no rounding margin \(delta <= 0; sigma=\S+, rho=\S+\)", err)) == 4
 
 
 def test_certify_root_finder_failure_exits_four(monkeypatch, capsys):

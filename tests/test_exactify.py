@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import random
+from collections.abc import Sequence
 from fractions import Fraction as F
 
 import pytest
@@ -401,11 +402,11 @@ def test_certify_strict_rejects_shared_factor(f, g, common, monkeypatch):
 @pytest.mark.parametrize(
     "f, g, digits_cap, attempts",
     [
-        # certifies at its first t: one projection and one LDL^T in all
+        # certifies at its first rung: one projection and one LDL^T in all
         (F_CUBE, X, 64, 1),
-        # with DIGITS_CAP = 1 and ||g|| = 1 both tried t are 1; the (1,1)
-        # entry of this Gram matrix is about 0.0025, so its projected 1-digit
-        # rounding is singular on each of the four rungs of the precision ladder
+        # with DIGITS_CAP = 1 and ||g|| = 1 each rung rounds at 1 digit; the
+        # (1,1) entry of this Gram matrix is about 0.0025, so its projected
+        # 1-digit rounding is singular on each of the four rungs of the ladder
         (X**2 - Poly.constant(200), Poly.one(), 1, 4),
     ],
     ids=["first-t", "repeated-t"],
@@ -430,6 +431,32 @@ def test_certify_strict_one_projection_and_ldl_per_tried_t(
     with exhausts:
         certify_strict_squarefree(f, g)
     assert calls == ["project", "check_positive_definite"] * attempts
+
+
+def test_certify_strict_rounds_once_per_rung(monkeypatch):
+    # sigma only picks the digits: a rounding whose exact LDL^T fails is not
+    # retried at more digits, the next rung recovers, and each failed rung
+    # states its own margin
+    rounded = []
+    round_to_digits = exactify.round_to_digits
+
+    def spy(value, digits):
+        rounded.append((isinstance(value[0], Sequence), digits))
+        return round_to_digits(value, digits)
+
+    monkeypatch.setattr(exactify, "round_to_digits", spy)
+    monkeypatch.setattr(exactify, "check_positive_definite", lambda _rows: None)
+    with pytest.raises(PrecisionExhausted) as info:
+        certify_strict_squarefree(F_CUBE, X)
+    attempts = info.value.attempts
+    assert [bits for bits, _reason in attempts] == [106, 212, 424, 848]
+    matrix_digits = [digits for is_matrix, digits in rounded if is_matrix]
+    assert len(matrix_digits) == 4  # one matrix rounding per rung
+    assert rounded == [(kind, d) for d in matrix_digits for kind in (True, False)]
+    for (_bits, reason), digits in zip(attempts, matrix_digits):
+        assert digits < exactify.DIGITS_CAP
+        assert reason.startswith(f"no positive exact LDL^T at {digits} digits (sigma=")
+        assert ", rho=" in reason
 
 
 @pytest.mark.parametrize(
@@ -475,9 +502,9 @@ def test_certify_strict_eigensolver_failure_exhausts_precision(monkeypatch):
     with pytest.raises(PrecisionExhausted) as info:
         certify_strict_squarefree(F_CUBE, X)
     assert tried == [106, 212, 424, 848]  # each failure retries at double precision
-    assert info.value.attempts == tuple(
-        (bits, "no rounding margin (delta <= 0)") for bits in (106, 212, 424, 848))
-    assert info.value.sigma == 0
+    assert [bits for bits, _reason in info.value.attempts] == tried
+    for _bits, reason in info.value.attempts:  # each rung states its own margin
+        assert reason.startswith("no rounding margin (delta <= 0; sigma=0.0, rho=")
     assert info.value.precision_bits == 848
     assert "up to 848 bits" in str(info.value)
 
@@ -494,7 +521,7 @@ def test_certify_strict_root_finder_failure_exhausts_precision(monkeypatch):
     with pytest.raises(PrecisionExhausted) as info:
         certify_strict_squarefree(F_CUBE, X)
     assert tried == [(106, 106), (212, 212), (424, 424), (848, 848)]
-    assert info.value.sigma is None
+    assert not any("sigma=" in reason for _bits, reason in info.value.attempts)  # no Gram
     assert info.value.precision_bits == 848
 
 
@@ -580,7 +607,7 @@ def test_certify_strict_max_retries_bounds_every_doubling(
     assert calls == calls_made
     assert [b for b, _reason in info.value.attempts] == list(ladder)
     assert info.value.precision_bits == bits
-    assert info.value.sigma is None
+    assert not any("sigma=" in reason for _bits, reason in info.value.attempts)  # no margin
     assert f"up to {bits} bits" in str(info.value)
     assert reason in info.value.attempts[-1][1]  # the reason of the last attempt
 
@@ -611,7 +638,7 @@ def test_certify_strict_exhaustion_names_every_rung(monkeypatch):
     assert [reason for _bits, reason in attempts[2:]] == [
         "forced failure at 424 bits", "forced failure at 848 bits"]
     assert info.value.precision_bits == 848
-    assert info.value.sigma is None
+    assert "sigma=" not in str(info.value)  # no rung reached a margin
     message = str(info.value)
     assert "up to 848 bits" in message
     for bits, reason in attempts:

@@ -253,6 +253,17 @@ def test_extended_gcd_examples():
     assert ((t * X**2) % (F_CUBE**2)) == Poly.one()
 
 
+@pytest.mark.parametrize(
+    "p", [3 * X**2 - Poly.constant(2), Poly.constant(F(-2, 7))], ids=["quadratic", "constant"]
+)
+def test_extended_gcd_with_one_zero_argument(p):
+    # the gcd of p and 0 is p made monic, with the cofactor 1/lc(p) on p
+    for a, b in ((Poly.zero(), p), (p, Poly.zero())):
+        g, s, t = extended_gcd(a, b)
+        assert g == p.monic()
+        assert s * a + t * b == g
+
+
 def test_extended_gcd_random_bezout():
     rng = random.Random(20240811)
     for _ in range(250):
