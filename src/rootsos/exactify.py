@@ -276,11 +276,10 @@ def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposit
     roots of a squarefree f.
 
     First, with no numeric work: SharedFactor when gcd(f, g) is not
-    constant, and NotNonnegative when g < 0 at some real root of f.  For a
-    linear f, g mod f is the constant v = g(root), certified by the 1x1 Gram
-    matrix (v) (what any projected 1x1 rounding gives) when v > 0.  For a
-    higher degree, with g_red = g mod f coprime to f, the number of real
-    roots where g < 0 is (real - TaQ(g_red, f))/2, real being the Sturm count.
+    constant, and NotNonnegative when g < 0 at some real root of f: with
+    g_red = g mod f coprime to f, the number of real roots where g < 0 is
+    (real - TaQ(g_red, f))/2, real being the Sturm count.  A linear f takes
+    the same path: any 1x1 rounding projects to (g_red).
 
     Then, pipeline per attempt: approximate roots, build the interior pair
     (Q*, q*), derive the safe rounding precision from the eigenvalue margin,
@@ -302,12 +301,6 @@ def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposit
     if common.degree > 0:
         raise SharedFactor(common)
     q_reduction, g_red = divmod(g, f)
-    if f.degree == 1:  # g_red is the constant g(root), non-zero after the gcd
-        value = g_red.leading_coefficient
-        if value < 0:
-            raise NotNonnegative(f, 1, 1)
-        lift = GramLift(((value,),), q_reduction, f, g)
-        return lift, SOSDecomposition((value,), (Poly.one(),), f)
     real = sturm_real_root_count(f)
     negative = (real - tarski_query(f, g_red)) // 2
     if negative:

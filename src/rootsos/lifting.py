@@ -5,9 +5,10 @@ Newton square-root iteration applied to a single well-chosen square,
 recombines decompositions across pairwise-coprime moduli through Chinese
 remainder idempotents, and reduces the non-negative problem to the strictly
 positive one via the Bezout identity 1 = s*(f/d) + t*d^2 with d = gcd(f, g).
-For a factor p of f/d and a real root xi of p, d(xi) != 0 and
-g(xi) = b(xi)*d(xi)^2, so the exact NotNonnegative count that
-``certify_strict_squarefree`` gives for b modulo p holds for g.
+Modulo a linear factor x - r of f/d, b is the constant b(r), its own
+certificate; only a higher degree needs ``certify_strict_squarefree``.  At a
+real root xi of a factor of f/d, g(xi) = b(xi)*d(xi)^2 with d(xi) != 0, so
+the exact NotNonnegative count for b holds for g.
 """
 
 from __future__ import annotations
@@ -182,16 +183,16 @@ def reduce_nonneg_to_strict(f: Poly, g: Poly) -> StrictReduction:
 
     With d = gcd(f, g) and the hypothesis gcd(d, f/d) = 1, the Bezout
     identity 1 = s*(f/d) + t*d^2 yields b = t*g (reduced modulo f/d) with
-    b*d^2 = g mod f; b is then strictly positive at the real roots of f/d.
-    That b is coprime to each factor of f/d is left to
-    ``certify_strict_squarefree`` (SharedFactor), and b*d^2 = g mod f to the
-    identity that ``certify_nonnegative`` checks.  g = 0 gives d = monic f
-    and no factors.  f/d is factored over Q before the Bezout step, whose
-    cost grows with deg(f/d), so a degree over the factorization cap is
-    refused first.
+    b*d^2 = g mod f; b is then strictly positive at the real roots of f/d,
+    and coprime to f/d, as a common factor would divide g and so d.
+    b*d^2 = g mod f is left to the identity that ``certify_nonnegative``
+    checks.  g = 0 and a non-zero constant f, which has no roots, give
+    d = monic f and no factors; only f = 0 is refused.  f/d is factored over
+    Q before the Bezout step, whose cost grows with deg(f/d), so a degree
+    over the factorization cap is refused first.
     """
-    if f.is_zero or f.degree < 1:
-        raise ValueError("f must have degree >= 1")
+    if f.is_zero:
+        raise ValueError("f must be non-zero")
 
     d = gcd(f, g)
     cofactor = f // d
@@ -212,26 +213,28 @@ def certify_nonnegative(f: Poly, g: Poly) -> Certificate:
     """Certificate that g is non-negative at all real roots of f.
 
     Reduces to the strictly positive case, certifies each irreducible factor
-    of f/d separately, Hensel-lifts to the factor multiplicities, recombines
-    by CRT and restores the gcd part.  The emitted squares are summed once,
-    S = sum w_i h_i^2, and one division of g - S by f gives q and proves the
-    identity S + q*f = g: its remainder must be zero.  Positive
-    weights and deg h_i < deg f hold by construction.  g = 0 and a constant
-    f/d take the same path with no factors, so S = 0.  Raises
-    HypothesisViolated when gcd(f, g) and f/gcd(f, g) share a factor, and
-    NotNonnegative for the first irreducible factor of f/d with a real root
-    where g < 0.
+    of f/d separately (a linear x - r by the constant b(r), any other p by
+    ``certify_strict_squarefree`` on b mod p), Hensel-lifts to the factor
+    multiplicities, recombines by CRT and restores the gcd part.  The
+    emitted squares are summed once, S = sum w_i h_i^2, and one division of
+    g - S by f gives q and proves the identity S + q*f = g: its remainder
+    must be zero.  Positive weights and deg h_i < deg f hold by
+    construction.  g = 0 and a constant f/d take the same path with no
+    factors, so S = 0 and q = g/f.  Raises HypothesisViolated when gcd(f, g)
+    and f/gcd(f, g) share a factor, and NotNonnegative for the first
+    irreducible factor of f/d with a real root where g < 0.
     """
     reduction = reduce_nonneg_to_strict(f, g)
     parts: list[tuple[Poly, SOSDecomposition]] = []
     for p, e in reduction.factors:
-        if p.degree == 1:  # b mod (x - r) is the constant b(r)
-            residue = Poly.constant(reduction.b(Fraction(-p.nums[0], p.nums[1])))
+        if p.degree == 1:  # modulo x - r, b is the constant b(r), never zero
+            value = reduction.b(Fraction(-p.nums[0], p.nums[1]))
+            if value < 0:
+                raise NotNonnegative(p, 1, 1)
+            sos = SOSDecomposition((value,), (Poly.one(),), p)
         else:
-            residue = reduction.b % p
-        _lift, sos = certify_strict_squarefree(p, residue)
-        if e > 1:
-            sos = hensel_lift_sos(sos, p, e, reduction.b)
+            _lift, sos = certify_strict_squarefree(p, reduction.b % p)
+        sos = hensel_lift_sos(sos, p, e, reduction.b)
         parts.append((sos.modulus, sos))  # p, or the p**e of the lift
     combined = crt_combine_sos(parts)
 

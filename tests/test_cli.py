@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -7,6 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -190,6 +193,17 @@ def test_certify_negative_exit_code(capsys):
     code = main(["certify", "--f", "(x-1)*(x-3)", "--g", "x-2"])
     assert code == 3
     assert "not non-negative" in capsys.readouterr().err
+
+
+def test_certify_constant_f_is_vacuous(tmp_path, capsys):
+    # a non-zero constant f has no real roots: no squares, q = g/f
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--f", "3", "--g", "-x^2-1", "--out", str(out)]) == 0
+    assert main(["verify", "--cert", str(out)]) == 0
+    cert = deserialize(out.read_text(encoding="utf-8"))
+    assert (cert.weights, cert.q) == ((), Poly([F(-1, 3), 0, F(-1, 3)]))
+    assert main(["certify", "--f", "0", "--g", "x"]) == 1
+    assert capsys.readouterr().err.endswith("error: f must be non-zero\n")
 
 
 def test_certify_parse_error_exit_code(capsys):
@@ -466,6 +480,56 @@ def test_certify_pinned_bytes(f, g, precisions, fallbacks, digest, monkeypatch, 
     assert tried == precisions
     assert len(fell_back) == fallbacks
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@functools.cache
+def _load_workloads():
+    """bench/workloads.py as a module, loaded once and without writing bytecode there."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+# first-pass sha256 of each benchmark workload and seed, as bench/run.py reports it
+WORKLOAD_DIGESTS = {
+    ("split_linear", 7): "92f0cd792420cd56acc5ee036a5cd2ba97b84c71c6147fda5354da95dbe14acd",
+    ("split_linear", 11): "9a8c22454a6e2dae98c5117a95baa4df7a4debb575d2edc1cc77a2aab867b2ee",
+    ("split_linear", 23): "1963ce392770c2200fb0b8d3a8c33963eb8c2a8596f9d621e677f8b31f5f03f3",
+    ("lift_mult", 7): "41700bdd4f00b6d6f78c8e800a2a080a798c47c7374af535d2cb32ac1ed20bf1",
+    ("lift_mult", 11): "4a4d9185906034a9cf681b5c7bcdfcdc9971bb529446054382014822e812b827",
+    ("lift_mult", 23): "37350bee91e71b594753e1d431110436e075170c815b403190843702c718338f",
+    ("refute", 7): "453b21d101803d65d95cccba3cea583c05009344c063caa906959920eac7c972",
+    ("refute", 11): "3feb42cd115bb632dfdd280116bcd76f087f9e047066d6988ec362123c23c60d",
+    ("refute", 23): "428922bcbde28f9bde8b4d7a3b176ce5afda4066a3d91744586905bbd7b0e590",
+    ("dense_sqf", 7): "a079ecd8008b5fe5845f975d173c253452eb3db27c69de7af03422c21df7ede9",
+    ("dense_sqf", 11): "9b03b6b4e8de3521b7c6c3ed41cf9204cc93808700e91896171e7ebb35b8a23e",
+    ("dense_sqf", 23): "380a36c18f0565efdb2aea3a316431c7eacefad646b5b21abb28eb58d90c086e",
+}
+
+
+@pytest.mark.parametrize("workload, seed", WORKLOAD_DIGESTS,
+                         ids=[f"{w}-{seed}" for w, seed in WORKLOAD_DIGESTS])
+def test_certify_benchmark_workload_bytes(workload, seed, tmp_path, capsys):
+    # hashed as bench/run.py hashes a first pass: per instance in order, the
+    # exit code and a line break, then the certificate text (empty on a refusal)
+    workloads = _load_workloads()
+    out = tmp_path / "cert.json"
+    hashed = hashlib.sha256()
+    for inst in workloads.WORKLOADS[workload](seed):
+        out.unlink(missing_ok=True)
+        code = main(["certify", "--f", inst.f_expr, "--g", inst.g_expr, "--out", str(out)])
+        assert code == inst.expect, inst.id
+        hashed.update(f"{code}\n".encode())
+        hashed.update((out.read_text(encoding="utf-8") if code == 0 else "").encode())
+    capsys.readouterr()
+    assert hashed.hexdigest() == WORKLOAD_DIGESTS[workload, seed]
 
 
 @pytest.mark.parametrize(

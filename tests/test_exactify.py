@@ -345,13 +345,39 @@ def test_certify_strict_vacuous():
     assert all(w > 0 for w in sos.weights)
 
 
-def test_certify_strict_linear():
-    f = X - Poly.constant(2)
-    lift, sos = certify_strict_squarefree(f, X)
-    assert lift.Q == ((F(2),),)
-    assert lift.q == Poly.one()
-    assert sos.weights == (F(2),)
-    assert sos.polys == (Poly.one(),)
+LINEAR_ROOTS = (F(0), F(10**300), F(1, 10**300), F(3**300 + 1, 3**300 - 1), F(-7, 3),
+                F(1 - 2**1000, 3))
+LINEAR_GS = (Poly.constant(F(1, 10**70)), Poly.constant(10**70), X + Poly.constant(10**300),
+             X**3 + Poly.constant(5))
+
+
+@pytest.mark.parametrize("g", LINEAR_GS, ids=["1e-70", "1e70", "x+1e300", "x^3+5"])
+@pytest.mark.parametrize("r", LINEAR_ROOTS,
+                         ids=["0", "1e300", "1e-300", "near-1", "-7/3", "-2^1000/3"])
+def test_certify_strict_linear(r, g, monkeypatch):
+    # a linear f takes the Gram path: its 1x1 rounding projects to (g(r)),
+    # found at the first rung; a negative g(r) is refused before any rung
+    tried = []
+    find_roots = numeric.find_roots
+
+    def spy(poly, bits, **kwargs):
+        tried.append(bits)
+        return find_roots(poly, bits, **kwargs)
+
+    monkeypatch.setattr(numeric, "find_roots", spy)
+    f = X - Poly.constant(r)
+    v = g(r)
+    if v < 0:
+        with pytest.raises(NotNonnegative) as info:
+            certify_strict_squarefree(f, g)
+        assert (info.value.factor, info.value.negative, info.value.real) == (f, 1, 1)
+        assert tried == []
+        return
+    lift, sos = certify_strict_squarefree(f, g)
+    assert lift.Q == ((v,),)
+    assert lift.q == g // f
+    assert (sos.weights, sos.polys) == ((v,), (Poly.one(),))
+    assert tried == [106]
 
 
 def test_certify_strict_linear_negative_is_exact(monkeypatch):

@@ -439,6 +439,22 @@ def test_certify_negative_leading_coefficient():
     assert verify(cert)
 
 
+def test_certify_nonnegative_certifies_a_linear_factor_by_its_residue(monkeypatch):
+    # x - 1 and x - 2 are certified by b(1) and b(2); only x^2 + 1 needs a Gram matrix
+    calls = []
+    strict = lifting.certify_strict_squarefree
+
+    def spy(f, g):
+        calls.append(f)
+        return strict(f, g)
+
+    monkeypatch.setattr(lifting, "certify_strict_squarefree", spy)
+    f = (X - Poly.one()) * (X - Poly.constant(2)) * (X**2 + Poly.one())
+    cert = certify_nonnegative(f, X**2 + Poly.constant(3))
+    assert verify(cert)
+    assert calls == [X**2 + Poly.one()]
+
+
 def test_certify_linear_modulus():
     cert = certify_nonnegative(X - Poly.constant(2), X)
     assert verify(cert)
