@@ -114,14 +114,6 @@ class SOSDecomposition:
         return weighted_square_sum(self.weights, self.polys)
 
 
-@dataclass(frozen=True)
-class LDLReport:
-    """Unit lower-triangular L and positive diagonal D with L D L^T = Q."""
-
-    lower: Matrix
-    diag: tuple[Fraction, ...]
-
-
 def _check_symmetric(rows) -> None:
     n = len(rows)
     for row in rows:
@@ -219,15 +211,17 @@ def round_to_digits(value: Sequence, digits: int):
     return Poly(_round_scalar(c, digits) for c in value)
 
 
-def check_positive_definite(rows) -> Optional[LDLReport]:
+def check_positive_definite(rows) -> Optional[tuple[tuple[Fraction, ...], tuple[Poly, ...]]]:
     """Exact square-root-free Cholesky (LDL^T) over Q, fraction-free.
 
     Symmetric Bareiss elimination (Math. Comp. 22, 1968) on the integer
     matrix A = den*Q, den the common denominator: its k-th pivot is the
-    leading principal minor Delta_k of A, each step divides exactly by the
-    pivot before it, and entry (i, k) before step k is the minor of A that
-    makes L[i][k] = minor/Delta_k.  So D_k = Delta_k/(Delta_{k-1}*den).
-    Returns the decomposition when every pivot is strictly positive, which
+    leading principal minor Delta_k of A, and each step divides exactly by
+    the pivot before it.  Column k is final before step k updates the rows
+    below it, and over Delta_k it is column k of the unit lower-triangular L,
+    read in the basis 1, x, ..., x^{n-1} as the k-th square; its weight is
+    D_k = Delta_k/(Delta_{k-1}*den).  Returns (weights, squares), with
+    sum w_k h_k^2 = x^T Q x, when every pivot is strictly positive, which
     proves positive definiteness; returns None as soon as a pivot fails.
     """
     q = _as_matrix(rows)
@@ -235,40 +229,30 @@ def check_positive_definite(rows) -> Optional[LDLReport]:
     den = math.lcm(*(x.denominator for row in q for x in row))
     a = [[x.numerator * (den // x.denominator) for x in row[: i + 1]] for i, row in enumerate(q)]
     n = len(a)
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    diag: list[Fraction] = []
+    weights: list[Fraction] = []
+    squares: list[Poly] = []
     previous = 1
     for k in range(n):
         pivot = a[k][k]
         if pivot <= 0:
             return None
-        diag.append(Fraction(pivot, previous * den))
-        lower[k][k] = Fraction(1)
+        weights.append(Fraction(pivot, previous * den))
+        squares.append(Poly.from_integers([0] * k + [a[i][k] for i in range(k, n)], pivot))
         for i in range(k + 1, n):
             row, aik = a[i], a[i][k]
-            lower[i][k] = Fraction(aik, pivot)
             for j in range(k + 1, i + 1):
                 row[j] = (pivot * row[j] - aik * a[j][k]) // previous
         previous = pivot
-    return LDLReport(tuple(tuple(r) for r in lower), tuple(diag))
+    return tuple(weights), tuple(squares)
 
 
 def gram_to_sos(lift: GramLift) -> SOSDecomposition:
-    """Weighted SOS from the LDL^T factors: weights from D, squares from L.
-
-    Column i of L, read in the basis 1, x, ..., x^{n-1}, is the i-th square;
-    the reconstruction sum w_i h_i^2 = x^T Q x is exact.
-    """
-    report = check_positive_definite(lift.Q)
-    if report is None:
+    """Weighted SOS of the Gram certificate, read off the exact LDL^T
+    (``check_positive_definite``); NotPD when a pivot is not positive."""
+    ldl = check_positive_definite(lift.Q)
+    if ldl is None:
         raise NotPD("Gram matrix is not positive definite")
-    return _sos_from_ldl(report, lift.f)
-
-
-def _sos_from_ldl(report: LDLReport, modulus: Poly) -> SOSDecomposition:
-    n = len(report.diag)
-    polys = tuple(Poly(report.lower[r][i] for r in range(n)) for i in range(n))
-    return SOSDecomposition(report.diag, polys, modulus)
+    return SOSDecomposition(*ldl, lift.f)
 
 
 def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposition]:
@@ -331,10 +315,10 @@ def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposit
             q_round = round_to_digits(gram.qstar, digits)
             target = g_red - q_round * f
             q_exact = project(qbar, target)
-            report = check_positive_definite(q_exact)
-            if report is not None:
+            ldl = check_positive_definite(q_exact)
+            if ldl is not None:
                 lift = GramLift(q_exact, q_round + q_reduction, f, g)
-                sos = _sos_from_ldl(report, f)
+                sos = SOSDecomposition(*ldl, f)
                 if sos.square_sum() != target:  # GramLift proved target = gram_poly(q_exact)
                     raise AssertionError("LDL reconstruction mismatch")
                 return lift, sos

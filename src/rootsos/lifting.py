@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .certificate import Certificate
 from .exactify import NotNonnegative, SOSDecomposition, certify_strict_squarefree
@@ -101,8 +102,9 @@ def newton_sqrt_iterates(gbar: Poly, h0: Poly, p: Poly, e: int) -> list[Poly]:
     return iterates
 
 
-def hensel_lift_sos(sos: SOSDecomposition, p: Poly, e: int, g: Poly) -> SOSDecomposition:
-    """Lift an SOS decomposition of g modulo irreducible p to modulo p**e.
+def hensel_lift_sos(sos: SOSDecomposition, e: int, g: Poly) -> SOSDecomposition:
+    """Lift an SOS decomposition of g modulo its irreducible modulus p to
+    modulo p**e.
 
     Only one square is replaced (the last one coprime to p); weights are
     unchanged.  Requires p not to divide g, which guarantees an invertible
@@ -110,10 +112,9 @@ def hensel_lift_sos(sos: SOSDecomposition, p: Poly, e: int, g: Poly) -> SOSDecom
     """
     if e < 1:
         raise ValueError("target exponent must be >= 1")
-    if sos.modulus != p:
-        raise ValueError("decomposition modulus does not match p")
     if e == 1:
         return sos
+    p = sos.modulus
     if (g % p).is_zero:
         raise NoInvertibleSquare("p divides g; the lifting lemma does not apply")
 
@@ -136,8 +137,9 @@ def hensel_lift_sos(sos: SOSDecomposition, p: Poly, e: int, g: Poly) -> SOSDecom
     return SOSDecomposition(sos.weights, tuple(polys), target)
 
 
-def crt_combine_sos(parts: list[tuple[Poly, SOSDecomposition]]) -> SOSDecomposition:
-    """Combine SOS decompositions of one polynomial modulo pairwise-coprime moduli.
+def crt_combine_sos(parts: Sequence[SOSDecomposition]) -> SOSDecomposition:
+    """Combine SOS decompositions of one polynomial modulo their pairwise-coprime
+    moduli f_i.
 
     Each square h is mapped to (s_i * C_i * h) mod F, where F is the product
     of the moduli, C_i = F/f_i, and s_i the inverse of C_i modulo f_i; the
@@ -151,17 +153,14 @@ def crt_combine_sos(parts: list[tuple[Poly, SOSDecomposition]]) -> SOSDecomposit
     constant h(r) / C_i(r), and C_i(r) = 0 means a shared factor.  No parts
     give the empty sum modulo 1.
     """
-    for fi, sos in parts:
-        if sos.modulus != fi:
-            raise ValueError("decomposition modulus does not match its entry")
-
     total = Poly.one()
-    for fi, _ in parts:
-        total = total * fi
+    for sos in parts:
+        total = total * sos.modulus
 
     weights: list[Fraction] = []
     polys: list[Poly] = []
-    for fi, sos in parts:
+    for sos in parts:
+        fi = sos.modulus
         complement = total // fi
         weights.extend(sos.weights)
         if fi.degree == 1:
@@ -225,7 +224,7 @@ def certify_nonnegative(f: Poly, g: Poly) -> Certificate:
     irreducible factor of f/d with a real root where g < 0.
     """
     reduction = reduce_nonneg_to_strict(f, g)
-    parts: list[tuple[Poly, SOSDecomposition]] = []
+    parts: list[SOSDecomposition] = []
     for p, e in reduction.factors:
         if p.degree == 1:  # modulo x - r, b is the constant b(r), never zero
             value = reduction.b(Fraction(-p.nums[0], p.nums[1]))
@@ -234,8 +233,7 @@ def certify_nonnegative(f: Poly, g: Poly) -> Certificate:
             sos = SOSDecomposition((value,), (Poly.one(),), p)
         else:
             _lift, sos = certify_strict_squarefree(p, reduction.b % p)
-        sos = hensel_lift_sos(sos, p, e, reduction.b)
-        parts.append((sos.modulus, sos))  # p, or the p**e of the lift
+        parts.append(hensel_lift_sos(sos, e, reduction.b))
     combined = crt_combine_sos(parts)
 
     polys = combined.polys

@@ -27,8 +27,8 @@ them.  ``build_interior_gram`` calls a value of g at a real root, or a pair
 weight, when it exceeds TRUST_FACTOR times the bound on its evaluation
 error, so a near-boundary value passes at the first rung that resolves it.
 The sign of g at the real roots is decided exactly upstream, so this stage
-never refuses an input: a linear f never reaches it, and a value of g that
-cannot be called at a real root is only a reason to retry.
+never refuses an input: a linear f gives a 1x1 Gram pair, and a value of g
+that cannot be called at a real root is only a reason to retry.
 """
 
 from __future__ import annotations

@@ -596,13 +596,6 @@ def extended_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """
     if a.is_zero and b.is_zero:
         raise BothZero("extended_gcd(0, 0) is undefined")
-    if a.is_zero:
-        lc = b.leading_coefficient
-        return b.monic(), Poly.zero(), Poly.constant(1 / lc)
-    if b.is_zero:
-        lc = a.leading_coefficient
-        return a.monic(), Poly.constant(1 / lc), Poly.zero()
-
     r0, r1 = a, b
     s0, s1 = Poly.one(), Poly.zero()
     t0, t1 = Poly.zero(), Poly.one()
@@ -648,7 +641,7 @@ def squarefree_decompose(f: Poly) -> SquarefreeDecomposition:
     d = (df // a0) - b.derivative()
     i = 1
     while b.degree > 0:
-        a = gcd(b, d) if not d.is_zero else b.monic()
+        a = gcd(b, d)
         b = b // a
         d = (d // a) - b.derivative()
         if a.degree > 0:

@@ -110,7 +110,7 @@ def test_criterion_3_hensel_lift_reproduction():
         F_CUBE,
     )
     started = time.perf_counter()
-    lifted = hensel_lift_sos(sos, F_CUBE, 2, X)
+    lifted = hensel_lift_sos(sos, 2, X)
     elapsed = time.perf_counter() - started
 
     assert lifted.polys[0] == sos.polys[0] and lifted.polys[1] == sos.polys[1]
@@ -188,11 +188,12 @@ def _suite_c_ldl(rng):
         for i in range(n):
             q[i][i] += F(rng.randint(1, 3))
         q = tuple(tuple(row) for row in q)
-        report = check_positive_definite(q)
-        assert report is not None
+        ldl = check_positive_definite(q)
+        assert ldl is not None
+        weights, squares = ldl
         recon = [
             [
-                sum(report.lower[i][k] * report.diag[k] * report.lower[j][k] for k in range(n))
+                sum(w * h.coefficient(i) * h.coefficient(j) for w, h in zip(weights, squares))
                 for j in range(n)
             ]
             for i in range(n)
@@ -247,7 +248,7 @@ def _suite_f_crt(rng):
                 random_nonzero_poly(rng, int(p.degree) - 1, 50) % p for _ in ws
             )
             sos = SOSDecomposition(ws, hs, p)
-            parts.append((p, sos))
+            parts.append(sos)
             acc = Poly.zero()
             for w, h in zip(ws, hs):
                 acc = acc + h * h * w

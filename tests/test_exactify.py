@@ -176,17 +176,18 @@ def test_round_to_digits_matrix_one_digit():
 
 
 def test_check_positive_definite_toy():
-    report = check_positive_definite(TOY_Q)
-    assert report is not None
-    assert report.diag == (F(3, 5), F(23, 60), F(137, 460))
+    ldl = check_positive_definite(TOY_Q)
+    assert ldl is not None
+    assert ldl[0] == (F(3, 5), F(23, 60), F(137, 460))
 
 
 def test_check_positive_definite_identity_and_indefinite():
     eye = ((F(1), F(0)), (F(0), F(1)))
-    report = check_positive_definite(eye)
-    assert report is not None
-    assert report.diag == (F(1), F(1))
-    assert report.lower == ((F(1), F(0)), (F(0), F(1)))
+    ldl = check_positive_definite(eye)
+    assert ldl is not None
+    weights, squares = ldl
+    assert weights == (F(1), F(1))
+    assert squares == (Poly.one(), X)  # the columns of L = I
     assert check_positive_definite(((F(1), F(2)), (F(2), F(1)))) is None
 
 
@@ -215,12 +216,13 @@ def test_ldl_vs_determinant_oracle():
     for _ in range(80):
         n = rng.randint(1, 5)
         q = _random_symmetric(rng, n, 10)
-        report = check_positive_definite(q)
-        if report is not None:
+        ldl = check_positive_definite(q)
+        if ldl is not None:
             # reconstruction and the independent minor criterion
+            weights, squares = ldl
             recon = [
                 [
-                    sum(report.lower[i][k] * report.diag[k] * report.lower[j][k] for k in range(n))
+                    sum(w * h.coefficient(i) * h.coefficient(j) for w, h in zip(weights, squares))
                     for j in range(n)
                 ]
                 for i in range(n)
@@ -266,22 +268,25 @@ def _symmetric_rational(draw):
 @settings(max_examples=150, deadline=None)
 @given(_symmetric_rational())
 def test_bareiss_ldl_equals_the_fraction_reference(q):
-    # the fraction-free elimination returns the same factors, and fails on
-    # exactly the matrices where the Fraction loop meets a pivot <= 0
-    report = check_positive_definite(q)
+    # the fraction-free elimination returns the same factors (square k is
+    # column k of L), and fails on exactly the matrices where the Fraction
+    # loop meets a pivot <= 0
+    ldl = check_positive_definite(q)
     reference = _ldl_reference(q)
     if reference is None:
-        assert report is None
+        assert ldl is None
     else:
-        assert (report.lower, report.diag) == reference
+        lower, diag = reference
+        columns = tuple(Poly(row[k] for row in lower) for k in range(len(q)))
+        assert ldl == (diag, columns)
 
 
 def test_bareiss_ldl_accepts_integers_and_stops_at_a_zero_pivot():
-    assert check_positive_definite(((4, 2), (2, 3))).diag == (F(4), F(2))
+    assert check_positive_definite(((4, 2), (2, 3)))[0] == (F(4), F(2))
     # singular leading block: the second pivot is exactly zero
     third = F(1, 3)
     assert check_positive_definite(((third, third, 0), (third, third, 0), (0, 0, 1))) is None
-    assert check_positive_definite(()) == exactify.LDLReport((), ())
+    assert check_positive_definite(()) == ((), ())
 
 
 def test_gram_to_sos_toy():

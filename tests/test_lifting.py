@@ -43,7 +43,7 @@ def _square_sum(sos):
 
 
 def test_hensel_lift_toy_example():
-    lifted = hensel_lift_sos(TOY_SOS, F_CUBE, 2, X)
+    lifted = hensel_lift_sos(TOY_SOS, 2, X)
     assert lifted.weights == TOY_SOS.weights
     assert lifted.polys[0] == TOY_SOS.polys[0]
     assert lifted.polys[1] == TOY_SOS.polys[1]
@@ -53,13 +53,13 @@ def test_hensel_lift_toy_example():
 
 
 def test_hensel_lift_e1_unchanged():
-    assert hensel_lift_sos(TOY_SOS, F_CUBE, 1, X) is TOY_SOS
+    assert hensel_lift_sos(TOY_SOS, 1, X) is TOY_SOS
 
 
 def test_hensel_lift_constant_square_unchanged():
     p = X - Poly.one()
     sos = SOSDecomposition((F(1),), (Poly.constant(2),), p)
-    lifted = hensel_lift_sos(sos, p, 4, Poly.constant(4))
+    lifted = hensel_lift_sos(sos, 4, Poly.constant(4))
     assert lifted.polys == (Poly.constant(2),)  # 2^2 = 4 exactly at every level
     assert lifted.modulus == p**4
 
@@ -67,11 +67,11 @@ def test_hensel_lift_constant_square_unchanged():
 def test_hensel_lift_rejects_p_dividing_g():
     sos = SOSDecomposition((F(1),), (Poly.one(),), F_CUBE)
     with pytest.raises(NoInvertibleSquare):
-        hensel_lift_sos(sos, F_CUBE, 2, F_CUBE * X)
+        hensel_lift_sos(sos, 2, F_CUBE * X)
 
 
 def test_hensel_lift_degree_bounds():
-    lifted = hensel_lift_sos(TOY_SOS, F_CUBE, 3, X)
+    lifted = hensel_lift_sos(TOY_SOS, 3, X)
     modulus = F_CUBE**3
     assert all(h.degree < modulus.degree for h in lifted.polys)
     assert ((_square_sum(lifted) - X) % modulus).is_zero
@@ -106,7 +106,7 @@ def test_newton_iterates_invariant_random():
             assert ((h - polys[j]) % p).is_zero
             assert h.degree < 2**k * p.degree
         sos = SOSDecomposition(weights, tuple(polys), p)
-        lifted = hensel_lift_sos(sos, p, e, g)
+        lifted = hensel_lift_sos(sos, e, g)
         assert ((_square_sum(lifted) - g) % p**e).is_zero
         assert all(h.degree < e * p.degree for h in lifted.polys)
         done += 1
@@ -120,7 +120,7 @@ def test_newton_checks_the_square_invariant():
 
 def test_crt_single_part_reduces_only():
     sos = SOSDecomposition((F(2),), (Poly.one(),), X - Poly.one())
-    combined = crt_combine_sos([(X - Poly.one(), sos)])
+    combined = crt_combine_sos([sos])
     assert combined.weights == (F(2),)
     assert combined.polys == (Poly.one(),)
     assert combined.modulus == X - Poly.one()
@@ -130,7 +130,7 @@ def test_crt_two_linear_parts():
     one = Poly.one()
     part_a = SOSDecomposition((F(1),), (one,), X)
     part_b = SOSDecomposition((F(1),), (one,), X - one)
-    combined = crt_combine_sos([(X, part_a), (X - one, part_b)])
+    combined = crt_combine_sos([part_a, part_b])
     total = X * (X - one)
     assert ((_square_sum(combined) - one) % total).is_zero
     assert all(h.degree < total.degree for h in combined.polys)
@@ -140,7 +140,7 @@ def test_crt_evaluation_oracle():
     one = Poly.one()
     part_a = SOSDecomposition((F(1),), (one,), X - one)  # 1 = 1^2 matches g(1) = 1
     part_b = SOSDecomposition((F(1),), (Poly.constant(2),), X - Poly.constant(4))  # 4 = 2^2
-    combined = crt_combine_sos([(X - one, part_a), (X - Poly.constant(4), part_b)])
+    combined = crt_combine_sos([part_a, part_b])
     s = _square_sum(combined)
     assert s(F(1)) == 1
     assert s(F(4)) == 4
@@ -150,14 +150,14 @@ def test_crt_evaluation_oracle():
 def test_crt_rejects_common_factor():
     part = SOSDecomposition((F(1),), (Poly.one(),), X)
     with pytest.raises(NotCoprime):
-        crt_combine_sos([(X, part), (X, part)])
+        crt_combine_sos([part, part])
     # 2x - 1 and x - 1/2 are one linear modulus up to a unit
     halves = (2 * X - Poly.one(), X - Poly.constant(F(1, 2)))
     with pytest.raises(NotCoprime):
-        crt_combine_sos([(m, SOSDecomposition((F(1),), (Poly.one(),), m)) for m in halves])
+        crt_combine_sos([SOSDecomposition((F(1),), (Poly.one(),), m) for m in halves])
     # the first two moduli are coprime; the third shares x with the first
     moduli = (X, X + Poly.one(), X * (X + Poly.constant(2)))
-    parts = [(m, SOSDecomposition((F(1),), (Poly.one(),), m)) for m in moduli]
+    parts = [SOSDecomposition((F(1),), (Poly.one(),), m) for m in moduli]
     with pytest.raises(NotCoprime):
         crt_combine_sos(parts)
 
@@ -178,18 +178,19 @@ def test_crt_linear_moduli_match_the_extended_gcd_formula(monkeypatch):
             n_terms = rng.randint(1, 2)
             ws = tuple(F(rng.randint(1, 6), rng.randint(1, 5)) for _ in range(n_terms))
             hs = tuple(Poly.constant(F(rng.randint(-9, 9), rng.randint(1, 4))) for _ in range(n_terms))
-            parts.append((modulus, SOSDecomposition(ws, hs, modulus)))
+            parts.append(SOSDecomposition(ws, hs, modulus))
         total = Poly.one()
-        for modulus, _ in parts:
-            total = total * modulus
+        for sos in parts:
+            total = total * sos.modulus
         expected = []
-        for modulus, sos in parts:
+        for sos in parts:
+            modulus = sos.modulus
             complement = total // modulus
             _, s, _ = extended_gcd(complement % modulus, modulus)
             expected += [complement * ((s * h) % modulus) for h in sos.polys]
         combined = crt_combine_sos(parts)
         assert combined.polys == tuple(expected)
-        assert combined.weights == tuple(w for _, sos in parts for w in sos.weights)
+        assert combined.weights == tuple(w for sos in parts for w in sos.weights)
         assert combined.modulus == total
     assert calls == []
 
@@ -209,7 +210,7 @@ def test_crt_random_congruences():
             ws = tuple(F(rng.randint(1, 6)) for _ in range(n_terms))
             hs = tuple(random_nonzero_poly(rng, int(p.degree) - 1, 9) % p for _ in range(n_terms))
             sos = SOSDecomposition(ws, hs, p)
-            parts.append((p, sos))
+            parts.append(sos)
             g_parts.append(_square_sum(sos) % p)
         # independent solution of the congruence system (classic CRT formula)
         total = p1 * p2
@@ -219,7 +220,7 @@ def test_crt_random_congruences():
         combined = crt_combine_sos(parts)
         idempotents = (s1 * (total // p1), s2 * (total // p2))
         assert combined.polys == tuple(
-            (e * h) % total for e, (_, sos) in zip(idempotents, parts) for h in sos.polys
+            (e * h) % total for e, sos in zip(idempotents, parts) for h in sos.polys
         )
         assert ((_square_sum(combined) - g) % p1).is_zero
         assert ((_square_sum(combined) - g) % p2).is_zero
