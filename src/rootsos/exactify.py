@@ -1,16 +1,17 @@
 """Exact rationalization of the floating-point Gram pair.
 
-Rounds (Q*, q*) at a precision derived from the smallest-eigenvalue margin,
-projects the rounded matrix back onto the affine space of Gram matrices of
-g - q*f (Frobenius-orthogonal), certifies positive definiteness by an exact
-LDL^T decomposition over Q, and extracts the weighted sum-of-squares
-decomposition.  Every certificate identity is re-verified exactly before it
-is returned, so floating-point behaviour can never produce a wrong result.
-``certify_strict_squarefree`` decides the sign of g at the real roots of f
-exactly, by a Tarski query, before any numeric work, so a refusal never
-rests on a float; it then owns the one precision loop: each numeric call
-makes one attempt, at each rung of PRECISION_LADDER in turn, and a rung
-starts its root finding from the last rung's roots.
+Rounds (Q*, q*) at the fewest decimal digits for which a Cholesky test of
+Q* finds a margin (``rounding_digits``), projects the rounded matrix back
+onto the affine space of Gram matrices of g - q*f (Frobenius-orthogonal),
+certifies positive definiteness by an exact LDL^T decomposition over Q, and
+extracts the weighted sum-of-squares decomposition.  Every certificate
+identity is re-verified exactly before it is returned, so floating-point
+behaviour can never produce a wrong result.  ``certify_strict_squarefree``
+decides the sign of g at the real roots of f exactly, by a Tarski query,
+before any numeric work, so a refusal never rests on a float; it then owns
+the one precision loop: each numeric call makes one attempt, at each rung
+of PRECISION_LADDER in turn, and a rung starts its root finding from the
+last rung's roots.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ DIGITS_CAP = 64
 #: Working precisions of the numeric stage, one attempt each: every reason to
 #: retry doubles the mantissa, from DEFAULT_PRECISION_BITS up to 848 bits.
 PRECISION_LADDER = tuple(DEFAULT_PRECISION_BITS << k for k in range(4))
+#: The rounding margin is sigma = (1 - 2^-32)*lambda_min(Q*).
+_SHRINK = Fraction(2**32 - 1, 2**32)
 
 
 class DegreeTooHigh(ValueError):
@@ -67,8 +70,9 @@ class NotNonnegative(ArithmeticError):
 
 class PrecisionExhausted(ArithmeticError):
     """Every rung of the precision ladder failed.  ``attempts`` lists each
-    rung as (bits, reason); a rung that reached the Gram stage states its own
-    sigma and rho in its reason."""
+    rung as (bits, reason); a rung that reached the Gram stage states in its
+    reason what the margin test found: rho, and the smallest Cholesky pivot
+    of Q* - rho*I when there is one (see ``rounding_digits``)."""
 
     def __init__(self, attempts):
         self.attempts = tuple(attempts)
@@ -167,20 +171,59 @@ def project(qbar, target: Poly) -> Matrix:
     )
 
 
-def delta_bound(f: Poly, sigma, rho) -> Fraction:
-    """Safe rounding precision 0.99*(sigma - rho)/(n + (n-1)*sqrt(n)*||f||).
-
-    Computed from conservative exact rationals (sigma rounded down, rho and
-    the square roots rounded up); a non-positive result signals that the
-    numeric stage must rerun at a higher precision.
-    """
+def _denominator(f: Poly) -> Fraction:
+    """D = n + (n-1)*sqrt(n)*||f||, its square roots rounded up."""
     n = int(f.degree)
     if n < 1:
         raise ValueError("f must have degree >= 1")
-    sig = exact_fraction(sigma)
-    ro = exact_fraction(rho)
-    denom = n + (n - 1) * sqrt_upper_bound(Fraction(n)) * sqrt_upper_bound(norm2_squared(f))
-    return Fraction(99, 100) * (sig - ro) / denom
+    return n + (n - 1) * sqrt_upper_bound(Fraction(n)) * sqrt_upper_bound(norm2_squared(f))
+
+
+def delta_bound(f: Poly, sigma, rho) -> Fraction:
+    """Safe rounding precision 0.99*(sigma - rho)/(n + (n-1)*sqrt(n)*||f||).
+
+    Computed from exact rationals (the square roots rounded up); a
+    non-positive result means that a margin sigma leaves no rounding room.
+    """
+    return Fraction(99, 100) * (exact_fraction(sigma) - exact_fraction(rho)) / _denominator(f)
+
+
+def rounding_digits(f: Poly, gram: numeric.InteriorGram, bits: int, cap: int):
+    """(pivot, digits): the fewest decimal digits d that the margin of the
+    interior pair allows, or cap + 1 when no d <= cap does; (None, None)
+    when there is no margin at all.
+
+    d digits suffice when the rounding precision 10^-d is at most
+    ``delta_bound`` of the margin sigma = (1 - 2^-32)*lambda_min(Q*), that
+    is when sigma >= s_d = rho + 10^-d*D/0.99.  Each such condition is
+    tested by the Cholesky factorization of Q* - (s_d/(1 - 2^-32))*I at
+    ``bits`` (``numeric.smallest_pivot``); sigma itself is never computed.
+    s_0 = rho is tested first: when it fails, there is no margin.  Its
+    smallest pivot p bounds lambda_min - s_0/(1 - 2^-32) from above, so no
+    d with 10^-d*D/0.99 > (1 - 2^-32)*p can pass.  The lowest d left is
+    tested next, then the rest up to ``cap`` by bisection: 2 +
+    ceil(log2(cap)) tests at most.  p is returned with the digits.
+    """
+    rho, scale = exact_fraction(gram.rho), _denominator(f) / Fraction(99, 100)
+
+    def pivot_at(s):  # the smallest pivot of Q* - (s/(1 - 2^-32))*I, or None
+        return numeric.smallest_pivot(gram.Qstar, s / _SHRINK, bits)
+
+    pivot = pivot_at(rho)
+    if pivot is None:
+        return None, None
+    ratio = scale / (_SHRINK * exact_fraction(pivot))  # no 10^d below it can pass
+    low, power = 1, 10  # the lowest decade that can pass (or cap + 1), and 10^low
+    while low <= cap and power < ratio:
+        low, power = low + 1, power * 10
+    failed, passed, digits = low - 1, cap + 1, low  # failed < answer <= passed
+    while passed - failed > 1:
+        if pivot_at(rho + scale / 10**digits) is None:
+            failed = digits
+        else:
+            passed = digits
+        digits = (failed + passed) // 2
+    return pivot, passed
 
 
 def _round_scalar(value, digits: int) -> Fraction:
@@ -266,18 +309,19 @@ def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposit
     the same path: any 1x1 rounding projects to (g_red).
 
     Then, pipeline per attempt: approximate roots, build the interior pair
-    (Q*, q*), derive the safe rounding precision from the eigenvalue margin,
-    round once at ceil(log10(1/delta)) digits, project, and check positive
-    definiteness exactly.  Whatever fails (IllConditioned from the numeric
-    stage, a margin that is not positive, or the exact check), the next rung
-    of PRECISION_LADDER is tried; after the last one, PrecisionExhausted names
-    every rung's reason, with sigma and rho for a rung that reached the Gram
-    stage.  Each rung's root finding starts from the roots of
-    the last rung that found them.  The Gram stage calls a value of g at a
-    real root, or a pair weight, by its own error bound alone (see
-    ``numeric.build_interior_gram``), so a rung fails on a value only
-    when that rung cannot resolve it, and the first rung that does may
-    certify.
+    (Q*, q*), pick the fewest rounding digits its margin allows
+    (``rounding_digits``, at most the cap: 64 plus one per power of ten by
+    which ||g_red||_inf falls below 1), round once at them, project, and
+    check positive definiteness exactly.  Whatever fails (IllConditioned
+    from the numeric stage, no margin, or the exact check), the next rung of
+    PRECISION_LADDER is tried; after the last one, PrecisionExhausted names
+    every rung's reason, with rho and the smallest pivot for a rung that
+    reached the Gram stage, and the cap when that rung rounded at it.  Each
+    rung's root finding starts from the roots of the last rung that found
+    them.  The Gram stage calls a value of g at a real root, or a pair
+    weight, by its own error bound alone (see ``numeric.build_interior_gram``),
+    so a rung fails on a value only when that rung cannot resolve it, and
+    the first rung that does may certify.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("f must have degree >= 1")
@@ -304,13 +348,11 @@ def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposit
         except IllConditioned as exc:
             attempts.append((bits, str(exc)))
             continue
-        delta = delta_bound(f, gram.sigma, gram.rho)
-        if delta <= 0:
-            failure = "no rounding margin (delta <= 0; "
+        pivot, digits = rounding_digits(f, gram, bits, cap)
+        if pivot is None:
+            failure = "no rounding margin (Q* - rho*I has no Cholesky factor; "
         else:
-            digits = 1  # ceil(log10(1/delta)), clamped to [1, cap]
-            while Fraction(1, 10**digits) > delta and digits < cap:
-                digits += 1
+            clamped, digits = digits > cap, min(digits, cap)
             qbar = round_to_digits(gram.Qstar, digits)
             q_round = round_to_digits(gram.qstar, digits)
             target = g_red - q_round * f
@@ -322,9 +364,9 @@ def certify_strict_squarefree(f: Poly, g: Poly) -> tuple[GramLift, SOSDecomposit
                 if sos.square_sum() != target:  # GramLift proved target = gram_poly(q_exact)
                     raise AssertionError("LDL reconstruction mismatch")
                 return lift, sos
-            failure = f"no positive exact LDL^T at {digits} digits ("
-        # delta is not printed: as an exact Fraction it may pass the int-to-str limit
-        sigma, rho = mpmath.nstr(gram.sigma, 6), mpmath.nstr(gram.rho, 6)
-        attempts.append((bits, f"{failure}sigma={sigma}, rho={rho})"))
+            cap_note = ", the cap; the margin asks for more" if clamped else ""
+            failure = (f"no positive exact LDL^T at {digits} digits{cap_note} "
+                       f"(smallest pivot={mpmath.nstr(pivot, 6)}, ")
+        attempts.append((bits, f"{failure}rho={mpmath.nstr(gram.rho, 6)})"))
 
     raise PrecisionExhausted(attempts)

@@ -13,11 +13,11 @@ runs once from the same seeds, with as many extra bits as the working
 precision.  The split checks only the real count and that the other roots
 pair up in number: the exact checks downstream prove whatever roots are
 proposed, so a poor root is only a reason to retry.  Q* is summed on
-mpmath's raw ``libmp`` values.  The margin sigma, an estimate of the
-smallest eigenvalue of Q*, comes from one Cholesky factorization of Q* and
-a Lanczos run on its inverse; it only picks the rounding digits, and the
-exact LDL^T downstream proves positive definiteness.  Deflation by a root
-and q* are ratpoly's ``long_division`` in mp arithmetic.  Every function
+mpmath's raw ``libmp`` values.  The one matrix kernel, ``smallest_pivot``,
+is a Cholesky factorization of Q* - s*I at the working precision:
+``exactify`` runs it to choose the rounding digits, and the exact LDL^T
+downstream proves positive definiteness.  Deflation by a root and q* are
+ratpoly's ``long_division`` in mp arithmetic.  Every function
 here makes one attempt at the precision it is given (mpmath software floats
 with a mantissa of that many bits) and raises IllConditioned when that
 precision does not suffice; the caller (``exactify``) retries at the next
@@ -37,13 +37,12 @@ import cmath
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ldexp, prod
+from math import prod
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fone, from_float, from_int, from_man_exp, fzero, mpf_abs, mpf_add
-from mpmath.libmp import mpf_div, mpf_mul, mpf_neg, mpf_shift, mpf_sqrt, mpf_sub, round_nearest
-from mpmath.libmp import to_float
+from mpmath.libmp import fone, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_div
+from mpmath.libmp import mpf_lt, mpf_mul, mpf_neg, mpf_shift, mpf_sqrt, round_nearest
 
 from .ratpoly import Poly, horner, long_division, norm2_squared, sqrt_upper_bound
 from .ratpoly import sturm_real_root_count
@@ -101,15 +100,13 @@ class RootProfile:
 class InteriorGram:
     """Interior Gram pair: g = x^T Qstar x + qstar*f up to the residual rho.
 
-    sigma estimates the smallest eigenvalue of Qstar at the working
-    precision (see ``smallest_eigenvalue``), shrunk by a factor 1 - 2^-32,
-    and is 0 when Qstar is not numerically positive definite; rho is an
-    upper bound on the coefficient 2-norm of the identity residual.
+    rho is an upper bound on the coefficient 2-norm of the identity
+    residual.  How far Qstar is from singular, against rho, is tested
+    downstream (``exactify.rounding_digits``) by ``smallest_pivot``.
     """
 
     Qstar: tuple
     qstar: tuple
-    sigma: object
     rho: object
 
 
@@ -422,10 +419,6 @@ def _call(value, error, what):
         raise IllConditioned(f"{what} (error bound {mpmath.nstr(error, 6)})", value, error)
 
 
-#: 1 - 2^-32, the factor by which sigma is shrunk below the estimate.
-_SHRINK = from_man_exp(2**32 - 1, -32)
-
-
 def _residual(start, xs, ys, prec):
     """start - sum x*y over raw mpf values, exact until one rounding to prec."""
     sign, total, low, _ = start
@@ -443,123 +436,29 @@ def _residual(start, xs, ys, prec):
     return from_man_exp(total, low, prec, round_nearest)
 
 
-def _dot(xs, ys, prec):
-    return mpf_neg(_residual(fzero, xs, ys, prec))
-
-
-def _cholesky(rows, prec):
-    """Cholesky factor L (Q = L L^T) of a symmetric matrix of raw mpf values,
-    row j holding columns 0..j; None unless every pivot is positive."""
-    lower = []
+def smallest_pivot(rows, shift: Fraction, prec: int):
+    """Smallest pivot, as an mpf, of the Cholesky factorization of Q -
+    shift*I at ``prec`` bits, for a symmetric matrix Q of mpf values and a
+    rational shift; None unless every pivot is positive.  It runs on the raw
+    ``libmp`` values, each entry of the factor and each pivot an exact dot
+    product rounded once (``_residual``).  Every pivot is at least the
+    smallest eigenvalue of Q - shift*I, so the smallest one bounds
+    lambda_min(Q) - shift from above."""
+    shift = from_rational(shift.numerator, shift.denominator, prec, round_nearest)
+    lower, smallest = [], None
     for j, row in enumerate(rows):
+        row = [x._mpf_ for x in row[: j + 1]]
         lj = []
         for i, li in enumerate(lower):
             lj.append(mpf_div(_residual(row[i], lj, li, prec), li[i], prec, round_nearest))
-        pivot = _residual(row[j], lj, lj, prec)
+        pivot = _residual(row[j], [*lj, shift], [*lj, fone], prec)
         if pivot[0] or not pivot[1]:  # negative or zero
             return None
+        if smallest is None or mpf_lt(pivot, smallest):
+            smallest = pivot
         lj.append(mpf_sqrt(pivot, prec, round_nearest))
         lower.append(lj)
-    return lower
-
-
-def _cholesky_solve(lower, below, inverse, b, prec):
-    """Q^-1 b from the Cholesky factor: L y = b, then L^T x = y.  below[i]
-    lists column i of L under the diagonal, inverse[i] is 1/L[i][i]."""
-    y = []
-    for li, r, bi in zip(lower, inverse, b):
-        y.append(mpf_mul(_residual(bi, li, y, prec), r, prec, round_nearest))
-    x = []
-    for col, r, yi in zip(reversed(below), reversed(inverse), reversed(y)):
-        x.insert(0, mpf_mul(_residual(yi, col, x, prec), r, prec, round_nearest))
-    return x
-
-
-def _largest_ritz_value(alpha, beta):
-    """Largest eigenvalue of the symmetric tridiagonal matrix T with diagonal
-    alpha and off-diagonal beta (floats).  Newton's method on det(xI - T)
-    starts at Gershgorin's upper bound; on a polynomial with only real roots
-    it descends monotonically to the largest one.  The pivots of xI - T give
-    det and its log-derivative; it stops where a step no longer descends, or
-    where xI - T is no longer positive definite (x reached the root up to
-    rounding)."""
-    radius = [0.0] * len(alpha)
-    for i, b in enumerate(beta):
-        radius[i] += abs(b)
-        radius[i + 1] += abs(b)
-    x = max(a + r for a, r in zip(alpha, radius))
-    coupling = [0.0] + [b * b for b in beta]
-    while True:
-        pivot, slope, ratio = 1.0, 0.0, 0.0
-        for a, b2 in zip(alpha, coupling):
-            slope = 1 + b2 * slope / (pivot * pivot)
-            pivot = x - a - b2 / pivot
-            if pivot <= 0:
-                return x
-            ratio += slope / pivot
-        x_next = x - 1 / ratio
-        if not x_next < x:
-            return x
-        x = x_next
-
-
-def smallest_eigenvalue(rows, prec):
-    """sigma = (1 - 2^-32)*lambda_min of a symmetric matrix Q of raw mpf
-    values, estimated at ``prec`` bits and returned as a raw mpf; 0 when the
-    Cholesky factorization of Q fails (Q is not numerically positive
-    definite).
-
-    Lanczos on Q^-1, with the Cholesky factors' solves and full
-    reorthogonalization, from the start vector (1, 2, ..., n): lambda_min is
-    1/theta for the largest Ritz value theta.  By interlacing theta cannot
-    fall from one step to the next, so the run stops where it stops growing
-    in double precision, or when the Krylov space spans all of R^n or ends.
-    A Ritz value never exceeds the largest eigenvalue of Q^-1, so a start
-    vector that misses the lowest eigenvector of Q would overstate sigma:
-    before an early stop, sigma is confirmed by a Cholesky factorization of
-    Q - sigma*I.  If that fails, the run goes on (rounding brings the missed
-    directions in), and sigma is 0 when the Krylov space ends first.
-    """
-    lower = _cholesky(rows, prec)
-    if lower is None:
-        return fzero
-    n = len(rows)
-    below = [[lower[k][i] for k in range(i + 1, n)] for i in range(n)]
-    inverse = [mpf_div(fone, li[-1], prec, round_nearest) for li in lower]
-    ramp = [from_int(i + 1) for i in range(n)]
-    norm = mpf_sqrt(_dot(ramp, ramp, prec), prec, round_nearest)
-    v = [mpf_div(x, norm, prec, round_nearest) for x in ramp]
-    basis, alpha, beta, theta, scale = [], [], [], 0.0, 0
-    while True:
-        basis.append(v)
-        w = _cholesky_solve(lower, below, inverse, v, prec)
-        alpha.append(_dot(v, w, prec))
-        # T in floats, scaled by 2^-scale so that no entry overflows; the
-        # scale never falls, so the last theta rescales without rounding
-        last = scale
-        scale = max(x[2] + x[3] for x in alpha + beta)
-        previous, theta = ldexp(theta, last - scale), _largest_ritz_value(
-            [to_float(mpf_shift(x, -scale)) for x in alpha],
-            [to_float(mpf_shift(x, -scale)) for x in beta])
-        full = len(basis) == n
-        if not full:
-            for _ in range(2):  # twice: one pass leaves w skewed when it cancels
-                cs = [_dot(u, w, prec) for u in basis]
-                w = [_residual(x, cs, us, prec) for x, us in zip(w, zip(*basis))]
-            b = mpf_sqrt(_dot(w, w, prec), prec, round_nearest)
-        if full or not b[1] or not theta > previous:
-            sigma = mpf_shift(mpf_div(_SHRINK, from_float(theta), prec, round_nearest), -scale)
-            if full:
-                return sigma
-            shifted = [[mpf_sub(x, sigma, prec, round_nearest) if i == j else x
-                        for i, x in enumerate(row)] for j, row in enumerate(rows)]
-            if _cholesky(shifted, prec) is not None:
-                return sigma
-            if not b[1]:
-                return fzero
-        beta.append(b)
-        r = mpf_div(fone, b, prec, round_nearest)
-        v = [mpf_mul(x, r, prec, round_nearest) for x in w]
+    return mp.make_mpf(smallest)
 
 
 def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
@@ -632,8 +531,6 @@ def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
         num = [(gc[i] if i < len(gc) else mp.mpf(0)) - quad[i] for i in range(2 * n - 1)]
         qstar = long_division(num, fc, lambda c: c / fc[-1])
 
-        sigma = mp.make_mpf(smallest_eigenvalue(entries, bits))
-
         # exact residual norm: binary floats are rationals, so the identity
         # error of (Q*, q*) can be bounded without any floating-point slack;
         # every mantissa is shifted to the least exponent (at most 0)
@@ -654,6 +551,5 @@ def build_interior_gram(f: Poly, g: Poly, roots: RootProfile) -> InteriorGram:
         return InteriorGram(
             Qstar=tuple(tuple(x for x in row) for row in rows),
             qstar=tuple(qstar),
-            sigma=sigma,
             rho=rho,
         )

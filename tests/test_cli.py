@@ -536,22 +536,38 @@ def test_certify_benchmark_workload_bytes(workload, seed, tmp_path, capsys):
     "f, g",
     [
         ("x^3-2", "x"),
-        # delta is an exact rational past the int-to-str limit here, so the
-        # message must not print it
+        # the margin test's exact rationals pass the int-to-str limit here,
+        # so the message must print floats only
         ("x^3-10^5000", "x+1"),
     ],
     ids=["cube-root-2", "huge-constant"],
 )
 def test_certify_eigensolver_failure_exits_four(f, g, monkeypatch, capsys):
     # a margin kernel whose Cholesky never succeeds finds no margin at any rung
-    monkeypatch.setattr(numeric, "_cholesky", lambda _rows, _prec: None)
+    monkeypatch.setattr(numeric, "smallest_pivot", lambda _rows, _shift, _prec: None)
     assert main(["certify", "--f", f, "--g", g]) == 4
     err = capsys.readouterr().err
     assert err.startswith("precision exhausted")
     assert len(err) < 1000
     assert err.count("no rounding margin") == 4
-    # each rung states its own margin
-    assert len(re.findall(r"bits: no rounding margin \(delta <= 0; sigma=\S+, rho=\S+\)", err)) == 4
+    # each rung states its own residual
+    assert len(re.findall(r"bits: no rounding margin \(Q\* - rho\*I has no Cholesky factor; "
+                          r"rho=\d\S*\)", err)) == 4
+
+
+def test_certify_rung_rounded_at_the_cap_names_it(capsys):
+    # g = x - r with r = floor(xi*10^120)/10^120 at the real root xi ~
+    # -6.0075965 of f: at 848 bits the smallest pivot of Q* - rho*I is about
+    # 2e-132, so the margin asks for more than the 64-digit cap, and the
+    # rung rounded at the cap says so
+    f = "x^8+6*x^7-x^6-7*x^5-7*x^4+5*x^3+9*x^2+6*x+2"
+    r = ("600759652132039513741650665387082899112924556943145781428536716774841970003528084091"
+         "7160229530364261971903756180189750010")  # -floor(xi*10^120)
+    assert main(["certify", "--f", f, "--g", f"x+{r}/10^120"]) == 4
+    err = capsys.readouterr().err
+    assert re.search(r"424 bits: g\(\S+\) = \S+ is too close to zero to call", err)
+    assert re.search(r"848 bits: no positive exact LDL\^T at 64 digits, the cap; the margin asks "
+                     r"for more \(smallest pivot=\S+e-13\d, rho=\S+\)$", err)
 
 
 def test_certify_root_finder_failure_exits_four(monkeypatch, capsys):

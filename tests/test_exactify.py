@@ -1,6 +1,8 @@
 import contextlib
 import hashlib
+import math
 import random
+import re
 from collections.abc import Sequence
 from fractions import Fraction as F
 
@@ -465,9 +467,9 @@ def test_certify_strict_one_projection_and_ldl_per_tried_t(
 
 
 def test_certify_strict_rounds_once_per_rung(monkeypatch):
-    # sigma only picks the digits: a rounding whose exact LDL^T fails is not
-    # retried at more digits, the next rung recovers, and each failed rung
-    # states its own margin
+    # the margin only picks the digits: a rounding whose exact LDL^T fails is
+    # not retried at more digits, the next rung recovers, and each failed
+    # rung states what its margin test found
     rounded = []
     round_to_digits = exactify.round_to_digits
 
@@ -486,25 +488,24 @@ def test_certify_strict_rounds_once_per_rung(monkeypatch):
     assert rounded == [(kind, d) for d in matrix_digits for kind in (True, False)]
     for (_bits, reason), digits in zip(attempts, matrix_digits):
         assert digits < exactify.DIGITS_CAP
-        assert reason.startswith(f"no positive exact LDL^T at {digits} digits (sigma=")
-        assert ", rho=" in reason
+        assert re.fullmatch(
+            rf"no positive exact LDL\^T at {digits} digits \(smallest pivot=\S+, rho=\S+\)", reason)
 
 
-@pytest.mark.parametrize(
-    "f, g",
-    [
-        (X**4 + X + Poly.one(), Poly.one()),
-        (X**4 + X + Poly.one(), Poly.constant(F(1, 10**20))),
-        (X**4 + X + Poly.one(), Poly.constant(F(1, 10**70))),
-        (X**4 + X + Poly.one(), Poly.constant(F(1, 10**300))),
-        (F_CUBE, Poly.constant(F(1, 10**300))),
-        (F_CUBE, Poly([F(1, 10**301), F(1, 10**300)])),
-        (NEAR_F, NEAR_G * Poly.constant(F(1, 10**300))),
-        (NEAR_F, NEAR_G * Poly.constant(10**300)),
-    ],
-    ids=["one", "1e-20", "1e-70", "1e-300", "cube-1e-300", "cube-linear-1e-300",
-         "near-1e-300", "near-1e300"],
-)
+# g scaled by a positive constant, down to 1e-300 (a digit cap of about 364)
+SCALED_G = {
+    "one": (X**4 + X + Poly.one(), Poly.one()),
+    "1e-20": (X**4 + X + Poly.one(), Poly.constant(F(1, 10**20))),
+    "1e-70": (X**4 + X + Poly.one(), Poly.constant(F(1, 10**70))),
+    "1e-300": (X**4 + X + Poly.one(), Poly.constant(F(1, 10**300))),
+    "cube-1e-300": (F_CUBE, Poly.constant(F(1, 10**300))),
+    "cube-linear-1e-300": (F_CUBE, Poly([F(1, 10**301), F(1, 10**300)])),
+    "near-1e-300": (NEAR_F, NEAR_G * Poly.constant(F(1, 10**300))),
+    "near-1e300": (NEAR_F, NEAR_G * Poly.constant(10**300)),
+}
+
+
+@pytest.mark.parametrize("f, g", SCALED_G.values(), ids=SCALED_G)
 def test_certify_strict_limits_scale_with_g(f, g, monkeypatch):
     # a positive constant factor on g only scales the certificate: the
     # error bound of each value and the digit cap follow g, so one rung
@@ -522,20 +523,48 @@ def test_certify_strict_limits_scale_with_g(f, g, monkeypatch):
     assert ((sos.square_sum() - g) % f).is_zero
 
 
+@pytest.mark.parametrize("case", [case for case in SCALED_G if case.endswith("1e-300")])
+def test_certify_strict_bisects_the_digits(case, monkeypatch):
+    # a rung tests Q* - rho*I, then the lowest decade its smallest pivot
+    # allows, then bisects up to the cap: at most 2 + ceil(log2(cap)) tests,
+    # where a scan from 1 digit up would make about 300
+    f, g = SCALED_G[case]
+    shifts, rounded = [], []
+    smallest_pivot, round_to_digits = numeric.smallest_pivot, exactify.round_to_digits
+
+    def pivot_spy(rows, shift, prec):
+        shifts.append(shift)
+        return smallest_pivot(rows, shift, prec)
+
+    def round_spy(value, digits):
+        rounded.append(digits)
+        return round_to_digits(value, digits)
+
+    monkeypatch.setattr(numeric, "smallest_pivot", pivot_spy)
+    monkeypatch.setattr(exactify, "round_to_digits", round_spy)
+    certify_strict_squarefree(f, g)
+    cap = exactify.DIGITS_CAP + 300
+    assert len(shifts) <= 2 + math.ceil(math.log2(cap))
+    assert shifts[0] == min(shifts)  # the shift of rho comes first
+    assert 300 < rounded[0] < cap  # the margin, not the cap, picked the digits
+
+
 def test_certify_strict_eigensolver_failure_exhausts_precision(monkeypatch):
-    # the margin kernel's Cholesky of Q* never succeeds: sigma = 0 at every rung
+    # the margin kernel's Cholesky never succeeds: the first test, of
+    # Q* - rho*I, fails and ends the rung with no margin
     tried = []
 
-    def not_definite(_rows, prec):
+    def not_definite(_rows, _shift, prec):
         tried.append(prec)
 
-    monkeypatch.setattr(numeric, "_cholesky", not_definite)
+    monkeypatch.setattr(numeric, "smallest_pivot", not_definite)
     with pytest.raises(PrecisionExhausted) as info:
         certify_strict_squarefree(F_CUBE, X)
     assert tried == [106, 212, 424, 848]  # each failure retries at double precision
     assert [bits for bits, _reason in info.value.attempts] == tried
-    for _bits, reason in info.value.attempts:  # each rung states its own margin
-        assert reason.startswith("no rounding margin (delta <= 0; sigma=0.0, rho=")
+    for _bits, reason in info.value.attempts:  # each rung states its own residual
+        assert re.fullmatch(r"no rounding margin \(Q\* - rho\*I has no Cholesky factor; "
+                            r"rho=\d\S*\)", reason)
     assert info.value.precision_bits == 848
     assert "up to 848 bits" in str(info.value)
 
@@ -552,7 +581,7 @@ def test_certify_strict_root_finder_failure_exhausts_precision(monkeypatch):
     with pytest.raises(PrecisionExhausted) as info:
         certify_strict_squarefree(F_CUBE, X)
     assert tried == [(106, 106), (212, 212), (424, 424), (848, 848)]
-    assert not any("sigma=" in reason for _bits, reason in info.value.attempts)  # no Gram
+    assert not any("rho=" in reason for _bits, reason in info.value.attempts)  # no Gram
     assert info.value.precision_bits == 848
 
 
@@ -638,7 +667,7 @@ def test_certify_strict_max_retries_bounds_every_doubling(
     assert calls == calls_made
     assert [b for b, _reason in info.value.attempts] == list(ladder)
     assert info.value.precision_bits == bits
-    assert not any("sigma=" in reason for _bits, reason in info.value.attempts)  # no margin
+    assert not any("rho=" in reason for _bits, reason in info.value.attempts)  # no margin
     assert f"up to {bits} bits" in str(info.value)
     assert reason in info.value.attempts[-1][1]  # the reason of the last attempt
 
@@ -669,7 +698,7 @@ def test_certify_strict_exhaustion_names_every_rung(monkeypatch):
     assert [reason for _bits, reason in attempts[2:]] == [
         "forced failure at 424 bits", "forced failure at 848 bits"]
     assert info.value.precision_bits == 848
-    assert "sigma=" not in str(info.value)  # no rung reached a margin
+    assert "rho=" not in str(info.value)  # no rung reached a margin
     message = str(info.value)
     assert "up to 848 bits" in message
     for bits, reason in attempts:
@@ -689,7 +718,7 @@ def _spy_refinement_starts(monkeypatch):
 
 
 def test_certify_strict_seeds_each_rung_from_the_last_roots(monkeypatch):
-    # x^4 + x + 10^50 with g = x - 1 has no rounding margin (delta <= 0) at
+    # x^4 + x + 10^50 with g = x - 1 has no rounding margin at
     # 106 and 212 bits and certifies at 424
     f, g = X**4 + X + Poly.constant(10**50), X - Poly.one()
     calls = _spy_numeric_stages(monkeypatch)

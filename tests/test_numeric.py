@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from rootsos import numeric
-from rootsos.exactify import delta_bound
+from rootsos.exactify import delta_bound, rounding_digits
 from rootsos.lifting import certify_nonnegative
 from rootsos.numeric import (
     IllConditioned,
@@ -16,7 +16,6 @@ from rootsos.numeric import (
     exact_fraction,
     find_roots,
     lagrange_basis,
-    smallest_eigenvalue,
 )
 from rootsos.ratpoly import NotSquarefree, Poly, norm2_squared
 from support import random_squarefree_poly, random_strictly_positive_poly
@@ -325,13 +324,14 @@ def test_interior_gram_matches_closed_form():
                 assert abs(gram.Qstar[i][j] - expected[i][j]) < 1e-25
         assert abs(gram.qstar[0] - 2 * r / 9) < 1e-25
         assert abs(gram.qstar[1] + mp.mpf(7) / 18) < 1e-25
-    assert abs(gram.sigma - 0.2239) < 2e-3
+    with mp.workprec(106):
+        assert abs(min(mp.eigsy(mp.matrix(gram.Qstar), eigvals_only=True)) - 0.2239) < 2e-3
     assert gram.rho < 1e-20
 
 
 def _digits(f, sigma, rho):
-    """The rounding digits t = ceil(log10(1/delta)) that sigma picks; None
-    when there is no rounding margin."""
+    """The rounding digits t = ceil(log10(1/delta)) that a margin sigma
+    picks; None when there is no rounding margin."""
     delta = delta_bound(f, sigma, rho)
     if delta <= 0:
         return None
@@ -339,6 +339,16 @@ def _digits(f, sigma, rho):
     while F(1, 10**t) > delta:
         t += 1
     return t
+
+
+def _rule(f, gram, bits):
+    """(smallest pivot, digits) of ``rounding_digits``, under a cap that no
+    margin here reaches; (None, None) when it finds no margin."""
+    return rounding_digits(f, gram, bits, 1000)
+
+
+def _has_margin(f, gram, bits=106):
+    return _rule(f, gram, bits)[0] is not None
 
 
 def _near8():
@@ -351,6 +361,8 @@ def _near8():
 
 @pytest.mark.parametrize("case", ["near8", "x^32-2", "parrilo"])
 def test_sigma_picks_the_digits_of_an_eigsy_oracle(case, monkeypatch):
+    # the Cholesky decade rule picks the digits that the margin sigma =
+    # (1 - 2^-32)*lambda_min gives, lambda_min from mp.eigsy
     if case == "near8":
         (f, g), rungs = _near8(), (424, 848)
     elif case == "x^32-2":
@@ -363,12 +375,14 @@ def test_sigma_picks_the_digits_of_an_eigsy_oracle(case, monkeypatch):
         with mp.workprec(bits):
             eigenvalues = sorted(mp.eigsy(mp.matrix(gram.Qstar), eigvals_only=True))
             oracle = eigenvalues[0] * (1 - mp.ldexp(1, -32))
-        assert _digits(f, gram.sigma, gram.rho) == _digits(f, oracle, gram.rho)
-        if case == "near8":  # two clustered smallest eigenvalues, sigma below both
+        pivot, digits = _rule(f, gram, bits)
+        assert digits == _digits(f, oracle, gram.rho)
+        if case == "near8":  # two clustered smallest eigenvalues, the pivot above both
             assert eigenvalues[1] < 2 * eigenvalues[0]
-            assert gram.sigma < eigenvalues[0]
+            with mp.workprec(bits):
+                assert pivot + gram.rho / (1 - mp.ldexp(1, -32)) >= eigenvalues[0]
         if case == "parrilo":
-            assert _digits(f, gram.sigma, gram.rho) is None
+            assert pivot is None
 
 
 def _reflected(h, d):
@@ -381,25 +395,41 @@ def _reflected(h, d):
 
 
 @pytest.mark.parametrize("exact", [
-    # eigenvalues 1 and 3, the lowest eigenvector (2, -1) orthogonal to the
-    # start vector (1, 2): one Gram-Schmidt pass would leave the second
-    # Lanczos vector skewed
+    # eigenvalues 1 and 3, the lowest eigenvector (2, -1)
     [[F(7, 5), F(4, 5)], [F(4, 5), F(13, 5)]],
-    # H maps (1, ..., 8) to (0, 14, 2, 2, 0, ...), so H e_1 is orthogonal to
-    # it: Lanczos sees eigenvalue 3 first and its Ritz value stops growing
-    # there; the Cholesky of Q - 3I fails and the run goes on to the margin
+    # eigenvalues 1, 3 and about 10^6: every pivot lies far above 1, so the
+    # lowest decade the pivots allow fails and the rule bisects
     _reflected([1, -12, 1, 2, 5, 6, 7, 8], [1, 3] + [10**6 + k for k in range(6)]),
 ], ids=["n=2", "n=8"])
-def test_sigma_from_a_start_vector_orthogonal_to_the_lowest_eigenvector(exact):
+def test_rule_picks_the_exact_digits_of_a_reflected_matrix(exact, monkeypatch):
+    # lambda_min = 1 exactly: the rule picks the digits of the exact margin
+    # sigma = 1 - 2^-32 against rho = 1 - 10^-8
+    n = len(exact)
+    f = X**n - Poly.constant(2)
     with mp.workprec(106):
-        q = [[(mp.mpf(x.numerator) / x.denominator)._mpf_ for x in row] for row in exact]
-        sigma = mp.make_mpf(smallest_eigenvalue(q, 106))
-    assert 1 - 2**-31 < sigma < 1
+        q = tuple(tuple(mp.mpf(x.numerator) / x.denominator for x in row) for row in exact)
+        rho = 1 - mp.mpf(10) ** -8
+    shifts = []
+    smallest_pivot = numeric.smallest_pivot
+
+    def spy(rows, shift, prec):
+        shifts.append(shift)
+        return smallest_pivot(rows, shift, prec)
+
+    monkeypatch.setattr(numeric, "smallest_pivot", spy)
+    gram = numeric.InteriorGram(Qstar=q, qstar=(), rho=rho)
+    _pivot, digits = _rule(f, gram, 106)
+    assert digits == _digits(f, F(2**32 - 1, 2**32), rho)
+    assert (len(shifts) > 2) == (n == 8)  # the first two tests settle n = 2
 
 
 def test_sigma_is_zero_without_a_cholesky_factor():
-    one, two = mp.mpf(1)._mpf_, mp.mpf(2)._mpf_
-    assert smallest_eigenvalue([[one, two], [two, one]], 106) == mp.mpf(0)._mpf_
+    # [[1, 2], [2, 1]] has eigenvalues 3 and -1: no margin at any rho >= 0
+    with mp.workprec(106):
+        q = ((mp.mpf(1), mp.mpf(2)), (mp.mpf(2), mp.mpf(1)))
+    assert numeric.smallest_pivot(q, F(0), 106) is None
+    gram = numeric.InteriorGram(Qstar=q, qstar=(), rho=mp.mpf(0))
+    assert _rule(X**2 - Poly.constant(2), gram, 106) == (None, None)
 
 
 def test_certify_never_calls_eigsy(monkeypatch):
@@ -420,11 +450,11 @@ def test_interior_gram_symmetric_exactly():
 
 def test_parrilo_boundary_flagged(monkeypatch):
     # LAMBDA_FACTOR = 1 reproduces the rank-deficient boundary matrix: the
-    # smallest-eigenvalue estimate must hug zero so it is flagged not-definite
+    # Cholesky factorization of Q* - rho*I fails, so it is flagged not-definite
     monkeypatch.setattr(numeric, "LAMBDA_FACTOR", 1)
     prof = find_roots(F_CUBE)
     gram = build_interior_gram(F_CUBE, X, prof)
-    assert gram.sigma <= 1e-6
+    assert not _has_margin(F_CUBE, gram)
 
 
 def test_identity_residual_small():
@@ -488,7 +518,7 @@ def test_failed_value_carries_a_bound_on_its_error():
         assert not value > numeric.TRUST_FACTOR * error
         assert f"error bound {mp.nstr(error, 6)})" in str(info.value)
     # a measurement from 424 bits on: far above its error bound, so called
-    assert build_interior_gram(f, g, find_roots(f, 424)).sigma > 0
+    assert _has_margin(f, build_interior_gram(f, g, find_roots(f, 424)), 424)
 
 
 def test_failed_value_error_bound_covers_an_inexact_root():
@@ -523,7 +553,7 @@ def test_degenerate_pair_weight_carries_a_bound_on_its_error():
         assert abs(value - true) <= error
     assert error < mp.ldexp(1, -200)
     assert not value > numeric.TRUST_FACTOR * error
-    assert build_interior_gram(F_CUBE, g, find_roots(F_CUBE, 424)).sigma > 0
+    assert _has_margin(F_CUBE, build_interior_gram(F_CUBE, g, find_roots(F_CUBE, 424)), 424)
 
 
 @pytest.mark.parametrize(
@@ -567,8 +597,7 @@ def test_sigma_positive_on_strict_instances():
         g = random_strictly_positive_poly(rng, 3, 8) % f
         if g.is_zero:
             continue
-        gram = build_interior_gram(f, g, find_roots(f))
-        assert gram.sigma > 0
+        assert _has_margin(f, build_interior_gram(f, g, find_roots(f)))
         done += 1
 
 
