@@ -2,14 +2,15 @@
 
 Zassenhaus scheme on one monic integer image G of each squarefree part:
 reduce G modulo the first odd prime that keeps it squarefree and factor it
-there (distinct-degree then equal-degree splitting).  The rational roots
-come first (R. Loos, SIAM J. Comput. 12, 1983): each linear modular factor's
-root is lifted alone by p-adic Newton steps past twice Fujiwara's root
-bound, and a root that divides G exactly is split off.  Only the modular
-factors left over are lifted, with the cofactor, past its Landau-Mignotte
-coefficient bound by quadratic Hensel steps, then recombined by trial
-division over Z.  Only the factors found are mapped back to rational
-polynomials.
+there (distinct-degree then equal-degree splitting).  Mahler's bound on the
+discriminant of G caps how many primes can fail, so the search always ends.
+The rational roots come first (R. Loos, SIAM J. Comput. 12, 1983): each
+linear modular factor's root is lifted alone by p-adic Newton steps past
+twice Fujiwara's root bound (``ratpoly.root_exponent``), and a root that
+divides G exactly is split off.  Only the modular factors left over are
+lifted, with the cofactor, past its Landau-Mignotte coefficient bound by
+quadratic Hensel steps, then recombined by trial division over Z.  Only the
+factors found are mapped back to rational polynomials.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations, compress, islice
 
-from .ratpoly import Poly, long_division, squarefree_decompose
+from .ratpoly import NotSquarefree, Poly, long_division, root_exponent, squarefree_decompose
 from .ratpoly import _gf_gcd, _gf_monic, _trim, _zp_divmod, _zp_reduce  # shared with gcd
 
 #: Inputs above this degree are refused instead of silently grinding.
@@ -29,10 +30,6 @@ DEGREE_CAP = 64
 
 class ZeroOrConstant(ValueError):
     """Factorization needs a polynomial of degree at least 1."""
-
-
-class NoUsablePrime(ValueError):
-    """No prime in _ODD_PRIMES keeps the integer image squarefree."""
 
 
 class LiftFailure(ValueError):
@@ -58,16 +55,16 @@ class IrreducibleFactorization:
         return out
 
 
-def _odd_primes_to(limit: int) -> tuple[int, ...]:
-    """The odd primes up to ``limit``, by the sieve of Eratosthenes."""
-    prime = bytearray([1]) * (limit + 1)
-    for n in range(3, math.isqrt(limit) + 1, 2):
-        prime[n * n :: 2 * n] = bytes(len(range(n * n, limit + 1, 2 * n)))
-    return tuple(compress(range(3, limit + 1, 2), prime[3::2]))
-
-
-#: The primes the factorizer tries, in order: the first 200 odd primes.
-_ODD_PRIMES = _odd_primes_to(1229)
+def _odd_primes():
+    """The odd primes in order, by sieves of Eratosthenes whose limit doubles."""
+    count, limit = 0, 64
+    while True:
+        prime = bytearray([1]) * (limit + 1)
+        for n in range(3, math.isqrt(limit) + 1, 2):
+            prime[n * n :: 2 * n] = bytes(len(range(n * n, limit + 1, 2 * n)))
+        primes = list(compress(range(3, limit + 1, 2), prime[3::2]))
+        yield from primes[count:]
+        count, limit = len(primes), 2 * limit
 
 
 # ---------------------------------------------------------------------------
@@ -184,21 +181,6 @@ def _from_integer_factor(c: list[int], scale: int) -> Poly:
     return Poly.from_integers([c[k] * scale**k for k in range(d + 1)], scale**d)
 
 
-def _root_bound(g: list[int]) -> int:
-    """Fujiwara's bound 2*max_k ceil(|g[n-k]|**(1/k)) on the roots of the
-    monic g, by integer k-th roots."""
-    n = _deg(g)
-    return 2 * max(_ceil_root(abs(g[n - k]), k) for k in range(1, n + 1))
-
-
-def _ceil_root(a: int, k: int) -> int:
-    """The least r >= 1 with r**k >= a."""
-    r = 1 << -(-a.bit_length() // k)  # r**k >= a
-    while r > 1 and (s := ((k - 1) * r + a // r ** (k - 1)) // k) < r:
-        r = s  # integer Newton from above stops at max(1, floor(a**(1/k)))
-    return r if r**k >= a else r + 1
-
-
 def _mignotte_bound(g: list[int]) -> int:
     """Upper bound on coefficient magnitudes of any monic factor of g over Z."""
     norm = math.isqrt(sum(x * x for x in g)) + 1
@@ -250,7 +232,7 @@ def _gf_equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[l
 
     For d = 1 the monic squarefree f is the product of x - a over its roots
     a in GF(p), which an evaluation at every residue finds with no random
-    draw; p is at most 1229, the 200th odd prime.
+    draw, in O(p*deg f) steps; the prime search bounds p.
     """
     n = _deg(f)
     if n == d:
@@ -367,23 +349,23 @@ def _factor_squarefree(part: Poly) -> list[Poly]:
         return [part.monic()]
     g, scale = _monic_integral(part)
     n = _deg(g)
-    # g is monic, so its image keeps its degree modulo every prime.  Primes
-    # dividing its discriminant leave a square factor; x*(x - P), with P the
-    # product of _ODD_PRIMES, has no usable one.
-    for prime in _ODD_PRIMES:
+    # g is monic, so its image keeps its degree modulo every prime, and only
+    # the primes dividing its discriminant leave a square factor.  By
+    # Mahler's bound |disc g| <= n^n*||g||_2^(2n-2) < 2^(tries - 1), so fewer
+    # than ``tries`` odd primes divide a non-zero discriminant.
+    tries = n * n.bit_length() + (n - 1) * sum(c * c for c in g).bit_length() + 1
+    for prime in islice(_odd_primes(), tries):
         gbar = _zp_reduce(g, prime)
         deriv = [k * gbar[k] for k in range(1, n + 1)]
         if _deg(_gf_gcd(gbar, deriv, prime)) == 0:
             break
     else:
-        raise NoUsablePrime(
-            f"no usable prime: a squarefree factor of degree {n} is not "
-            f"squarefree modulo any of the first {len(_ODD_PRIMES)} odd primes"
-        )
+        raise NotSquarefree(f"a factor of degree {n} is not squarefree modulo any of the "
+                            f"first {tries} odd primes, so its discriminant is 0")
     modular = factor_mod_p(gbar, prime, random.Random(f"0:{prime}:{n}"))
     # rational roots first: deflating g keeps it congruent to the product of
     # the modular factors not yet used, each simple modulo the prime
-    root_bound = _root_bound(g)
+    root_bound = 1 << (root_exponent(g) + 2)  # every root of g is within it
     found, rest = [], []
     for c in modular:
         if len(c) == 2:

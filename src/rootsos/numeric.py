@@ -44,7 +44,7 @@ from mpmath import mp
 from mpmath.libmp import fone, from_man_exp, from_rational, fzero, mpf_abs, mpf_add, mpf_div
 from mpmath.libmp import mpf_lt, mpf_mul, mpf_neg, mpf_shift, mpf_sqrt, round_nearest
 
-from .ratpoly import Poly, horner, long_division, norm2_squared, sqrt_upper_bound
+from .ratpoly import Poly, horner, long_division, norm2_squared, root_exponent, sqrt_upper_bound
 from .ratpoly import sturm_real_root_count
 
 DEFAULT_PRECISION_BITS = 106
@@ -158,14 +158,12 @@ def _float_seeds(monic):
     return zs if all(cmath.isfinite(z) for z in zs) else None
 
 
-def _scaled_monic(coeffs):
-    """(k, monic coefficients scaled by 2^-k), k = max_i floor(e_i / i) =
-    floor(max_i log2|a_{n-i}|^(1/i)) with e_i = floor(log2|a_{n-i}|): by
-    Fujiwara's bound every root y of the scaled polynomial has |y| <= 4."""
-    n = len(coeffs) - 1
-    monic = [c / coeffs[-1] for c in coeffs]
-    k = max(((mp.frexp(c)[1] - 1) // (n - j) for j, c in enumerate(monic[:-1]) if c), default=0)
-    return k, [mp.ldexp(c, k * (j - n)) for j, c in enumerate(monic)]
+def _scaled_monic(f, coeffs):
+    """(k, the coefficients ``coeffs`` of f made monic and scaled by 2^-k),
+    k = ``root_exponent`` of f's exact coefficients: every root y of the
+    scaled polynomial has |y| <= 4."""
+    n, k = len(coeffs) - 1, root_exponent(f.nums)
+    return k, [mp.ldexp(c / coeffs[-1], k * (j - n)) for j, c in enumerate(coeffs)]
 
 
 def _polyroots(k, scaled, seeds):
@@ -334,7 +332,7 @@ def find_roots(
         real = sturm_real_root_count(f)  # raises NotSquarefree when repeated
     with mp.workprec(precision_bits):
         fc = _mp_coeffs(f)
-        k, scaled = _scaled_monic(fc)
+        k, scaled = _scaled_monic(f, fc)
         if previous is not None and previous.degree == f.degree:
             start, seed_bits = previous.real_roots + previous.complex_pairs, previous.precision_bits
             # polyroots' seeds, each pair as (conjugate, representative): the

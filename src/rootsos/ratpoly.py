@@ -699,6 +699,22 @@ def norm2_squared(p: Poly) -> Fraction:
     return Fraction(sum(v * v for v in p.nums), p.den * p.den)
 
 
+def root_exponent(nums) -> int:
+    """k = max over the non-zero a_j, j < n, of floor(floor(log2|a_j/a_n|)/(n-j)),
+    or 0 when there is none, for ascending integer coefficients ``nums`` of
+    degree n (any common denominator cancels).  |a_j/a_n|^(1/(n-j)) is below
+    2^(k+1), so Fujiwara's bound puts every root within 2^(k+2)."""
+    n, lead = len(nums) - 1, abs(nums[-1])
+    return max((_floor_log2(abs(a), lead) // (n - j) for j, a in enumerate(nums[:-1]) if a),
+               default=0)
+
+
+def _floor_log2(a: int, b: int) -> int:
+    """floor(log2(a/b)) for positive integers a and b, exactly."""
+    e = a.bit_length() - b.bit_length()  # a/b lies in (2^(e-1), 2^(e+1))
+    return e if a << max(-e, 0) >= b << max(e, 0) else e - 1
+
+
 def sqrt_upper_bound(r: Fraction) -> Fraction:
     """Conservative rational upper bound on sqrt(r) for r >= 0.
 

@@ -336,17 +336,28 @@ def test_inspect_prints_yuns_parts_from_one_decomposition(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "f, message",
-    [
-        ("x^70+1", "error: degree 70 exceeds cap 64"),
-        (f"x*(x-{odd_primes_product(200)})", "error: no usable prime"),
-    ],
-    ids=["over-degree-cap", "no-usable-prime"],
+    [("x^70+1", "error: degree 70 exceeds cap 64")],
+    ids=["over-degree-cap"],
 )
 def test_refused_factorization_exits_1(f, message, capsys):
     assert main(["inspect", "--f", f]) == 1
     assert capsys.readouterr().err.startswith(message)
     assert main(["certify", "--f", f, "--g", "x^2+2"]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_a_product_of_the_first_200_odd_primes_factors_and_certifies(tmp_path, capsys):
+    # the discriminant P^2 of x(x - P) is divisible by the first 200 odd
+    # primes; the prime search goes on past them
+    big = odd_primes_product(200)
+    f, out = f"x*(x-{big})", tmp_path / "cert.json"
+    assert main(["certify", "--f", f, "--g", "x^2+2", "--out", str(out)]) == 0
+    assert main(["verify", "--cert", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["inspect", "--f", f]) == 0
+    factors = capsys.readouterr().out.split("irreducible factorization (unit 1):\n")[1]
+    assert factors.splitlines() == [f"  (x - {big})^1  [distinct real roots: 1]",
+                                    "  (x)^1  [distinct real roots: 1]"]
 
 
 @pytest.mark.parametrize(

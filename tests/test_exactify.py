@@ -20,6 +20,7 @@ from rootsos.exactify import (
     NotPD,
     PrecisionExhausted,
     SharedFactor,
+    SOSDecomposition,
     certify_strict_squarefree,
     check_positive_definite,
     delta_bound,
@@ -76,6 +77,28 @@ def test_gram_of_poly_zero_and_corner():
     assert gram_of_poly(X**2, 2) == ((F(0), F(0)), (F(0), F(1)))
     with pytest.raises(DegreeTooHigh):
         gram_of_poly(X**3, 2)
+
+
+def test_gram_of_poly_refuses_size_0():
+    with pytest.raises(ValueError, match="at least 1"):
+        gram_of_poly(X, 0)
+
+
+def test_matrices_must_be_square_and_symmetric():
+    with pytest.raises(ValueError, match="must be square"):
+        check_positive_definite(((1, 2), (2,)))
+    with pytest.raises(ValueError, match="must be symmetric"):
+        check_positive_definite(((1, 2), (3, 4)))
+
+
+def test_sos_decomposition_refuses_malformed_data():
+    p = X**2 + Poly.one()
+    with pytest.raises(ValueError, match="pair up"):
+        SOSDecomposition((F(1), F(2)), (Poly.one(),), p)
+    with pytest.raises(ValueError, match="strictly positive"):
+        SOSDecomposition((F(1), F(0)), (Poly.one(), X), p)
+    with pytest.raises(ValueError, match="below the modulus degree"):
+        SOSDecomposition((F(1),), (X**2,), p)
 
 
 def test_gram_poly_inverts_gram_of_poly():
@@ -342,6 +365,18 @@ def test_certify_strict_toy():
     assert check_positive_definite(lift.Q) is not None
     assert gram_poly(lift.Q) + lift.q * F_CUBE == X
     assert sos.square_sum() == gram_poly(lift.Q)
+
+
+def test_certify_strict_checks_the_squares_of_the_ldl(monkeypatch):
+    real = exactify.check_positive_definite
+
+    def wrong_last_square(rows):
+        weights, squares = real(rows)
+        return weights, squares[:-1] + (squares[-1] + Poly.one(),)
+
+    monkeypatch.setattr(exactify, "check_positive_definite", wrong_last_square)
+    with pytest.raises(AssertionError, match="LDL reconstruction mismatch"):
+        certify_strict_squarefree(F_CUBE, X)
 
 
 def test_certify_strict_vacuous():

@@ -1,6 +1,8 @@
 import math
 import random
+import time
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
@@ -8,7 +10,6 @@ from rootsos import factorq
 from rootsos.factorq import (
     DEGREE_CAP,
     DegreeTooLarge,
-    NoUsablePrime,
     ZeroOrConstant,
     _factor_squarefree,
     _lift_tree,
@@ -18,7 +19,7 @@ from rootsos.factorq import (
     factor_over_Q,
     recombine,
 )
-from rootsos.ratpoly import Poly, gcd
+from rootsos.ratpoly import NotSquarefree, Poly, gcd, root_exponent
 from support import is_irreducible_by_brute_force, odd_primes_product, random_irreducible
 
 X = Poly.x()
@@ -154,13 +155,58 @@ def test_prime_search_skips_bad_primes(monkeypatch):
     f = (X - Poly.one()) * (X - Poly.constant(4))
     assert factor_over_Q(f).factors == ((X - Poly.constant(4), 1), (X - Poly.one(), 1))
     assert primes == [5]
-    # x^2 - 2x + 1 stays a square modulo every prime
-    with pytest.raises(NoUsablePrime):
+    # x^2 - 2x + 1 stays a square modulo every prime: its discriminant is 0
+    started = time.perf_counter()
+    with pytest.raises(NotSquarefree, match="first 8 odd primes"):
         _factor_squarefree(Poly([1, -2, 1]))
-    # the discriminant P^2 of x(x - P) is divisible by every prime tried
-    with pytest.raises(NoUsablePrime, match="first 200 odd primes"):
-        factor_over_Q(X * (X - Poly.constant(odd_primes_product(200))))
-    assert primes == [5]
+    assert time.perf_counter() - started < 0.01
+    # the discriminant P^2 of x(x - P) is divisible by the first 200 odd
+    # primes, so the search goes on to the 201st, 1231
+    big = Poly.constant(odd_primes_product(200))
+    assert factor_over_Q(X * (X - big)).factors == ((X - big, 1), (X, 1))
+    assert primes == [5, 1231]
+
+
+def test_prime_search_stops_after_its_budget(monkeypatch):
+    yielded = []
+    real = factorq._odd_primes
+
+    def counted():
+        for p in real():
+            yielded.append(p)
+            yield p
+
+    monkeypatch.setattr(factorq, "_odd_primes", counted)
+    # (x - 3)^2 has n = 2 and ||g||_2^2 = 118: 2*2 + 1*7 + 1 = 12 tries
+    with pytest.raises(NotSquarefree, match="first 12 odd primes"):
+        _factor_squarefree(Poly([9, -6, 1]))
+    assert yielded == list(islice(real(), 12))
+
+
+def test_factors_do_not_depend_on_the_prime(monkeypatch):
+    rng = random.Random(33)
+    primes = _splitting_prime(monkeypatch)
+    real = factorq._odd_primes
+    checked = 0
+    while checked < 25:
+        factors = {}
+        for _ in range(rng.randint(2, 6)):
+            p = random_irreducible(rng)
+            factors[p.coeffs] = p
+        f = Poly.constant(F(rng.randint(1, 9), rng.randint(1, 9)))
+        for p in factors.values():
+            f = f * p
+        if not 2 <= f.degree <= 12:
+            continue
+        monkeypatch.setattr(factorq, "_odd_primes", real)
+        expected = factor_over_Q(f)
+        for _ in range(3):  # start the search past its first 1, 2 and 3 usable primes
+            start = primes[-1]
+            monkeypatch.setattr(factorq, "_odd_primes",
+                                lambda s=start: (p for p in real() if p > s))
+            assert factor_over_Q(f) == expected
+            assert primes[-1] > start
+        checked += 1
 
 
 def test_monic_image_is_built_once_per_squarefree_part(monkeypatch):
@@ -343,17 +389,6 @@ def _integer_image(roots, tail=(1,)):
     return out
 
 
-def test_ceil_root_is_the_least_upper_integer_root():
-    for k in range(1, 7):
-        for a in range(300):
-            r = factorq._ceil_root(a, k)
-            assert r >= 1 and r**k >= a and (r == 1 or (r - 1) ** k < a)
-    for a in (2**200 - 1, 2**200, 2**200 + 1, 3**150):
-        for k in (1, 2, 3, 7, 64):
-            r = factorq._ceil_root(a, k)
-            assert r**k >= a > (r - 1) ** k
-
-
 @pytest.mark.parametrize(
     "g, roots",
     [
@@ -370,7 +405,7 @@ def test_ceil_root_is_the_least_upper_integer_root():
          "x^7+2^70", "x^24-5^24", "x^2-2^201"],
 )
 def test_fujiwara_bound_covers_every_integer_root(g, roots):
-    bound = factorq._root_bound(g)
+    bound = 2 ** (root_exponent(g) + 2)
     for r in roots:
         assert sum(c * r**k for k, c in enumerate(g)) == 0
         assert abs(r) <= bound
@@ -444,13 +479,14 @@ def test_root_split_matches_the_whole_image_lift(monkeypatch):
         checked += 1
 
 
-def test_prime_table_is_the_first_200_odd_primes():
+def test_prime_generator_yields_the_first_5000_odd_primes():
     reference, n = [], 3  # trial division
-    while len(reference) < 200:
+    while len(reference) < 5000:
         if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
             reference.append(n)
         n += 2
-    assert factorq._ODD_PRIMES == tuple(reference)
+    # up to 48619: the sieve's limit doubles ten times past its first 64
+    assert list(islice(factorq._odd_primes(), 5000)) == reference
 
 
 def test_false_root_lifts_stay_in_the_cofactor(monkeypatch):
@@ -464,7 +500,7 @@ def test_false_root_lifts_stay_in_the_cofactor(monkeypatch):
         return lifted[-1]
 
     monkeypatch.setattr(factorq, "_lift_root", spy)
-    monkeypatch.setattr(factorq, "_ODD_PRIMES", (17,))
+    monkeypatch.setattr(factorq, "_odd_primes", lambda: iter((17,)))
     calls = _spy_lift_tree(monkeypatch)
     quad, lin = X**2 - Poly.constant(2), X - Poly.constant(3)
     assert _by_degree(_factor_squarefree(quad * lin)) == [lin, quad]
@@ -491,7 +527,7 @@ def test_tree_lift_runs_only_on_the_cofactor(monkeypatch):
     assert len(factor_over_Q(linear).factors) == 16
     assert calls == []
     # x^2 + 1 has the roots 23 and 30 modulo 53, apart from 1..16
-    monkeypatch.setattr(factorq, "_ODD_PRIMES", (53,))
+    monkeypatch.setattr(factorq, "_odd_primes", lambda: iter((53,)))
     fact = factor_over_Q(linear * (X**2 + Poly.one()))
     assert fact.factors[-1] == (X**2 + Poly.one(), 1) and len(fact.factors) == 17
     assert calls == [(2, 2), (1, 1), (1, 1)]

@@ -13,6 +13,7 @@ from rootsos.lifting import (
     HypothesisViolated,
     NoInvertibleSquare,
     NotCoprime,
+    NotIrreducible,
     NotNonnegative,
     certify_nonnegative,
     crt_combine_sos,
@@ -70,6 +71,20 @@ def test_hensel_lift_rejects_p_dividing_g():
         hensel_lift_sos(sos, 2, F_CUBE * X)
 
 
+def test_hensel_lift_refuses_when_every_square_is_divisible_by_p():
+    # p = x^2 - 1 does not divide g = (x - 1)^2, but its one square x - 1
+    # shares the factor x - 1 with p
+    sos = SOSDecomposition((F(1),), (X - Poly.one(),), X**2 - Poly.one())
+    with pytest.raises(NoInvertibleSquare, match="every square is divisible by p"):
+        hensel_lift_sos(sos, 2, (X - Poly.one()) ** 2)
+
+
+def test_hensel_lift_refuses_a_decomposition_of_another_polynomial():
+    # TOY_SOS sums to x modulo x^3 - 2, not to x + 1
+    with pytest.raises(NoInvertibleSquare, match="not an SOS decomposition of g modulo p"):
+        hensel_lift_sos(TOY_SOS, 2, X + Poly.one())
+
+
 def test_hensel_lift_degree_bounds():
     lifted = hensel_lift_sos(TOY_SOS, 3, X)
     modulus = F_CUBE**3
@@ -118,6 +133,18 @@ def test_newton_checks_the_square_invariant():
         newton_sqrt_iterates(Poly.constant(3), Poly.one(), X**2 - Poly.constant(2), 2)
 
 
+def test_newton_at_e_1_returns_h0_with_no_inverse():
+    # x - 1 has no inverse modulo x^2 - 1, and e = 1 asks for none
+    p, h0 = X**2 - Poly.one(), X - Poly.one()
+    assert newton_sqrt_iterates(h0 * h0 % p, h0, p, 1) == [h0]
+
+
+def test_newton_refuses_a_root_sharing_a_factor_with_p():
+    p, h0 = X**2 - Poly.one(), X - Poly.one()
+    with pytest.raises(NotIrreducible, match="is not invertible modulo"):
+        newton_sqrt_iterates(h0 * h0 % p, h0, p, 2)
+
+
 def test_crt_single_part_reduces_only():
     sos = SOSDecomposition((F(2),), (Poly.one(),), X - Poly.one())
     combined = crt_combine_sos([sos])
@@ -159,6 +186,15 @@ def test_crt_rejects_common_factor():
     moduli = (X, X + Poly.one(), X * (X + Poly.constant(2)))
     parts = [SOSDecomposition((F(1),), (Poly.one(),), m) for m in moduli]
     with pytest.raises(NotCoprime):
+        crt_combine_sos(parts)
+
+
+def test_crt_refuses_a_quadratic_modulus_that_shares_a_factor():
+    # x(x + 2) comes first, so its own inverse check finds the shared x
+    # before the linear modulus x is reached
+    moduli = (X * (X + Poly.constant(2)), X + Poly.one(), X)
+    parts = [SOSDecomposition((F(1),), (Poly.one(),), m) for m in moduli]
+    with pytest.raises(NotCoprime, match=r"^x\^2 \+ 2\*x shares a factor"):
         crt_combine_sos(parts)
 
 

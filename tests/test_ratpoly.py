@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from rootsos import ratpoly
 from rootsos.ratpoly import (
@@ -20,6 +21,7 @@ from rootsos.ratpoly import (
     extended_gcd,
     gcd,
     norm2_squared,
+    root_exponent,
     sqrt_upper_bound,
     squarefree_decompose,
     sturm_real_root_count,
@@ -434,6 +436,61 @@ def test_sqrt_upper_bound():
             assert (ub * ub - r) / r < F(1, 10**18)
     with pytest.raises(ValueError):
         sqrt_upper_bound(F(-1))
+
+
+def _rounded_root_exponent(f, bits):
+    """The root exponent from mpmath's frexp of the monic coefficients of f,
+    each rounded to ``bits``."""
+    with mp.workprec(bits):
+        cs = [mp.mpf(c.numerator) / c.denominator for c in f.coeffs]
+        return max(((mp.frexp(c / cs[-1])[1] - 1) // (len(cs) - 1 - j)
+                    for j, c in enumerate(cs[:-1]) if c), default=0)
+
+
+def _random_scaled_poly(rng):
+    """Sparse rational coefficients at one random scale 2^s, |s| <= 300."""
+    scale = F(2) ** rng.randint(-300, 300)
+    coeffs = [F(rng.choice([0, rng.randint(-(10**20), 10**20)]), rng.randint(1, 10**6)) * scale
+              for _ in range(rng.randint(1, 12))]
+    return Poly(coeffs + [F(rng.randint(1, 10**6), rng.randint(1, 10**6))])
+
+
+def test_root_exponent_matches_the_rounded_rule():
+    rng = random.Random(33)
+    for _ in range(2000):
+        f = _random_scaled_poly(rng)
+        assert root_exponent(f.nums) == _rounded_root_exponent(f, 106)
+    assert root_exponent([5]) == 0 and root_exponent([0, 0, 3]) == 0  # no lower coefficient
+
+
+def test_root_exponent_is_exact_below_a_power_of_two():
+    f = X - Poly.constant(2**107 - 1)
+    assert root_exponent(f.nums) == 106
+    assert _rounded_root_exponent(f, 106) == 107  # 2^107 - 1 rounds up to 2^107
+    assert root_exponent((X - Poly.constant(F(2**107 - 1, 2**300))).nums) == 106 - 300
+    # a ratio 1 - 2^-108 of two numerators of equal length: floor is -1
+    g = (2**108 - 1) * X - Poly.constant(2**108 - 2)
+    assert root_exponent(g.nums) == -1 and _rounded_root_exponent(g, 106) == 0
+
+
+def test_root_exponent_bounds_every_root():
+    # roots known exactly: rational ones and pairs a +- bi, at scales 2^s
+    rng = random.Random(2026)
+    for _ in range(300):
+        scale = F(2) ** rng.choice([-300, -40, 0, 40, 300])
+        f, moduli = Poly.constant(F(rng.randint(1, 99), rng.randint(1, 99))), []
+        for _ in range(rng.randint(1, 6)):
+            a = F(rng.randint(-999, 999), rng.randint(1, 99)) * scale
+            if rng.random() < 0.5:
+                f, moduli = f * (X - Poly.constant(a)), moduli + [a * a]
+            else:
+                b = F(rng.randint(1, 999), rng.randint(1, 99)) * scale
+                f = f * Poly([a * a + b * b, -2 * a, 1])
+                moduli.append(a * a + b * b)
+        k, n = root_exponent(f.nums), int(f.degree)
+        assert max(moduli) <= F(4) ** (k + 2)  # |root|^2 <= (2^(k+2))^2
+        # and not loose: every |a_j/a_n| <= C(n, n-j)*R^(n-j) <= (n*R)^(n-j)
+        assert F(4) ** k <= n * n * max(moduli)
 
 
 def test_poly_pow_and_eval():
